@@ -46,7 +46,7 @@ _EXTERNAL_KEYS = {"command", "dim"}
 
 _DIST_KEYS = {
     "uniform": {"kind", "lo", "hi"},
-    "normal": {"kind", "mean", "cv"},
+    "normal": {"kind", "mean", "sd", "cv"},
     "lognormal": {"kind", "mean", "cv"},
 }
 
@@ -189,12 +189,22 @@ def _marginal_from_spec(spec, where: str):
     if kind not in _DIST_KEYS:
         raise _fail(f"{where}: kind must be one of {sorted(_DIST_KEYS)}, got {kind!r}")
     _check_keys(spec, _DIST_KEYS[kind], where)
-    missing = _DIST_KEYS[kind] - set(spec)
+    required = _DIST_KEYS[kind]
+    if kind == "normal":
+        spread = {"sd", "cv"} & set(spec)
+        if len(spread) != 1:
+            raise _fail(f"{where}: normal takes exactly one of sd or cv, got "
+                        f"{' and '.join(sorted(spread)) or 'neither'}")
+        required = required - {"sd", "cv"} | spread
+    missing = required - set(spec)
     if missing:
         raise _fail(f"{where}: missing key(s): {', '.join(sorted(missing))}")
     try:
         if kind == "uniform":
             return Uniform(_require_number(spec, "lo", where), _require_number(spec, "hi", where))
+        if kind == "normal" and "sd" in spec:
+            return Normal(_require_number(spec, "mean", where),
+                          _require_number(spec, "sd", where))
         if kind == "normal":
             return Normal.from_cv(_require_number(spec, "mean", where),
                                   _require_number(spec, "cv", where))

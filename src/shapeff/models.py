@@ -157,13 +157,141 @@ def constant_model(value: float, dim: int) -> ModelFunction:
     return ModelFunction(dim, f, name="constant", vectorized=True)
 
 
+# Request lines per write. The next slice is written before the replies to the
+# current one are read, so at most two slices of short replies (about 13 KB)
+# ever wait in the reply pipe, well under the 64 KiB a pipe holds by default:
+# the child never blocks on a reply while this process blocks on a request.
+# A batch's payload is formatted a slice at a time, so it never sits whole in
+# memory.
+_SLICE = 256
+# Bytes of the child's stderr kept for error messages.
+_STDERR_TAIL = 4096
+
+
+def _request_lines(points: np.ndarray) -> bytes:
+    """One line per row, each value as format(v, ".17g"), space-separated."""
+    row = " ".join(["%.17g"] * points.shape[1]) + "\n"
+    return "".join(row % tuple(values) for values in points.tolist()).encode("ascii")
+
+
+class _Child:
+    """One running external process, its request line count, and its stderr tail.
+
+    A daemon thread reads the child's stderr as it arrives and keeps the last
+    ``_STDERR_TAIL`` bytes, so a chatty child never blocks on a full pipe.
+    """
+
+    def __init__(self, command: list[str]):
+        try:
+            self.proc = subprocess.Popen(
+                command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+        except OSError as exc:
+            raise EvaluationError(f"cannot start external model {command}: {exc}")
+        self.lines = 0
+        self._tail = b""
+        self._drain = threading.Thread(target=self._drain_stderr, daemon=True,
+                                       name="external-model-stderr")
+        self._drain.start()
+
+    def _drain_stderr(self) -> None:
+        with self.proc.stderr as err:
+            while chunk := err.read1(_STDERR_TAIL):
+                self._tail = (self._tail + chunk)[-_STDERR_TAIL:]
+
+    def exchange(self, points: np.ndarray) -> np.ndarray:
+        """Send one request line per row of ``points``; read the replies in order.
+
+        Slice i + 1 is written before the replies to slice i are read, so the
+        child has input to work on while this process reads.
+        """
+        n = points.shape[0]
+        values = np.empty(n)
+        sending = self._send(points[:_SLICE])
+        for start in range(0, n, _SLICE):
+            if sending:
+                sending = self._send(points[start + _SLICE:start + 2 * _SLICE])
+            self._receive(values[start:start + _SLICE], self.lines + start)
+        self.lines += n
+        return values
+
+    def _send(self, points: np.ndarray) -> bool:
+        """Write the request lines; False once the child has closed its input."""
+        try:
+            self.proc.stdin.write(_request_lines(points))
+            self.proc.stdin.flush()
+        except BrokenPipeError:
+            # The replies the child did send are still read; the first missing
+            # one is reported with the exit note.
+            return False
+        return True
+
+    def _receive(self, values: np.ndarray, lines_before: int) -> None:
+        stdout = self.proc.stdout
+        for i in range(values.shape[0]):
+            line_no = lines_before + i + 1
+            reply = stdout.readline()
+            if not reply:
+                raise EvaluationError(
+                    f"external model produced no reply for line {line_no}{self.exit_note()}")
+            try:
+                values[i] = float(reply)
+            except ValueError:
+                text = reply.strip().decode(errors="replace")
+                raise EvaluationError(
+                    f"external model sent a malformed reply at line {line_no}: {text!r}")
+
+    def exit_note(self) -> str:
+        """' (process exited with code c; stderr: ...)' once the process has ended."""
+        try:
+            code = self.proc.wait(timeout=1)
+        except subprocess.TimeoutExpired:
+            return ""
+        self._drain.join(timeout=1)
+        note = f" (process exited with code {code}"
+        err = self._tail.decode(errors="replace").strip()
+        if err:
+            note += f"; stderr: {err}"
+        return note + ")"
+
+    def close(self) -> None:
+        """Close the child's stdin and reap it; kill it if it does not exit within 5 s."""
+        try:
+            self.proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self.proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+        self._drain.join(timeout=1)
+
+    def kill(self) -> None:
+        """End the child at once and reap it, after a failed batch.
+
+        Closing the pipes also ends a process the command started in its turn
+        (a wrapper script that does not exec), which holds them open: it sees
+        EOF on its input and a broken pipe on its output.
+        """
+        self.proc.kill()
+        self.close()
+
+
 class ExternalModel:
     """Adapter for a black-box simulator speaking the line protocol.
 
     Each request is one line of d space-separated decimal floats; the process
     must answer one decimal float per line, in order. EOF on its stdin tells
-    the process to finish. Access is serialized (one in-flight request), so
-    the wrapped model is safe to call from several threads.
+    the process to finish. A batch goes out in one pipelined exchange, with up
+    to 512 lines in flight, so the process must answer each line as it reads
+    it. One batch is served at a time, so the wrapped model is safe to
+    call from several threads. A failed batch ends the process; the next call
+    starts a fresh one, whose line numbers start again at 1.
     """
 
     def __init__(self, command: Sequence[str], dim: int):
@@ -173,82 +301,44 @@ class ExternalModel:
         if not self.command:
             raise ParameterError("external model command must be non-empty")
         self.dim = int(dim)
-        self._proc: subprocess.Popen | None = None
+        self._child: _Child | None = None
         self._lock = threading.Lock()
-        self._line = 0
 
-    def _ensure_started(self) -> None:
-        if self._proc is None:
+    def _ensure_started(self) -> _Child:
+        if self._child is None:
+            self._child = _Child(self.command)
+        return self._child
+
+    def evaluate_batch(self, points) -> np.ndarray:
+        """Evaluate every row of an (n, d) array in one exchange with the process."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dim:
+            raise ParameterError(
+                f"external model expects an (n, {self.dim}) batch, got shape {points.shape}")
+        with self._lock:
+            child = self._ensure_started()
             try:
-                self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
-            except OSError as exc:
-                raise EvaluationError(f"cannot start external model {self.command}: {exc}")
+                return child.exchange(points)
+            except BaseException:
+                # A half-consumed pipe must never serve the next call.
+                self._child = None
+                child.kill()
+                raise
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ParameterError(
                 f"external model expects a vector of length {self.dim}, got shape {x.shape}")
-        with self._lock:
-            self._ensure_started()
-            proc = self._proc
-            self._line += 1
-            line_no = self._line
-            request = " ".join(format(v, ".17g") for v in x)
-            try:
-                proc.stdin.write(request + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError):
-                raise EvaluationError(
-                    f"external model closed its input at line {line_no}"
-                    f"{self._exit_note()}")
-            reply = proc.stdout.readline()
-            if reply == "":
-                raise EvaluationError(
-                    f"external model produced no reply for line {line_no}"
-                    f"{self._exit_note()}")
-            try:
-                return float(reply.strip())
-            except ValueError:
-                raise EvaluationError(
-                    f"external model sent a malformed reply at line {line_no}: {reply.strip()!r}")
-
-    def _exit_note(self) -> str:
-        if self._proc is None:
-            return ""
-        code = self._proc.poll()
-        if code is None:
-            return ""
-        err = ""
-        try:
-            err = self._proc.stderr.read().strip()
-        except Exception:
-            pass
-        note = f" (process exited with code {code}"
-        if err:
-            note += f"; stderr: {err[:200]}"
-        return note + ")"
+        return float(self.evaluate_batch(x[None, :])[0])
 
     def close(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            if proc.stdin and not proc.stdin.closed:
-                proc.stdin.close()
-            proc.wait(timeout=5)
-        except Exception:
-            proc.kill()
-            proc.wait()
+        child, self._child = self._child, None
+        if child is not None:
+            child.close()
 
     def as_model(self) -> ModelFunction:
-        return ModelFunction(self.dim, self.evaluate, name="external")
+        return ModelFunction(self.dim, self.evaluate_batch, name="external", vectorized=True)
 
     def __enter__(self) -> "ExternalModel":
         self._ensure_started()

@@ -145,6 +145,27 @@ def test_external_model_protocol_violation_exits_3(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_external_model_flooding_stderr_finishes(tmp_path):
+    # 1 KiB of stderr per reply overfills an undrained stderr pipe within
+    # a few dozen replies, after which the child blocks and the run hangs.
+    chatty = ("import sys\n"
+              "for line in sys.stdin:\n"
+              "    sys.stderr.write('x' * 1023 + '\\n')\n"
+              "    sys.stderr.flush()\n"
+              "    print(line.split()[0], flush=True)\n")
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {
+        "model": {"command": [sys.executable, "-c", chatty], "dim": 2},
+        "distributions": [{"kind": "uniform", "lo": 0.0, "hi": 1.0}] * 2,
+        "n": 200, "seed": 0,
+    })
+    result = subprocess.run(
+        [sys.executable, "-m", "shapeff.cli", "analyze", "--config", str(cfg)],
+        env=env_importing_this_shapeff(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["eval_count"] == 3 * 200
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"model": {"name": "ishigami"}, "n": 16, "sedd": 1})
@@ -160,6 +181,39 @@ def test_unknown_distribution_key_exits_2(tmp_path):
         "n": 16,
     })
     assert run(["analyze", "--config", str(cfg)]) == 2
+
+
+def test_normal_spec_takes_sd_or_cv_and_reruns_from_its_config(tmp_path):
+    uniform = {"kind": "uniform", "lo": -math.pi, "hi": math.pi}
+    results = {}
+    for spread in ({"sd": 0.5}, {"cv": 0.25}):
+        spec = {"kind": "normal", "mean": 2.0, **spread}
+        cfg = tmp_path / "cfg.json"
+        write_json(cfg, {"model": {"name": "ishigami"},
+                         "distributions": [spec, uniform, uniform], "n": 64, "seed": 3})
+        out = tmp_path / "out.json"
+        assert run(["analyze", "--config", str(cfg), "--output", str(out)]) == 0
+        report = read_json(out)
+        assert report["config"]["distributions"][0] == spec
+        rerun_cfg = tmp_path / "rerun.json"
+        write_json(rerun_cfg, report["config"])
+        rerun = tmp_path / "rerun_out.json"
+        assert run(["analyze", "--config", str(rerun_cfg), "--output", str(rerun)]) == 0
+        assert read_json(rerun)["results"] == report["results"]
+        results[next(iter(spread))] = report["results"]
+    # sd = |mean| * cv exactly here, so both specs give the same input space.
+    assert results["sd"] == results["cv"]
+
+
+@pytest.mark.parametrize("spread, given", [({"sd": 0.5, "cv": 0.25}, "cv and sd"),
+                                           ({}, "neither")], ids=["both", "neither"])
+def test_normal_spec_needs_exactly_one_of_sd_or_cv(tmp_path, capsys, spread, given):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"name": "constant", "dim": 1},
+                     "distributions": [{"kind": "normal", "mean": 2.0, **spread}], "n": 16})
+    assert run(["analyze", "--config", str(cfg)]) == 2
+    assert ("distributions[0]: normal takes exactly one of sd or cv, got " + given
+            in capsys.readouterr().err)
 
 
 def test_config_validation_errors_exit_2(tmp_path):
@@ -283,16 +337,22 @@ def declared_console_script():
     return scripts["shapeff"]
 
 
+def env_importing_this_shapeff():
+    """os.environ with PYTHONPATH led by the directory of the imported ``shapeff``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(shapeff.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_console_wrapper(entry_point, args):
     """Run the wrapper an installer generates for ``entry_point`` in a new
     interpreter, importing the same ``shapeff`` package as this test run."""
     wrapper = (f"import sys\n"
                f"from {entry_point.module} import {entry_point.attr}\n"
                f"sys.exit({entry_point.attr}())\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(shapeff.__file__).parents[1]), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", wrapper, *args], env=env,
+    return subprocess.run([sys.executable, "-c", wrapper, *args],
+                          env=env_importing_this_shapeff(),
                           capture_output=True, text=True, timeout=120)
 
 

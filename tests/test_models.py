@@ -1,5 +1,6 @@
 """Tests for the model wrapper, builtin test functions, and external models."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -7,15 +8,30 @@ import threading
 import numpy as np
 import pytest
 
-from shapeff import (EvaluationError, ExternalModel, ModelFunction,
-                     ParameterError, RngStream, constant_model,
-                     external_model, ishigami, ishigami_space,
-                     plate_buckling, plate_buckling_space, sobol_g,
-                     sobol_g_space)
+from shapeff import (EstimatorConfig, EvaluationError, ExternalModel,
+                     ModelFunction, ParameterError, RngStream,
+                     constant_model, estimate_main_effects,
+                     estimate_shapley_all, estimate_shapley_winding,
+                     estimate_total_effects, external_model, ishigami,
+                     ishigami_space, plate_buckling, plate_buckling_space,
+                     sobol_g, sobol_g_space)
 
 ECHO_FIRST = ("import sys\n"
               "for line in sys.stdin:\n"
               "    print(line.split()[0], flush=True)\n")
+
+ISHIGAMI_CHILD = ("import sys, math\n"
+                  "for line in sys.stdin:\n"
+                  "    x = [float(v) for v in line.split()]\n"
+                  "    y = (1 + 0.1 * x[2]**4) * math.sin(x[0]) + 7 * math.sin(x[1])**2\n"
+                  "    print(repr(y), flush=True)\n")
+
+# Fails on line 2 with 'nope'; answers '1.0' otherwise.
+MALFORMED_AT_2 = ("import sys\n"
+                  "n = 0\n"
+                  "for line in sys.stdin:\n"
+                  "    n += 1\n"
+                  "    print('nope' if n == 2 else '1.0', flush=True)\n")
 
 
 def test_ishigami_point_values():
@@ -153,27 +169,28 @@ def test_external_model_constant_process():
 
 
 def test_external_model_matches_builtin_ishigami():
-    code = ("import sys, math\n"
-            "for line in sys.stdin:\n"
-            "    x = [float(v) for v in line.split()]\n"
-            "    y = (1 + 0.1 * x[2]**4) * math.sin(x[0]) + 7 * math.sin(x[1])**2\n"
-            "    print(repr(y), flush=True)\n")
-    f = external_model([sys.executable, "-c", code], dim=3)
+    f = external_model([sys.executable, "-c", ISHIGAMI_CHILD], dim=3)
     assert f([math.pi / 2, math.pi / 2, 1.0]) == pytest.approx(8.1, rel=1e-12)
     assert f([0.4, -1.2, 2.2]) == pytest.approx(ishigami()([0.4, -1.2, 2.2]), rel=1e-12)
 
 
 def test_external_model_malformed_reply_carries_line_number():
-    code = ("import sys\n"
-            "n = 0\n"
-            "for line in sys.stdin:\n"
-            "    n += 1\n"
-            "    print('nope' if n == 2 else '1.0', flush=True)\n")
-    with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
+    with ExternalModel([sys.executable, "-c", MALFORMED_AT_2], dim=1) as ext:
         ext.evaluate([0.5])
         with pytest.raises(EvaluationError) as err:
             ext.evaluate([0.5])
     assert "line 2" in str(err.value)
+
+
+def test_external_model_non_text_reply_is_malformed():
+    code = ("import sys\n"
+            "sys.stdin.readline()\n"
+            "sys.stdout.buffer.write(b'\\xff\\xfe\\n')\n"
+            "sys.stdout.flush()\n"
+            "sys.stdin.readline()\n")
+    with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
+        with pytest.raises(EvaluationError, match="malformed reply at line 1"):
+            ext.evaluate([0.5])
 
 
 def test_external_model_process_exit_is_reported():
@@ -181,6 +198,168 @@ def test_external_model_process_exit_is_reported():
     with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
         with pytest.raises(EvaluationError):
             ext.evaluate([0.5])
+
+
+def run_with_timeout(call, seconds=60):
+    """Run ``call`` in a daemon thread; fail if it has not returned in time."""
+    outcome = []
+    caller = threading.Thread(target=lambda: outcome.append(call()), daemon=True)
+    caller.start()
+    caller.join(timeout=seconds)
+    assert not caller.is_alive(), f"still running after {seconds} s"
+    return outcome[0]
+
+
+def test_external_model_request_text_is_the_line_protocol(tmp_path):
+    # The process sees format(v, ".17g") per value, one line per point, in
+    # order, across slices and across batches.
+    log = tmp_path / "requests.txt"
+    code = ("import sys\n"
+            f"with open({str(log)!r}, 'w') as log:\n"
+            "    for line in sys.stdin:\n"
+            "        log.write(line)\n"
+            "        print(0.0, flush=True)\n")
+    special = np.array([[0.0, -0.0], [0.1, 1e-310], [5e-324, 1.7976931348623157e308],
+                        [-math.pi, 1.0 / 3.0]])
+    points = np.vstack([special, RngStream(9).generator().normal(size=(1000, 2))])
+    with ExternalModel([sys.executable, "-c", code], dim=2) as ext:
+        assert ext.evaluate_batch(points).tolist() == [0.0] * len(points)
+        ext.evaluate(points[0])
+    expected = ["".join(" ".join(format(v, ".17g") for v in row) + "\n"
+                        for row in points)]
+    expected.append(" ".join(format(v, ".17g") for v in points[0]) + "\n")
+    assert log.read_text() == "".join(expected)
+
+
+def test_external_model_failed_batch_leaves_nothing_behind():
+    # The batch is far larger than the pipes hold, so most of it is unsent
+    # when the malformed reply to line 2 arrives.
+    with ExternalModel([sys.executable, "-c", MALFORMED_AT_2], dim=8) as ext:
+        old = ext._child
+        with pytest.raises(EvaluationError, match="line 2: 'nope'"):
+            ext.evaluate_batch(np.full((20000, 8), 0.5))
+        assert old.proc.returncode is not None
+        assert not old._drain.is_alive()
+        assert ext.evaluate(np.zeros(8)) == 1.0
+        assert ext._child is not old
+
+
+def test_external_model_failed_batch_through_a_wrapper_does_not_hang(tmp_path):
+    # The shell does not exec the simulator, so killing the shell leaves the
+    # simulator running with both pipes open; the failed batch must still end.
+    script = tmp_path / "malformed.py"
+    script.write_text(MALFORMED_AT_2)
+    command = ["sh", "-c", '"$0" "$1"; exit 0', sys.executable, str(script)]
+
+    def call():
+        with ExternalModel(command, dim=8) as ext:
+            old = ext._child
+            with pytest.raises(EvaluationError, match="line 2: 'nope'"):
+                ext.evaluate_batch(np.full((20000, 8), 0.5))
+            assert old.proc.returncode is not None
+            return ext.evaluate(np.zeros(8))
+
+    assert run_with_timeout(call) == 1.0
+
+
+def test_external_model_exit_mid_batch_quotes_exit_code_and_stderr():
+    code = ("import sys\n"
+            "for _ in range(2):\n"
+            "    sys.stdin.readline()\n"
+            "    print(1.0, flush=True)\n"
+            "sys.stderr.write('x' * 10000 + 'simulator gave up\\n')\n"
+            "sys.exit(4)\n")
+    with ExternalModel([sys.executable, "-c", code], dim=3) as ext:
+        old = ext._child.proc
+        with pytest.raises(EvaluationError) as err:
+            ext.evaluate_batch(np.zeros((5000, 3)))
+    message = str(err.value)
+    assert "no reply for line 3" in message
+    assert "exited with code 4" in message
+    assert "simulator gave up" in message
+    assert len(message) < 4096 + 200
+    assert old.returncode == 4
+
+
+def test_external_model_that_closes_its_input_mid_batch_is_reported():
+    # The child reads one line and exits. A slice of 200-value lines is more
+    # than a pipe holds, so the write meets the closed pipe; the report still
+    # names the first line left unanswered.
+    code = ("import os, sys\n"
+            "sys.stdin.readline()\n"
+            "print(1.0, flush=True)\n"
+            "os.close(0)\n"
+            "sys.exit(5)\n")
+
+    def call():
+        with ExternalModel([sys.executable, "-c", code], dim=200) as ext:
+            with pytest.raises(EvaluationError) as err:
+                ext.evaluate_batch(np.zeros((2000, 200)))
+        return str(err.value)
+
+    message = run_with_timeout(call)
+    assert "no reply for line 2" in message
+    assert "exited with code 5" in message
+
+
+def test_external_model_serves_concurrent_batches_in_order():
+    # More threads than cores, switching often: every caller must get the
+    # replies to its own requests, in its own order.
+    results = {}
+
+    def work(k):
+        points = np.column_stack([k * 1000.0 + np.arange(600.0), np.zeros(600)])
+        results[k] = ext.evaluate_batch(points).tolist() == points[:, 0].tolist()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ExternalModel([sys.executable, "-c", ECHO_FIRST], dim=2) as ext:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == {k: True for k in range(8)}
+
+
+def report_bits(report):
+    """Every field of a report, floats as their exact hex form."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+    return {k: bits(v) for k, v in dataclasses.asdict(report).items()}
+
+
+GOLDEN_N = 4100   # one full 4096-sample chunk and a short tail chunk
+
+
+GOLDEN_RUNS = {
+    "shapley": (estimate_shapley_all, lambda d, n: (d + 1) * n),
+    "main": (estimate_main_effects, lambda d, n: (d + 2) * n),
+    "total": (estimate_total_effects, lambda d, n: (d + 1) * n),
+    "winding": (estimate_shapley_winding, lambda d, n: d * n + 1),
+}
+
+
+@pytest.mark.parametrize("kind, workers", [
+    ("shapley", 1), ("shapley", 2), ("main", 1), ("main", 2),
+    ("total", 1), ("total", 2), ("winding", 1)])
+def test_external_batches_match_the_per_point_view(kind, workers):
+    estimator, cost = GOLDEN_RUNS[kind]
+    cfg = EstimatorConfig(n=GOLDEN_N, seed=20, workers=workers)
+    space = ishigami_space()
+    with ExternalModel([sys.executable, "-c", ISHIGAMI_CHILD], dim=3) as ext:
+        batched = estimator(ext.as_model(), space, cfg)
+        per_point = estimator(ModelFunction(ext.dim, ext.evaluate), space, cfg)
+    assert report_bits(batched) == report_bits(per_point)
+    assert batched.eval_count == cost(3, GOLDEN_N)
 
 
 def test_constant_model_value():
