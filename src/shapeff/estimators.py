@@ -38,12 +38,17 @@ class EstimatorConfig:
     ci_z: float = 1.96
 
     def __post_init__(self):
+        for name in ("n", "seed", "workers"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 2:
             raise ParameterError(f"sample size must be >= 2, got {self.n}")
         if self.workers < 1:
             raise ParameterError(f"worker count must be >= 1, got {self.workers}")
-        if not self.ci_z > 0:
-            raise ParameterError(f"ci multiplier must be > 0, got {self.ci_z}")
+        if not (self.ci_z > 0 and math.isfinite(self.ci_z)):
+            raise ParameterError(f"ci multiplier must be finite and > 0, got {self.ci_z}")
 
 
 @dataclass(frozen=True)

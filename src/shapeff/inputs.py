@@ -17,13 +17,24 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ParameterError
 
 # Uniform draws are (k + 0.5) / 2^53 for k in [0, 2^53): strictly inside (0, 1),
 # so quantile transforms of unbounded marginals never produce infinities.
 _U53 = 1 << 53
+
+
+def _ndtri(u):
+    """Standard normal quantile of u.
+
+    scipy.special is imported here, on the first normal or lognormal draw,
+    rather than with the package: it takes longer to import than a small run
+    takes to compute, and uniform inputs never need it.
+    """
+    from scipy.special import ndtri
+
+    return ndtri(u)
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -87,11 +98,13 @@ class Normal:
         cv = _require_finite("cv", cv)
         if cv < 0:
             raise ParameterError(f"normal cv must be >= 0, got {cv}")
+        if mean == 0:
+            raise ParameterError("normal cv needs a non-zero mean; give sd instead")
         return cls(mean, abs(mean) * cv)
 
     def quantile(self, u):
         _check_unit_open(u)
-        return self.mean + self.sd * ndtri(np.asarray(u, dtype=float))
+        return self.mean + self.sd * _ndtri(np.asarray(u, dtype=float))
 
     def pdf(self, x):
         if self.sd == 0:
@@ -133,7 +146,7 @@ class LogNormal:
 
     def quantile(self, u):
         _check_unit_open(u)
-        return np.exp(self.mu_ln + self.sigma_ln * ndtri(np.asarray(u, dtype=float)))
+        return np.exp(self.mu_ln + self.sigma_ln * _ndtri(np.asarray(u, dtype=float)))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)

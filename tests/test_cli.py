@@ -216,6 +216,16 @@ def test_normal_spec_needs_exactly_one_of_sd_or_cv(tmp_path, capsys, spread, giv
             in capsys.readouterr().err)
 
 
+def test_normal_spec_with_cv_needs_a_non_zero_mean(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for spread, code in (({"mean": 0, "cv": 0.1}, 2), ({"mean": 0.0, "cv": 0.1}, 2),
+                         ({"mean": -1.0, "cv": 0.1}, 0), ({"mean": 0, "sd": 0.1}, 0)):
+        write_json(cfg, {"model": {"name": "constant", "dim": 1},
+                         "distributions": [{"kind": "normal", **spread}], "n": 16})
+        assert run(["analyze", "--config", str(cfg)]) == code, spread
+    assert "distributions[0]: normal cv needs a non-zero mean" in capsys.readouterr().err
+
+
 def test_config_validation_errors_exit_2(tmp_path):
     bad_configs = [
         {"model": {"name": "nope"}, "n": 16},
@@ -401,3 +411,48 @@ def test_console_script_on_path():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     jsonschema.validate(json.loads(result.stdout), EXACT_SCHEMA)
+
+
+# Runs shapeff.cli.main once per argument list in a new interpreter, then
+# prints the exit codes, the reports and whether scipy was ever imported.
+SCIPY_PROBE = ("import contextlib, io, json, sys\n"
+               "import shapeff, shapeff.cli\n"
+               "codes, outputs = [], []\n"
+               "for args in json.loads(sys.argv[1]):\n"
+               "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+               "        codes.append(shapeff.cli.main(args))\n"
+               "    outputs.append(out.getvalue())\n"
+               "print(json.dumps({'codes': codes, 'outputs': outputs,\n"
+               "                  'scipy': 'scipy' in sys.modules}))\n")
+
+
+def run_in_new_interpreter(argvs):
+    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
+                            env=env_importing_this_shapeff(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    probe = json.loads(result.stdout)
+    assert probe["codes"] == [0] * len(argvs), result.stderr
+    return probe
+
+
+@pytest.mark.parametrize("argvs", [
+    [],
+    [["analyze", "--model", "ishigami", "--n", "64"]],
+    [["analyze", "--model", "constant", "--n", "64", "--estimator", "main"]],
+    [["exact", "--model", "sobol-g"]],
+    [["convergence", "--model", "ishigami", "--ns", "64,128", "--trials", "2"]],
+], ids=["import", "analyze-ishigami", "analyze-constant", "exact-sobol-g", "convergence"])
+def test_uniform_inputs_never_import_scipy(argvs):
+    assert run_in_new_interpreter(argvs)["scipy"] is False
+
+
+def test_normal_inputs_import_scipy_in_a_worker_thread_bitwise():
+    # Two chunks run at once on two workers, so in a new interpreter the first
+    # normal quantile, and with it the scipy import, runs in a worker thread.
+    args = ["analyze", "--model", "plate-buckling", "--n", "9000", "--seed", "5"]
+    threaded = run_in_new_interpreter([args + ["--workers", "2"]])
+    serial = run_in_new_interpreter([args + ["--workers", "1"]])
+    assert threaded["scipy"] and serial["scipy"]
+    results = [json.loads(probe["outputs"][0])["results"] for probe in (threaded, serial)]
+    assert results[0] == results[1]

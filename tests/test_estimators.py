@@ -48,6 +48,25 @@ def test_config_validation():
         EstimatorConfig(n=10, seed=0, ci_z=0.0)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 100.0, "n must be an integer"), ("n", True, "n must be an integer"),
+    ("n", "100", "n must be an integer"), ("seed", 1.5, "seed must be an integer"),
+    ("seed", False, "seed must be an integer"), ("seed", np.float64(3.0), "seed must be an integer"),
+    ("workers", True, "workers must be an integer"), ("workers", np.True_, "workers must be an integer"),
+    ("workers", 2.0, "workers must be an integer"),
+    ("ci_z", math.inf, "ci multiplier must be finite"),
+    ("ci_z", math.nan, "ci multiplier must be finite")])
+def test_config_rejects_non_integral_counts_and_non_finite_ci(field, value, message):
+    with pytest.raises(ParameterError, match=message):
+        EstimatorConfig(**{"n": 100, "seed": 1, field: value})
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = EstimatorConfig(n=np.int64(100), seed=np.uint64(2 ** 63), workers=np.int32(2))
+    assert (cfg.n, cfg.seed, cfg.workers) == (100, 2 ** 63, 2)
+    assert all(type(v) is int for v in (cfg.n, cfg.seed, cfg.workers))
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ParameterError):
         estimate_shapley_all(ishigami(), unit_square(2), EstimatorConfig(n=4, seed=0))

@@ -40,6 +40,13 @@ def test_normal_from_cv_scales_by_abs_mean():
         Normal.from_cv(1.0, -0.5)
 
 
+def test_normal_from_cv_rejects_zero_mean():
+    # A CV is undefined at mean 0: sd = |mean| * cv would make the input a constant.
+    with pytest.raises(ParameterError, match="non-zero mean"):
+        Normal.from_cv(0.0, 0.05)
+    assert Normal(0.0, 0.05).sd == 0.05
+
+
 def test_lognormal_moment_matching_parameters():
     ln = LogNormal(0.525, 0.044)
     assert ln.sigma_ln == pytest.approx(0.043978726303345776, rel=1e-12)
