@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, require_integer
 from .estimators import (EstimatorConfig, estimate_main_effects,
                          estimate_shapley_all, estimate_shapley_winding,
                          estimate_total_effects)
@@ -114,7 +114,8 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
     back to the trial-mean SSE variant (the only option when no closed form
     exists, as for the plate model).
     """
-    ns = [int(n) for n in ns]
+    ns = [require_integer("sample size", n) for n in ns]
+    trials = require_integer("trials", trials)
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError(f"sample sizes must be non-empty and ascending, got {ns}")
     if trials < 2:

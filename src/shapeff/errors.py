@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numpy as np
 
 
 class SensitivityError(Exception):
@@ -19,3 +21,14 @@ class EvaluationError(SensitivityError, RuntimeError):
 
 class ConfigError(SensitivityError, ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int; ParameterError for a bool or any non-integer type.
+
+    Python and numpy integers pass; a float such as 2.0 does not, so a count
+    or seed is never silently truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, require_integer
 from .inputs import InputSpace, RngStream, permutation_rows
 from .models import ModelFunction
 
@@ -39,10 +39,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for name in ("n", "seed", "workers"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if self.n < 2:
             raise ParameterError(f"sample size must be >= 2, got {self.n}")
         if self.workers < 1:
@@ -152,13 +149,19 @@ def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarr
         raise EvaluationError(
             f"evaluation failed in samples [{start}, {start + points.shape[0]}): {exc}"
         ) from exc
-    bad = np.nonzero(~np.isfinite(values))[0]
-    if bad.size:
-        i = int(bad[0])
+    if not np.isfinite(values).all():
+        i = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(
             f"non-finite model output {values[i]!r} at sample {start + i}: "
             f"x = {points[i].tolist()}")
     return values
+
+
+def _flat_steps(perms: np.ndarray) -> np.ndarray:
+    """Row `step` holds, for every sample, the flat index into its (count, d)
+    matrix of the coordinate its walk swaps at that step."""
+    count, d = perms.shape
+    return (perms + (np.arange(count) * d)[:, None]).T.copy()
 
 
 def _require_match(f: ModelFunction, space: InputSpace) -> None:
@@ -184,15 +187,14 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
         y = space.sample(count, gen)
         perms = permutation_rows(gen, count, d)
         fx = _checked_batch(f, x, start)
-        rows = np.arange(count)
         z = x.copy()
         g = np.empty((count, d))
+        z_flat, y_flat, g_flat = z.reshape(-1), y.reshape(-1), g.reshape(-1)
         fprev = fx
-        for step in range(d):
-            cols = perms[:, step]
-            z[rows, cols] = y[rows, cols]
+        for idx in _flat_steps(perms):
+            z_flat[idx] = y_flat[idx]
             fz = _checked_batch(f, z, start)
-            g[rows, cols] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
+            g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fx - fprev) ** 2
         return _chunk_moments(g), _chunk_moments(pairs[:, None])
@@ -255,12 +257,12 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
             nxt = points.take(np.arange(start + 1, end + 1) % n, axis=0)
         else:
             nxt = points[start + 1:end + 1]
-        rows = np.arange(count)
+        steps = _flat_steps(perms[start:end])
         z = base_pts.copy()
+        z_flat, nxt_flat = z.reshape(-1), nxt.reshape(-1)
         fstep = np.empty((count, d))
-        for step in range(d):
-            cols = perms[start:end, step]
-            z[rows, cols] = nxt[rows, cols]
+        for step, idx in enumerate(steps):
+            z_flat[idx] = nxt_flat[idx]
             if cyclic and end == n and step == d - 1:
                 # The final walk ends at the first point; reuse its cached value.
                 if count > 1:
@@ -274,11 +276,11 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         carry = float(fstep[-1, d - 1])
 
         g = np.empty((count, d))
+        g_flat = g.reshape(-1)
         fprev = fbase
-        for step in range(d):
-            cols = perms[start:end, step]
+        for step, idx in enumerate(steps):
             fz = fstep[:, step]
-            g[rows, cols] = (fbase - 0.5 * (fprev + fz)) * (fprev - fz)
+            g_flat[idx] = (fbase - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fbase - fstep[:, d - 1]) ** 2
         g_stats.merge(*_chunk_moments(g))

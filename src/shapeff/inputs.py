@@ -6,8 +6,8 @@ reproduce the same sequence bitwise; distinct stream ids yield statistically
 independent streams, which the estimators use to parallelize over fixed-size
 sample chunks without losing determinism.
 
-Sampling is inverse-transform throughout: a matrix of uniforms is pushed
-through each marginal's quantile function column by column.
+Sampling is inverse-transform throughout: one matrix of uniforms is drawn
+and each column is overwritten with its marginal's quantiles.
 """
 
 from __future__ import annotations
@@ -18,11 +18,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_integer
 
-# Uniform draws are (k + 0.5) / 2^53 for k in [0, 2^53): strictly inside (0, 1),
-# so quantile transforms of unbounded marginals never produce infinities.
+# Uniform draws are (k + 0.5) / 2^53 for k uniform in [0, 2^53), except that
+# the top point (2^53 - 0.5) / 2^53 rounds to exactly 1.0 and is drawn as
+# 1 - 2^-53 instead. Every draw is strictly inside (0, 1), so quantile
+# transforms of unbounded marginals never produce infinities.
 _U53 = 1 << 53
+_BELOW_ONE = 1.0 - 2.0 ** -53
 
 
 def _ndtri(u):
@@ -59,7 +62,10 @@ class Uniform:
 
     def quantile(self, u):
         _check_unit_open(u)
-        return self.lo + np.asarray(u, dtype=float) * (self.hi - self.lo)
+        return self._transform(np.asarray(u, dtype=float))
+
+    def _transform(self, u):
+        return self.lo + u * (self.hi - self.lo)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -104,7 +110,10 @@ class Normal:
 
     def quantile(self, u):
         _check_unit_open(u)
-        return self.mean + self.sd * _ndtri(np.asarray(u, dtype=float))
+        return self._transform(np.asarray(u, dtype=float))
+
+    def _transform(self, u):
+        return self.mean + self.sd * _ndtri(u)
 
     def pdf(self, x):
         if self.sd == 0:
@@ -146,7 +155,10 @@ class LogNormal:
 
     def quantile(self, u):
         _check_unit_open(u)
-        return np.exp(self.mu_ln + self.sigma_ln * _ndtri(np.asarray(u, dtype=float)))
+        return self._transform(np.asarray(u, dtype=float))
+
+    def _transform(self, u):
+        return np.exp(self.mu_ln + self.sigma_ln * _ndtri(u))
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -170,6 +182,25 @@ def _check_unit_open(u) -> None:
         raise ParameterError("quantile argument must lie strictly in (0, 1)")
 
 
+def _unit_draws(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """An (n, d) matrix of grid uniforms (k + 0.5) / 2^53, checked to lie in (0, 1).
+
+    gen.random draws k / 2^53 with k = next_uint64 >> 11, the same k that
+    gen.integers(0, 2^53) draws, and adding 2^-54 rounds exactly as
+    (k + 0.5) / 2^53 does, since scaling by a power of two commutes with
+    rounding.
+    """
+    u = gen.random((n, d))
+    u += 0.5 / _U53
+    lo, hi = u.min(), u.max()
+    if hi == 1.0:
+        np.minimum(u, _BELOW_ONE, out=u)
+        hi = _BELOW_ONE
+    if not (lo > 0.0 and hi < 1.0):
+        raise ParameterError("uniform draws must lie strictly in (0, 1)")
+    return u
+
+
 @dataclass(frozen=True)
 class InputSpace:
     """Product of independent marginals; one draw is a d-vector."""
@@ -188,14 +219,19 @@ class InputSpace:
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """Draw an (n, d) matrix of independent rows from the product density."""
+        n = require_integer("sample size", n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
-        k = gen.integers(0, _U53, size=(n, self.d))
-        u = (k.astype(np.float64) + 0.5) / _U53
-        out = np.empty((n, self.d), dtype=np.float64)
-        for j, marginal in enumerate(self.marginals):
-            out[:, j] = marginal.quantile(u[:, j])
-        return out
+        u = _unit_draws(gen, n, self.d)
+        if all(type(m) is Uniform for m in self.marginals):
+            # lo + u * (hi - lo) for every column at once.
+            lo = np.array([m.lo for m in self.marginals])
+            u *= np.array([m.hi for m in self.marginals]) - lo
+            u += lo
+        else:
+            for j, marginal in enumerate(self.marginals):
+                u[:, j] = marginal._transform(u[:, j])
+        return u
 
 
 @dataclass(frozen=True)
@@ -210,13 +246,13 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if not 0 <= int(self.stream) < (1 << 32):
+        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        object.__setattr__(self, "stream", require_integer("stream id", self.stream))
+        if not 0 <= self.stream < (1 << 32):
             raise ParameterError(f"stream id must be in [0, 2^32), got {self.stream}")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(
-            entropy=int(self.seed) % (1 << 64), spawn_key=(int(self.stream),)
-        )
+        ss = np.random.SeedSequence(entropy=self.seed % (1 << 64), spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
 
 

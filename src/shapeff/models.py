@@ -102,8 +102,20 @@ def sobol_g(a: Sequence[float]) -> ModelFunction:
     if np.any(a < 0):
         raise ParameterError("sobol_g weights must be non-negative")
 
+    scale = 1.0 + a
+
     def f(X):
-        return np.prod((np.abs(4.0 * X - 2.0) + a) / (1.0 + a), axis=1)
+        # One working matrix, updated in place; multiplying its columns left to
+        # right gives the same bits as np.prod(..., axis=1), in less time.
+        t = 4.0 * X
+        t -= 2.0
+        np.abs(t, out=t)
+        t += a
+        t /= scale
+        out = t[:, 0].copy()
+        for j in range(1, t.shape[1]):
+            out *= t[:, j]
+        return out
 
     return ModelFunction(a.size, f, name="sobol-g", vectorized=True)
 
@@ -122,9 +134,8 @@ def plate_buckling() -> ModelFunction:
     """
 
     def f(X):
-        bad = np.nonzero(np.any(X[:, :4] <= 0, axis=1))[0]
-        if bad.size:
-            i = int(bad[0])
+        if (X[:, :4] <= 0).any():
+            i = int(np.argmax((X[:, :4] <= 0).any(axis=1)))
             raise EvaluationError(
                 f"plate-buckling needs positive x1..x4; offending point {X[i].tolist()}")
         lam = (X[:, 0] / X[:, 1]) * np.sqrt(X[:, 2] / X[:, 3])

@@ -314,6 +314,19 @@ def test_nonfinite_output_aborts_with_sample_index():
     assert "sample" in str(err.value)
 
 
+def test_nonfinite_output_names_the_first_bad_sample_of_its_chunk():
+    # Rows 1 and 3 of the 4-sample tail chunk (samples 4096..4099) are bad.
+    def bad(x):
+        out = np.zeros(x.shape[0])
+        if x.shape[0] == 4:
+            out[1], out[3] = math.inf, math.nan
+        return out
+
+    f = ModelFunction(2, bad, name="bad", vectorized=True)
+    with pytest.raises(EvaluationError, match=r"non-finite model output \S*inf\S* at sample 4097: x = \["):
+        estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=4100, seed=0))
+
+
 def test_evaluation_error_carries_sample_range():
     f = plate_buckling()
     space = InputSpace([Uniform(-1.0, 1.0)] * 6)

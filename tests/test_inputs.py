@@ -8,7 +8,8 @@ import pytest
 from scipy.stats import chi2
 
 from shapeff import (InputSpace, LogNormal, Normal, ParameterError, RngStream,
-                     Uniform, inverse_cdf, random_permutation, sample_matrix)
+                     Uniform, convergence_study, inverse_cdf, ishigami,
+                     ishigami_space, random_permutation, sample_matrix)
 from shapeff.inputs import permutation_rows
 
 
@@ -121,6 +122,86 @@ def test_stream_id_range_checked():
         RngStream(0, stream=-1)
     with pytest.raises(ParameterError):
         RngStream(0, stream=1 << 32)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: RngStream(seed=1.5),
+    lambda: RngStream(seed=True),
+    lambda: RngStream(seed=np.float64(2.0)),
+    lambda: RngStream(0, stream=2.0),
+    lambda: RngStream(0, stream=np.True_),
+    lambda: InputSpace([Uniform(0, 1)]).sample(3.0, RngStream(0).generator()),
+    lambda: InputSpace([Uniform(0, 1)]).sample(True, RngStream(0).generator()),
+    lambda: convergence_study(ishigami(), ishigami_space(), "shapley", [16, 32], 2.0, 0),
+    lambda: convergence_study(ishigami(), ishigami_space(), "shapley", [16.5, 32], 2, 0),
+], ids=["seed-float", "seed-bool", "seed-numpy-float", "stream-float", "stream-numpy-bool",
+        "sample-size-float", "sample-size-bool", "trials-float", "study-size-float"])
+def test_counts_and_seeds_must_be_integers(call):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integers_pass_as_int():
+    rng = RngStream(np.int64(5), stream=np.uint32(3))
+    assert (rng.seed, rng.stream) == (5, 3)
+    assert type(rng.seed) is int and type(rng.stream) is int
+    space = InputSpace([Uniform(0, 1), Normal(0, 1)])
+    assert np.array_equal(space.sample(np.int64(3), rng.generator()),
+                          space.sample(3, RngStream(5, stream=3).generator()))
+
+
+def _integer_grid_sample(space, n, gen):
+    """The sampling algorithm as first published: integer draws k mapped to
+    (k + 0.5) / 2^53, then each column through its marginal's quantile."""
+    k = gen.integers(0, 2 ** 53, size=(n, space.d))
+    u = (k.astype(np.float64) + 0.5) / 2 ** 53
+    return np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(space.marginals)])
+
+
+@pytest.mark.parametrize("space", [
+    InputSpace([Uniform(0.0, 1.0)] * 3),
+    InputSpace([Uniform(-math.pi, math.pi), Normal(2.0, 0.5), LogNormal(0.525, 0.044)]),
+], ids=["uniform", "mixed"])
+@pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2 ** 63 + 5, 11)])
+def test_sample_is_bitwise_the_integer_grid(space, seed, stream):
+    # gen.random consumes the stream as gen.integers(0, 2^53) does, and adding
+    # 2^-54 rounds as (k + 0.5) / 2^53 does, upper half of (0, 1) included.
+    n = 100_000
+    x = space.sample(n, RngStream(seed, stream=stream).generator())
+    ref = _integer_grid_sample(space, n, RngStream(seed, stream=stream).generator())
+    assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+
+
+class _StubGenerator:
+    """Returns fixed values where numpy's Generator.random returns draws."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def random(self, size):
+        return self.values.reshape(size).copy()
+
+
+def test_top_of_the_grid_is_drawn_just_below_one():
+    k = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53 - 1],
+                 dtype=np.uint64)
+    # The grid point of the largest k rounds to exactly 1.0.
+    assert (float(2 ** 53 - 1) + 0.5) / 2 ** 53 == 1.0
+    stub = _StubGenerator(k.astype(np.float64) / 2 ** 53)   # what gen.random gives for k
+    u = InputSpace([Uniform(0.0, 1.0)] * 2).sample(4, stub)
+    expected = (k.astype(np.float64) + 0.5) / 2 ** 53
+    expected[k == 2 ** 53 - 1] = 1.0 - 2.0 ** -53
+    assert u.ravel().tolist() == expected.tolist()
+    assert u.max() < 1.0
+    x = InputSpace([Normal(0.0, 1.0), LogNormal(1.0, 0.5)]).sample(4, stub)
+    assert np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
+def test_draws_outside_the_unit_interval_are_rejected(bad):
+    stub = _StubGenerator([0.5, 0.25, bad, 0.75])
+    with pytest.raises(ParameterError, match=r"strictly in \(0, 1\)"):
+        InputSpace([Uniform(0.0, 1.0)] * 2).sample(2, stub)
 
 
 def test_random_permutation_d1_is_identity():

@@ -102,6 +102,14 @@ def test_plate_buckling_rejects_nonpositive_core_inputs():
         f([23.808, 0.525, 0.0, 28623.0, 0.35, 5.25])
 
 
+def test_plate_buckling_names_the_first_offending_point():
+    good = [23.808, 0.525, 44.2, 28623.0, 0.35, 5.25]
+    batch = np.array([good, good, [23.808, 0.525, 44.2, -1.0, 0.35, 5.25], good,
+                      [0.0, 0.525, 44.2, 28623.0, 0.35, 5.25]])
+    with pytest.raises(EvaluationError, match=r"offending point \[23\.808, 0\.525, 44\.2, -1\.0,"):
+        plate_buckling().evaluate_batch(batch)
+
+
 def test_plate_space_means_roughly_match_table():
     space = plate_buckling_space()
     x = space.sample(200000, RngStream(6).generator())
