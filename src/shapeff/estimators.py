@@ -10,19 +10,24 @@ variance and hence confidence intervals.
 
 All estimators partition the N samples into fixed-size chunks, give chunk k
 the RNG stream id k, and merge per-chunk moments in ascending chunk order, so
-reports are bitwise identical for any worker count.
+reports are bitwise identical for any worker count. Each worker thread
+allocates one chunk-sized workspace and reuses it for every chunk it runs,
+so memory per call does not grow with N.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, ParameterError, require_integer
-from .inputs import InputSpace, RngStream, permutation_rows
+# permutation_rows is not called here. It stays importable from this module
+# because perfbench's tracer wraps it under this name.
+from .inputs import InputSpace, RngStream, _permutations_into, permutation_rows  # noqa: F401
 from .models import ModelFunction
 
 _CHUNK = 4096
@@ -120,11 +125,49 @@ class _Moments:
         self.count = total
 
 
-def _chunk_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    count = values.shape[0]
+def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """Count, column means and M2 of a (count, width) block.
+
+    The deviations are squared in the first count * width floats of scratch;
+    dev * dev is bitwise (values - mean) ** 2.
+    """
+    count, width = values.shape
     mean = values.mean(axis=0)
-    m2 = ((values - mean) ** 2).sum(axis=0)
-    return count, mean, m2
+    dev = scratch.reshape(-1)[:count * width].reshape(count, width)
+    np.subtract(values, mean, out=dev)
+    dev *= dev
+    return count, mean, dev.sum(axis=0)
+
+
+class _Workspace:
+    """One worker thread's chunk buffers, allocated once and reused for every
+    chunk the thread runs.
+
+    A chunk of count samples uses the first count rows of each buffer and
+    writes every element it reads, so a short tail chunk never sees rows left
+    by an earlier chunk. Models are passed these buffers, so they must neither
+    keep nor modify the arrays they are given.
+    """
+
+    def __init__(self, d: int):
+        self._matrices = [np.empty((_CHUNK, d)) for _ in range(4)]
+        self.scratch = np.empty((_CHUNK, d))
+        self._perms = np.empty((_CHUNK, d), dtype=np.intp)
+        self._steps = np.empty((d, _CHUNK), dtype=np.intp)
+        self._row_base = np.arange(_CHUNK, dtype=np.intp) * d
+
+    def matrices(self, count: int) -> list[np.ndarray]:
+        """Four (count, d) float buffers."""
+        return [m[:count] for m in self._matrices]
+
+    def walk_steps(self, gen: np.random.Generator, count: int) -> np.ndarray:
+        """Draw count walk permutations. Row `step` of the result holds, for
+        every sample, the flat index into its (count, d) matrix of the
+        coordinate its walk swaps at that step."""
+        perms = _permutations_into(gen, self._perms[:count])
+        steps = self._steps[:, :count]
+        np.add(perms.T, self._row_base[:count], out=steps)
+        return steps
 
 
 def _chunks(n: int) -> list[tuple[int, int, int]]:
@@ -133,13 +176,22 @@ def _chunks(n: int) -> list[tuple[int, int, int]]:
             for k, s in enumerate(range(0, n, _CHUNK))]
 
 
-def _run_chunks(task, n: int, workers: int) -> list:
-    """Evaluate task(chunk) for every chunk; results in ascending chunk order."""
+def _run_chunks(task, n: int, workers: int, d: int) -> list:
+    """Evaluate task(chunk, workspace) for every chunk; results in ascending
+    chunk order. Each thread makes one _Workspace(d) on its first chunk."""
     chunks = _chunks(n)
     if workers == 1 or len(chunks) == 1:
-        return [task(c) for c in chunks]
+        ws = _Workspace(d)
+        return [task(c, ws) for c in chunks]
+    local = threading.local()
+
+    def run(chunk):
+        if not hasattr(local, "ws"):
+            local.ws = _Workspace(d)
+        return task(chunk, local.ws)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, chunks))
+        return list(pool.map(run, chunks))
 
 
 def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarray:
@@ -152,16 +204,9 @@ def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarr
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(
-            f"non-finite model output {values[i]!r} at sample {start + i}: "
+            f"non-finite model output {float(values[i])} at sample {start + i}: "
             f"x = {points[i].tolist()}")
     return values
-
-
-def _flat_steps(perms: np.ndarray) -> np.ndarray:
-    """Row `step` holds, for every sample, the flat index into its (count, d)
-    matrix of the coordinate its walk swaps at that step."""
-    count, d = perms.shape
-    return (perms + (np.arange(count) * d)[:, None]).T.copy()
 
 
 def _require_match(f: ModelFunction, space: InputSpace) -> None:
@@ -180,27 +225,27 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     _require_match(f, space)
     d = space.d
 
-    def task(chunk):
+    def task(chunk, ws):
         k, start, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
-        perms = permutation_rows(gen, count, d)
+        x, y, z, g = ws.matrices(count)
+        space._sample_into(gen, x)
+        space._sample_into(gen, y)
+        steps = ws.walk_steps(gen, count)
         fx = _checked_batch(f, x, start)
-        z = x.copy()
-        g = np.empty((count, d))
+        np.copyto(z, x)
         z_flat, y_flat, g_flat = z.reshape(-1), y.reshape(-1), g.reshape(-1)
         fprev = fx
-        for idx in _flat_steps(perms):
+        for idx in steps:
             z_flat[idx] = y_flat[idx]
             fz = _checked_batch(f, z, start)
             g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fx - fprev) ** 2
-        return _chunk_moments(g), _chunk_moments(pairs[:, None])
+        return _chunk_moments(g, ws.scratch), _chunk_moments(pairs[:, None], ws.scratch)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers)
+    results = _run_chunks(task, cfg.n, cfg.workers, d)
     eval_count = f.eval_count - before
 
     g_stats = _Moments(d)
@@ -226,6 +271,21 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     )
 
 
+def _winding_streams(seed: int, n: int, d: int,
+                     cyclic: bool) -> tuple[np.random.Generator, np.random.Generator]:
+    """Generators for winding's points and for its permutations.
+
+    The run's draws are its n + 1 points (n when cyclic), then its n
+    permutations, all from stream 0. Each uniform consumes one 64-bit output,
+    so a second stream-0 generator advanced past the points' draws yields the
+    permutations, and both can be drawn chunk by chunk.
+    """
+    point_gen = RngStream(seed, stream=0).generator()
+    perm_gen = RngStream(seed, stream=0).generator()
+    perm_gen.bit_generator.advance((n if cyclic else n + 1) * d)
+    return point_gen, perm_gen
+
+
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
                              cfg: EstimatorConfig, *, cyclic: bool = False) -> ShapleyReport:
     """Winding-stairs Shapley estimator: pair consecutive points of one sequence.
@@ -235,47 +295,53 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     pairing the last point with the first (the run is then not extensible in
     N). The pairs overlap, so no unbiased variance estimate exists and the
     variance and CI fields are None. The run is single-stream and sequential;
-    cfg.workers is ignored.
+    cfg.workers is ignored. Points and permutations are drawn chunk by chunk,
+    so memory does not grow with N.
     """
     _require_match(f, space)
     d = space.d
     n = cfg.n
-    gen = RngStream(cfg.seed, stream=0).generator()
-    points = space.sample(n if cyclic else n + 1, gen)
-    perms = permutation_rows(gen, n, d)
+    point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)
+    ws = _Workspace(d)
+    first_pt = space._sample_into(point_gen, np.empty((1, d)))
+    base_pt = first_pt.copy()
 
     before = f.eval_count
-    first = _checked_batch(f, points[:1], 0)
-    carry = float(first[0])
+    first = float(_checked_batch(f, first_pt, 0)[0])
+    carry = first
 
     g_stats = _Moments(d)
     pair_stats = _Moments(1)
     for k, start, count in _chunks(n):
         end = start + count
-        base_pts = points[start:end]
-        if cyclic:
-            nxt = points.take(np.arange(start + 1, end + 1) % n, axis=0)
+        closing = cyclic and end == n
+        # nxt[i] is point start + i + 1; a cyclic run's last walk ends at point 0.
+        nxt, z, fstep, g = ws.matrices(count)
+        if closing:
+            if count > 1:
+                space._sample_into(point_gen, nxt[:-1])
+            nxt[-1] = first_pt[0]
         else:
-            nxt = points[start + 1:end + 1]
-        steps = _flat_steps(perms[start:end])
-        z = base_pts.copy()
+            space._sample_into(point_gen, nxt)
+        z[0] = base_pt[0]
+        z[1:] = nxt[:-1]
+        steps = ws.walk_steps(perm_gen, count)
         z_flat, nxt_flat = z.reshape(-1), nxt.reshape(-1)
-        fstep = np.empty((count, d))
         for step, idx in enumerate(steps):
             z_flat[idx] = nxt_flat[idx]
-            if cyclic and end == n and step == d - 1:
+            if closing and step == d - 1:
                 # The final walk ends at the first point; reuse its cached value.
                 if count > 1:
                     fstep[:-1, step] = _checked_batch(f, z[:-1], start)
-                fstep[-1, step] = float(first[0])
+                fstep[-1, step] = first
             else:
                 fstep[:, step] = _checked_batch(f, z, start)
         fbase = np.empty(count)
         fbase[0] = carry
         fbase[1:] = fstep[:-1, d - 1]
         carry = float(fstep[-1, d - 1])
+        base_pt[0] = nxt[-1]
 
-        g = np.empty((count, d))
         g_flat = g.reshape(-1)
         fprev = fbase
         for step, idx in enumerate(steps):
@@ -283,8 +349,8 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
             g_flat[idx] = (fbase - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fbase - fstep[:, d - 1]) ** 2
-        g_stats.merge(*_chunk_moments(g))
-        pair_stats.merge(*_chunk_moments(pairs[:, None]))
+        g_stats.merge(*_chunk_moments(g, ws.scratch))
+        pair_stats.merge(*_chunk_moments(pairs[:, None], ws.scratch))
 
     eval_count = f.eval_count - before
     estimates = g_stats.mean
@@ -313,24 +379,24 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     _require_match(f, space)
     d = space.d
 
-    def task(chunk):
+    def task(chunk, ws):
         k, start, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
+        x, y, w, terms = ws.matrices(count)
+        space._sample_into(gen, x)
+        space._sample_into(gen, y)
         fx = _checked_batch(f, x, start)
         fy = _checked_batch(f, y, start)
-        terms = np.empty((count, d))
-        w = y.copy()
+        np.copyto(w, y)
         for j in range(d):
             w[:, j] = x[:, j]
             fw = _checked_batch(f, w, start)
             terms[:, j] = fx * (fw - fy)
             w[:, j] = y[:, j]
-        return _chunk_moments(terms)
+        return _chunk_moments(terms, ws.scratch)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers)
+    results = _run_chunks(task, cfg.n, cfg.workers, d)
     eval_count = f.eval_count - before
 
     stats = _Moments(d)
@@ -357,23 +423,23 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
     _require_match(f, space)
     d = space.d
 
-    def task(chunk):
+    def task(chunk, ws):
         k, start, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
+        x, y, v, terms = ws.matrices(count)
+        space._sample_into(gen, x)
+        space._sample_into(gen, y)
         fx = _checked_batch(f, x, start)
-        terms = np.empty((count, d))
-        v = x.copy()
+        np.copyto(v, x)
         for j in range(d):
             v[:, j] = y[:, j]
             fv = _checked_batch(f, v, start)
             terms[:, j] = 0.5 * (fx - fv) ** 2
             v[:, j] = x[:, j]
-        return _chunk_moments(terms)
+        return _chunk_moments(terms, ws.scratch)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers)
+    results = _run_chunks(task, cfg.n, cfg.workers, d)
     eval_count = f.eval_count - before
 
     stats = _Moments(d)

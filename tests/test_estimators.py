@@ -1,6 +1,7 @@
 """Tests for the permutation-walk Shapley estimator and pick-freeze effects."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,65 @@ def test_winding_chunk_carry_is_seamless():
         assert rel <= 1e-10 * abs(report.sigma2_from_pairs)
 
 
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_winding_draws_permutations_from_the_jumped_stream(cyclic):
+    # Whole-run draws on one generator: every point, then every permutation.
+    from shapeff.estimators import _winding_streams
+
+    space = ishigami_space()
+    n, d, seed = 3 * 4096 + 5, space.d, 17
+    gen = RngStream(seed).generator()
+    points = space.sample(n if cyclic else n + 1, gen)
+    perms = permutation_rows(gen, n, d)
+
+    point_gen, perm_gen = _winding_streams(seed, n, d, cyclic)
+    sizes = [1, *[min(4096, n - s) for s in range(0, n, 4096)]]
+    if cyclic:
+        sizes[-1] -= 1
+    assert np.array_equal(np.vstack([space.sample(c, point_gen) for c in sizes]), points)
+    chunked = [permutation_rows(perm_gen, min(4096, n - s), d) for s in range(0, n, 4096)]
+    assert np.array_equal(np.vstack(chunked), perms)
+
+
+@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding", "winding-cyclic"])
+def test_memory_does_not_grow_with_n(kind):
+    # tracemalloc sees numpy's buffers. Chunk buffers are reused, so the peak
+    # at 32 chunks stays within 1 MiB of the peak at 4 chunks.
+    def peak(chunks):
+        f, space = sobol_g([float(j) for j in range(10)]), sobol_g_space(10)
+        cfg = EstimatorConfig(n=chunks * 4096, seed=5)
+        tracemalloc.start()
+        try:
+            if kind.startswith("winding"):
+                estimate_shapley_winding(f, space, cfg, cyclic=kind == "winding-cyclic")
+            else:
+                {"shapley": estimate_shapley_all, "main": estimate_main_effects,
+                 "total": estimate_total_effects}[kind](f, space, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) - peak(4) <= 1 << 20
+
+
+def test_each_worker_thread_allocates_one_workspace(monkeypatch):
+    from shapeff import estimators
+
+    made = []
+
+    class CountingWorkspace(estimators._Workspace):
+        def __init__(self, d):
+            made.append(d)
+            super().__init__(d)
+
+    monkeypatch.setattr(estimators, "_Workspace", CountingWorkspace)
+    for workers in (1, 2):
+        made.clear()
+        estimate_total_effects(ishigami(), ishigami_space(),
+                               EstimatorConfig(n=8 * 4096, seed=3, workers=workers))
+        assert 1 <= len(made) <= workers
+
+
 def test_total_effects_are_nonnegative():
     report = estimate_total_effects(sobol_g([0.0, 1.0, 2.0]), sobol_g_space(3),
                                     EstimatorConfig(n=512, seed=13))
@@ -323,7 +383,7 @@ def test_nonfinite_output_names_the_first_bad_sample_of_its_chunk():
         return out
 
     f = ModelFunction(2, bad, name="bad", vectorized=True)
-    with pytest.raises(EvaluationError, match=r"non-finite model output \S*inf\S* at sample 4097: x = \["):
+    with pytest.raises(EvaluationError, match=r"non-finite model output inf at sample 4097: x = \["):
         estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=4100, seed=0))
 
 

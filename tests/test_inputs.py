@@ -178,8 +178,9 @@ class _StubGenerator:
     def __init__(self, values):
         self.values = np.asarray(values, dtype=np.float64)
 
-    def random(self, size):
-        return self.values.reshape(size).copy()
+    def random(self, *, out):
+        out[...] = self.values.reshape(out.shape)
+        return out
 
 
 def test_top_of_the_grid_is_drawn_just_below_one():

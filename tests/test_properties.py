@@ -1,4 +1,5 @@
-"""Property tests: cost contracts at any N, and the per-sample telescoping identity."""
+"""Property tests: cost contracts at any N, the per-sample telescoping identity,
+and worker-count invariance with reused chunk buffers."""
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from shapeff import (EstimatorConfig, InputSpace, ModelFunction, Uniform,
                      estimate_main_effects, estimate_shapley_all,
                      estimate_shapley_winding, estimate_total_effects)
+from test_models import report_bits
 
 # Each kind's estimator and its contracted evaluation count for (d, N).
 KINDS = {
@@ -60,8 +62,34 @@ def random_models(draw):
 def test_each_walk_credits_every_variable_once(model, kind, n, workers, seed):
     # Per sample, the d increments of a walk telescope to 0.5 * (f(x) - f(y))^2
     # only if each variable is credited exactly once; a step written twice or
-    # left unwritten breaks the sum by far more than rounding.
+    # left unwritten breaks the sum by far more than rounding. Rounding is
+    # relative to the squared output bound until the squares fall below the
+    # normal range (tiny coefficients), where it is a few subnormal steps.
     f, bound = model
     space = InputSpace([Uniform(-1.0, 1.0)] * f.dim)
     report = run(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
-    assert abs(report.sigma2_estimate - report.sigma2_from_pairs) <= 1e-12 * bound ** 2
+    tol = 1e-12 * bound ** 2 + np.finfo(float).tiny
+    assert abs(report.sigma2_estimate - report.sigma2_from_pairs) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(list(KINDS)), d=st.integers(1, 4), n=st.integers(2, 5 * 4096),
+       seed=st.integers(0, 2 ** 64 - 1))
+@example(kind="shapley", d=3, n=4096, seed=0)
+@example(kind="shapley", d=3, n=3 * 4096 + 1, seed=1)
+@example(kind="main", d=2, n=4097, seed=2)
+@example(kind="total", d=4, n=3 * 4096 + 1, seed=3)
+@example(kind="winding", d=3, n=4097, seed=4)
+@example(kind="winding-cyclic", d=2, n=3 * 4096 + 1, seed=5)
+def test_reports_are_bitwise_equal_at_any_worker_count(kind, d, n, seed):
+    # Each worker thread reuses one set of chunk buffers, and which chunks share
+    # a buffer depends on the worker count; a chunk that read rows left by an
+    # earlier, longer chunk would make the reports differ.
+    w = np.arange(1.0, d + 1)
+    space = InputSpace([Uniform(-1.0, 1.0)] * d)
+    reports = []
+    for workers in (1, 2, 3):
+        f = ModelFunction(d, lambda X: np.sin(X @ w) + X[:, 0] * X[:, -1], vectorized=True)
+        reports.append(report_bits(run(kind, f, space,
+                                       EstimatorConfig(n=n, seed=seed, workers=workers))))
+    assert reports[0] == reports[1] == reports[2]
