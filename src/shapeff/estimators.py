@@ -143,18 +143,22 @@ class _Workspace:
     """One worker thread's chunk buffers, allocated once and reused for every
     chunk the thread runs.
 
-    A chunk of count samples uses the first count rows of each buffer and
-    writes every element it reads, so a short tail chunk never sees rows left
-    by an earlier chunk. Models are passed these buffers, so they must neither
-    keep nor modify the arrays they are given.
+    The buffers hold min(n, 4096) rows, and the permutation-walk buffers
+    exist only when `walk` is set. A chunk of count samples uses the first
+    count rows of each buffer and writes every element it reads, so a short
+    tail chunk never sees rows left by an earlier chunk. Models are passed
+    these buffers, so they must neither keep nor modify the arrays they are
+    given.
     """
 
-    def __init__(self, d: int):
-        self._matrices = [np.empty((_CHUNK, d)) for _ in range(4)]
-        self.scratch = np.empty((_CHUNK, d))
-        self._perms = np.empty((_CHUNK, d), dtype=np.intp)
-        self._steps = np.empty((d, _CHUNK), dtype=np.intp)
-        self._row_base = np.arange(_CHUNK, dtype=np.intp) * d
+    def __init__(self, d: int, n: int, *, walk: bool):
+        rows = min(n, _CHUNK)
+        self._matrices = [np.empty((rows, d)) for _ in range(4)]
+        self.scratch = np.empty((rows, d))
+        if walk:
+            self._perms = np.empty((rows, d), dtype=np.intp)
+            self._steps = np.empty((d, rows), dtype=np.intp)
+            self._row_base = np.arange(rows, dtype=np.intp) * d
 
     def matrices(self, count: int) -> list[np.ndarray]:
         """Four (count, d) float buffers."""
@@ -176,18 +180,19 @@ def _chunks(n: int) -> list[tuple[int, int, int]]:
             for k, s in enumerate(range(0, n, _CHUNK))]
 
 
-def _run_chunks(task, n: int, workers: int, d: int) -> list:
-    """Evaluate task(chunk, workspace) for every chunk; results in ascending
-    chunk order. Each thread makes one _Workspace(d) on its first chunk."""
+def _run_chunks(task, n: int, workers: int, workspace) -> list:
+    """Evaluate task(chunk, ws) for every chunk; results in ascending chunk
+    order. Each thread calls workspace() once, on its first chunk, and passes
+    the result to every chunk it runs."""
     chunks = _chunks(n)
     if workers == 1 or len(chunks) == 1:
-        ws = _Workspace(d)
+        ws = workspace()
         return [task(c, ws) for c in chunks]
     local = threading.local()
 
     def run(chunk):
         if not hasattr(local, "ws"):
-            local.ws = _Workspace(d)
+            local.ws = workspace()
         return task(chunk, local.ws)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -245,7 +250,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
         return _chunk_moments(g, ws.scratch), _chunk_moments(pairs[:, None], ws.scratch)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, d)
+    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=True))
     eval_count = f.eval_count - before
 
     g_stats = _Moments(d)
@@ -302,7 +307,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     d = space.d
     n = cfg.n
     point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)
-    ws = _Workspace(d)
+    ws = _Workspace(d, n, walk=True)
     first_pt = space._sample_into(point_gen, np.empty((1, d)))
     base_pt = first_pt.copy()
 
@@ -396,7 +401,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
         return _chunk_moments(terms, ws.scratch)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, d)
+    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=False))
     eval_count = f.eval_count - before
 
     stats = _Moments(d)
@@ -439,7 +444,7 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
         return _chunk_moments(terms, ws.scratch)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, d)
+    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=False))
     eval_count = f.eval_count - before
 
     stats = _Moments(d)

@@ -343,9 +343,9 @@ def test_each_worker_thread_allocates_one_workspace(monkeypatch):
     made = []
 
     class CountingWorkspace(estimators._Workspace):
-        def __init__(self, d):
-            made.append(d)
-            super().__init__(d)
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "_Workspace", CountingWorkspace)
     for workers in (1, 2):
