@@ -128,8 +128,9 @@ class _Moments:
 def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, column means and M2 of a (count, width) block.
 
-    The deviations are squared in the first count * width floats of scratch;
-    dev * dev is bitwise (values - mean) ** 2.
+    The deviations are squared in the first count * width floats of
+    scratch, a C-ordered float buffer the chunk no longer needs; dev * dev
+    is bitwise (values - mean) ** 2.
     """
     count, width = values.shape
     mean = values.mean(axis=0)
@@ -154,7 +155,6 @@ class _Workspace:
     def __init__(self, d: int, n: int, *, walk: bool):
         rows = min(n, _CHUNK)
         self._matrices = [np.empty((rows, d)) for _ in range(4)]
-        self.scratch = np.empty((rows, d))
         if walk:
             self._perms = np.empty((rows, d), dtype=np.intp)
             self._steps = np.empty((d, rows), dtype=np.intp)
@@ -247,7 +247,8 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
             g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fx - fprev) ** 2
-        return _chunk_moments(g, ws.scratch), _chunk_moments(pairs[:, None], ws.scratch)
+        # The walk is done, so z is free to hold the squared deviations.
+        return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
 
     before = f.eval_count
     results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=True))
@@ -354,8 +355,8 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
             g_flat[idx] = (fbase - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fbase - fstep[:, d - 1]) ** 2
-        g_stats.merge(*_chunk_moments(g, ws.scratch))
-        pair_stats.merge(*_chunk_moments(pairs[:, None], ws.scratch))
+        g_stats.merge(*_chunk_moments(g, z))
+        pair_stats.merge(*_chunk_moments(pairs[:, None], z))
 
     eval_count = f.eval_count - before
     estimates = g_stats.mean
@@ -398,7 +399,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
             fw = _checked_batch(f, w, start)
             terms[:, j] = fx * (fw - fy)
             w[:, j] = y[:, j]
-        return _chunk_moments(terms, ws.scratch)
+        return _chunk_moments(terms, w)
 
     before = f.eval_count
     results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=False))
@@ -441,7 +442,7 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
             fv = _checked_batch(f, v, start)
             terms[:, j] = 0.5 * (fx - fv) ** 2
             v[:, j] = x[:, j]
-        return _chunk_moments(terms, ws.scratch)
+        return _chunk_moments(terms, v)
 
     before = f.eval_count
     results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=False))
