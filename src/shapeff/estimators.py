@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, ParameterError, require_integer
-# permutation_rows is not called here. It stays importable from this module
-# because perfbench's tracer wraps it under this name.
-from .inputs import InputSpace, RngStream, _permutations_into, permutation_rows  # noqa: F401
+from .inputs import InputSpace, RngStream, permutation_rows
 from .models import ModelFunction
 
 _CHUNK = 4096
@@ -141,34 +139,43 @@ def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.nda
 
 
 class _Workspace:
-    """One worker thread's chunk buffers, allocated once and reused for every
-    chunk the thread runs.
+    """One worker thread's chunk buffers, reused for every chunk the thread
+    runs: `matrices` float buffers of min(n, 4096) rows by d and, for the
+    walks, the step index buffer.
 
-    The buffers hold min(n, 4096) rows, and the permutation-walk buffers
-    exist only when `walk` is set. A chunk of count samples uses the first
-    count rows of each buffer and writes every element it reads, so a short
-    tail chunk never sees rows left by an earlier chunk. Models are passed
-    these buffers, so they must neither keep nor modify the arrays they are
-    given.
+    A chunk of count samples uses the first count rows of each buffer and
+    writes every element it reads, so a short tail chunk never sees rows left
+    by an earlier chunk. Models are passed these buffers, so they must
+    neither keep nor modify the arrays they are given.
+
+    Each buffer is made on first use, after the thread's first chunk has
+    drawn its points. The draws, which every chunk allocates and frees, then
+    lie below the long-lived buffers on the heap, and glibc reuses their
+    space instead of returning it to the system at the end of each chunk and
+    page-faulting it back in on the next (Sobol' g, d=10, N=2^18: about 15k
+    minor faults per call if the buffers come first, 400 this way).
     """
 
-    def __init__(self, d: int, n: int, *, walk: bool):
-        rows = min(n, _CHUNK)
-        self._matrices = [np.empty((rows, d)) for _ in range(4)]
-        if walk:
-            self._perms = np.empty((rows, d), dtype=np.intp)
-            self._steps = np.empty((d, rows), dtype=np.intp)
-            self._row_base = np.arange(rows, dtype=np.intp) * d
+    def __init__(self, d: int, n: int, matrices: int):
+        self._shape = (min(n, _CHUNK), d)
+        self._count = matrices
+        self._matrices = None
+        self._steps = None
 
     def matrices(self, count: int) -> list[np.ndarray]:
-        """Four (count, d) float buffers."""
+        """The (count, d) float buffers."""
+        if self._matrices is None:
+            self._matrices = [np.empty(self._shape) for _ in range(self._count)]
         return [m[:count] for m in self._matrices]
 
-    def walk_steps(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """Draw count walk permutations. Row `step` of the result holds, for
-        every sample, the flat index into its (count, d) matrix of the
-        coordinate its walk swaps at that step."""
-        perms = _permutations_into(gen, self._perms[:count])
+    def walk_steps(self, perms: np.ndarray) -> np.ndarray:
+        """Row `step` holds, for every sample, the flat index into its
+        (count, d) matrix of the coordinate its walk swaps at that step."""
+        if self._steps is None:
+            rows, d = self._shape
+            self._steps = np.empty((d, rows), dtype=np.intp)
+            self._row_base = np.arange(rows, dtype=np.intp) * d
+        count = perms.shape[0]
         steps = self._steps[:, :count]
         np.add(perms.T, self._row_base[:count], out=steps)
         return steps
@@ -206,6 +213,10 @@ def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarr
         raise EvaluationError(
             f"evaluation failed in samples [{start}, {start + points.shape[0]}): {exc}"
         ) from exc
+    if np.may_share_memory(values, points):
+        # A model may return a view of its input, such as a column; the walks
+        # overwrite their points in place, so keep values of their own.
+        values = values.copy()
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(
@@ -233,12 +244,13 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     def task(chunk, ws):
         k, start, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
-        x, y, z, g = ws.matrices(count)
-        space._sample_into(gen, x)
-        space._sample_into(gen, y)
-        steps = ws.walk_steps(gen, count)
+        x = space.sample(count, gen)
+        y = space.sample(count, gen)
+        steps = ws.walk_steps(permutation_rows(gen, count, d))
+        (g,) = ws.matrices(count)
         fx = _checked_batch(f, x, start)
-        np.copyto(z, x)
+        # The walk moves its point z from x to y in place; x is not read again.
+        z = x
         z_flat, y_flat, g_flat = z.reshape(-1), y.reshape(-1), g.reshape(-1)
         fprev = fx
         for idx in steps:
@@ -251,7 +263,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
         return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=True))
+    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, 1))
     eval_count = f.eval_count - before
 
     g_stats = _Moments(d)
@@ -308,30 +320,31 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     d = space.d
     n = cfg.n
     point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)
-    ws = _Workspace(d, n, walk=True)
-    first_pt = space._sample_into(point_gen, np.empty((1, d)))
+    ws = _Workspace(d, n, 3)
+    first_pt = space.sample(1, point_gen)
     base_pt = first_pt.copy()
 
     before = f.eval_count
     first = float(_checked_batch(f, first_pt, 0)[0])
     carry = first
 
-    g_stats = _Moments(d)
-    pair_stats = _Moments(1)
-    for k, start, count in _chunks(n):
-        end = start + count
-        closing = cyclic and end == n
+    # One chunk of walks. Its draws are freed when it returns, before the
+    # next chunk draws its own.
+    def task(chunk):
+        nonlocal carry
+        _, start, count = chunk
+        closing = cyclic and start + count == n
         # nxt[i] is point start + i + 1; a cyclic run's last walk ends at point 0.
-        nxt, z, fstep, g = ws.matrices(count)
-        if closing:
-            if count > 1:
-                space._sample_into(point_gen, nxt[:-1])
-            nxt[-1] = first_pt[0]
+        if not closing:
+            nxt = space.sample(count, point_gen)
+        elif count > 1:
+            nxt = np.vstack([space.sample(count - 1, point_gen), first_pt])
         else:
-            space._sample_into(point_gen, nxt)
+            nxt = first_pt.copy()
+        z, fstep, g = ws.matrices(count)
         z[0] = base_pt[0]
         z[1:] = nxt[:-1]
-        steps = ws.walk_steps(perm_gen, count)
+        steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
         z_flat, nxt_flat = z.reshape(-1), nxt.reshape(-1)
         for step, idx in enumerate(steps):
             z_flat[idx] = nxt_flat[idx]
@@ -355,8 +368,14 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
             g_flat[idx] = (fbase - 0.5 * (fprev + fz)) * (fprev - fz)
             fprev = fz
         pairs = 0.5 * (fbase - fstep[:, d - 1]) ** 2
-        g_stats.merge(*_chunk_moments(g, z))
-        pair_stats.merge(*_chunk_moments(pairs[:, None], z))
+        return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
+
+    g_stats = _Moments(d)
+    pair_stats = _Moments(1)
+    for chunk in _chunks(n):
+        g_part, pair_part = task(chunk)
+        g_stats.merge(*g_part)
+        pair_stats.merge(*pair_part)
 
     eval_count = f.eval_count - before
     estimates = g_stats.mean
@@ -388,9 +407,9 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     def task(chunk, ws):
         k, start, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
-        x, y, w, terms = ws.matrices(count)
-        space._sample_into(gen, x)
-        space._sample_into(gen, y)
+        x = space.sample(count, gen)
+        y = space.sample(count, gen)
+        w, terms = ws.matrices(count)
         fx = _checked_batch(f, x, start)
         fy = _checked_batch(f, y, start)
         np.copyto(w, y)
@@ -402,7 +421,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
         return _chunk_moments(terms, w)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=False))
+    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, 2))
     eval_count = f.eval_count - before
 
     stats = _Moments(d)
@@ -432,9 +451,9 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
     def task(chunk, ws):
         k, start, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
-        x, y, v, terms = ws.matrices(count)
-        space._sample_into(gen, x)
-        space._sample_into(gen, y)
+        x = space.sample(count, gen)
+        y = space.sample(count, gen)
+        v, terms = ws.matrices(count)
         fx = _checked_batch(f, x, start)
         np.copyto(v, x)
         for j in range(d):
@@ -445,7 +464,7 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
         return _chunk_moments(terms, v)
 
     before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, walk=False))
+    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, 2))
     eval_count = f.eval_count - before
 
     stats = _Moments(d)

@@ -182,24 +182,23 @@ def _check_unit_open(u) -> None:
         raise ParameterError("quantile argument must lie strictly in (0, 1)")
 
 
-def _unit_draws(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Fill a C-ordered float64 array with grid uniforms (k + 0.5) / 2^53,
-    checked to lie in (0, 1); return it.
+def _unit_draws(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
+    """An (n, d) matrix of grid uniforms (k + 0.5) / 2^53, checked to lie in (0, 1).
 
     gen.random draws k / 2^53 with k = next_uint64 >> 11, the same k that
     gen.integers(0, 2^53) draws, and adding 2^-54 rounds exactly as
     (k + 0.5) / 2^53 does, since scaling by a power of two commutes with
     rounding.
     """
-    gen.random(out=out)
-    out += 0.5 / _U53
-    lo, hi = out.min(), out.max()
+    u = gen.random((n, d))
+    u += 0.5 / _U53
+    lo, hi = u.min(), u.max()
     if hi == 1.0:
-        np.minimum(out, _BELOW_ONE, out=out)
+        np.minimum(u, _BELOW_ONE, out=u)
         hi = _BELOW_ONE
     if not (lo > 0.0 and hi < 1.0):
         raise ParameterError("uniform draws must lie strictly in (0, 1)")
-    return out
+    return u
 
 
 @dataclass(frozen=True)
@@ -223,24 +222,16 @@ class InputSpace:
         n = require_integer("sample size", n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
-        return self._sample_into(gen, np.empty((n, self.d)))
-
-    def _sample_into(self, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-        """Overwrite a C-ordered (n, d) float64 array, n >= 1, with n draws; return it.
-
-        Consecutive calls on one generator draw what one call for all their
-        rows would, so a sample can be drawn chunk by chunk.
-        """
-        _unit_draws(gen, out)
+        u = _unit_draws(gen, n, self.d)
         if all(type(m) is Uniform for m in self.marginals):
             # lo + u * (hi - lo) for every column at once.
             lo = np.array([m.lo for m in self.marginals])
-            out *= np.array([m.hi for m in self.marginals]) - lo
-            out += lo
+            u *= np.array([m.hi for m in self.marginals]) - lo
+            u += lo
         else:
             for j, marginal in enumerate(self.marginals):
-                out[:, j] = marginal._transform(out[:, j])
-        return out
+                u[:, j] = marginal._transform(u[:, j])
+        return u
 
 
 @dataclass(frozen=True)
@@ -284,13 +275,6 @@ def random_permutation(d: int, rng: RngStream) -> np.ndarray:
 
 def permutation_rows(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n independent uniform permutations of 0..d-1, one per row."""
-    return _permutations_into(gen, np.empty((n, d), dtype=np.intp))
-
-
-def _permutations_into(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """Overwrite an (n, d) integer array with n uniform permutations of
-    0..d-1, one per row; return it. Like sampling, consecutive calls on one
-    generator draw what one call for all their rows would."""
-    out[...] = np.arange(out.shape[1])
-    gen.permuted(out, axis=1, out=out)
-    return out
+    rows = np.tile(np.arange(d), (n, 1))
+    gen.permuted(rows, axis=1, out=rows)
+    return rows

@@ -166,6 +166,16 @@ def test_absent_coordinate_gets_exactly_zero():
     assert main.values[1] == 0.0
 
 
+def test_model_returning_a_view_of_its_input_gets_its_own_values():
+    # x[:, 0] is a view of the walk's point matrix, which the next step
+    # overwrites; the previous step's values must not move with it.
+    report = estimate_shapley_all(coordinate_model(2), unit_square(2),
+                                  EstimatorConfig(n=10_000, seed=4))
+    se = math.sqrt(report.variance_of_estimator[0])
+    assert abs(report.estimates[0] - 1.0 / 12.0) <= 4.0 * se
+    assert report.sigma2_estimate == pytest.approx(report.sigma2_from_pairs, rel=1e-12)
+
+
 def test_ci_brackets_estimate_and_scales_with_z():
     report = estimate_shapley_all(ishigami(), ishigami_space(),
                                   EstimatorConfig(n=1024, seed=2))

@@ -68,7 +68,7 @@ def test_each_walk_credits_every_variable_once(model, kind, n, workers, seed):
     f, bound = model
     space = InputSpace([Uniform(-1.0, 1.0)] * f.dim)
     report = run(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
-    tol = 1e-12 * bound ** 2 + np.finfo(float).tiny
+    tol = 1e-12 * bound ** 2 + 4 * np.finfo(float).smallest_subnormal
     assert abs(report.sigma2_estimate - report.sigma2_from_pairs) <= tol
 
 
