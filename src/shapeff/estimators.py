@@ -13,6 +13,11 @@ the RNG stream id k, and merge per-chunk moments in ascending chunk order, so
 reports are bitwise identical for any worker count. Each worker thread
 allocates one chunk-sized workspace and reuses it for every chunk it runs,
 so memory per call does not grow with N.
+
+Every chunk matrix is column-major: the sampled points, the walks' points,
+the main and total effects' work matrix and the per-sample terms. Models
+read contiguous columns, and a walk step moves one coordinate of every
+sample through a single flat index, perm * count + row.
 """
 
 from __future__ import annotations
@@ -123,25 +128,47 @@ class _Moments:
         self.count = total
 
 
+def _flat(matrix: np.ndarray) -> np.ndarray:
+    """A flat view of a column-major (count, width) matrix: element (i, j) at
+    j * count + i.
+
+    Raises for any other layout instead of returning a copy, since the walks
+    write through this view.
+    """
+    if not matrix.flags.f_contiguous:
+        raise ValueError(
+            f"chunk matrix of shape {matrix.shape} and strides {matrix.strides} "
+            "is not column-major")
+    return matrix.ravel(order="F")
+
+
+def _columns(flat: np.ndarray, count: int, width: int) -> np.ndarray:
+    """The first count * width entries of a flat buffer as a column-major
+    (count, width) matrix."""
+    return flat[:count * width].reshape(width, count).T
+
+
 def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, column means and M2 of a (count, width) block.
 
-    The deviations are squared in the first count * width floats of
-    scratch, a C-ordered float buffer the chunk no longer needs; dev * dev
-    is bitwise (values - mean) ** 2.
+    The block is copied row by row into the first count * width floats of
+    scratch, a column-major float matrix the chunk no longer needs, and
+    reduced there, so each column is summed in sample order. The deviations
+    are squared in place; dev * dev is bitwise (values - mean) ** 2.
     """
     count, width = values.shape
-    mean = values.mean(axis=0)
-    dev = scratch.reshape(-1)[:count * width].reshape(count, width)
-    np.subtract(values, mean, out=dev)
+    dev = _flat(scratch)[:count * width].reshape(count, width)
+    np.copyto(dev, values)
+    mean = dev.mean(axis=0)
+    dev -= mean
     dev *= dev
     return count, mean, dev.sum(axis=0)
 
 
 class _Workspace:
     """One worker thread's chunk buffers, reused for every chunk the thread
-    runs: `matrices` float buffers of min(n, 4096) rows by d and, for the
-    walks, the step index buffer.
+    runs: `matrices` column-major float matrices of min(n, 4096) rows by d
+    and, for the walks, the step index buffer.
 
     A chunk of count samples uses the first count rows of each buffer and
     writes every element it reads, so a short tail chunk never sees rows left
@@ -157,27 +184,29 @@ class _Workspace:
     """
 
     def __init__(self, d: int, n: int, matrices: int):
-        self._shape = (min(n, _CHUNK), d)
+        self._size = min(n, _CHUNK) * d
+        self._d = d
         self._count = matrices
-        self._matrices = None
+        self._buffers = None
         self._steps = None
 
     def matrices(self, count: int) -> list[np.ndarray]:
-        """The (count, d) float buffers."""
-        if self._matrices is None:
-            self._matrices = [np.empty(self._shape) for _ in range(self._count)]
-        return [m[:count] for m in self._matrices]
+        """The column-major (count, d) float matrices."""
+        if self._buffers is None:
+            self._buffers = [np.empty(self._size) for _ in range(self._count)]
+        return [_columns(b, count, self._d) for b in self._buffers]
 
     def walk_steps(self, perms: np.ndarray) -> np.ndarray:
         """Row `step` holds, for every sample, the flat index into its
-        (count, d) matrix of the coordinate its walk swaps at that step."""
+        column-major (count, d) matrices of the coordinate its walk swaps at
+        that step: perm * count + row."""
         if self._steps is None:
-            rows, d = self._shape
-            self._steps = np.empty((d, rows), dtype=np.intp)
-            self._row_base = np.arange(rows, dtype=np.intp) * d
-        count = perms.shape[0]
-        steps = self._steps[:, :count]
-        np.add(perms.T, self._row_base[:count], out=steps)
+            self._steps = np.empty(self._size, dtype=np.intp)
+            self._rows = np.arange(self._size // self._d, dtype=np.intp)
+        count, d = perms.shape
+        steps = self._steps[:d * count].reshape(d, count)
+        np.multiply(perms.T, count, out=steps)
+        steps += self._rows[:count]
         return steps
 
 
@@ -251,7 +280,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
         fx = _checked_batch(f, x, start)
         # The walk moves its point z from x to y in place; x is not read again.
         z = x
-        z_flat, y_flat, g_flat = z.reshape(-1), y.reshape(-1), g.reshape(-1)
+        z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
         fprev = fx
         for idx in steps:
             z_flat[idx] = y_flat[idx]
@@ -338,14 +367,14 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         if not closing:
             nxt = space.sample(count, point_gen)
         elif count > 1:
-            nxt = np.vstack([space.sample(count - 1, point_gen), first_pt])
+            nxt = np.asfortranarray(np.vstack([space.sample(count - 1, point_gen), first_pt]))
         else:
             nxt = first_pt.copy()
         z, fstep, g = ws.matrices(count)
         z[0] = base_pt[0]
         z[1:] = nxt[:-1]
         steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
-        z_flat, nxt_flat = z.reshape(-1), nxt.reshape(-1)
+        z_flat, nxt_flat = _flat(z), _flat(nxt)
         for step, idx in enumerate(steps):
             z_flat[idx] = nxt_flat[idx]
             if closing and step == d - 1:
@@ -361,7 +390,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         carry = float(fstep[-1, d - 1])
         base_pt[0] = nxt[-1]
 
-        g_flat = g.reshape(-1)
+        g_flat = _flat(g)
         fprev = fbase
         for step, idx in enumerate(steps):
             fz = fstep[:, step]

@@ -183,15 +183,17 @@ def _check_unit_open(u) -> None:
 
 
 def _unit_draws(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """An (n, d) matrix of grid uniforms (k + 0.5) / 2^53, checked to lie in (0, 1).
+    """A column-major (n, d) matrix of grid uniforms (k + 0.5) / 2^53, checked
+    to lie in (0, 1).
 
     gen.random draws k / 2^53 with k = next_uint64 >> 11, the same k that
     gen.integers(0, 2^53) draws, and adding 2^-54 rounds exactly as
     (k + 0.5) / 2^53 does, since scaling by a power of two commutes with
-    rounding.
+    rounding. The draws fill the rows in turn, one point after another; the
+    shift is added while they are copied into column-major order.
     """
-    u = gen.random((n, d))
-    u += 0.5 / _U53
+    u = np.empty((n, d), order="F")
+    np.add(gen.random((n, d)), 0.5 / _U53, out=u)
     lo, hi = u.min(), u.max()
     if hi == 1.0:
         np.minimum(u, _BELOW_ONE, out=u)
@@ -218,7 +220,11 @@ class InputSpace:
         return len(self.marginals)
 
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
-        """Draw an (n, d) matrix of independent rows from the product density."""
+        """Draw an (n, d) matrix of independent rows from the product density.
+
+        The matrix is column-major, so each variable's column X[:, j] is
+        contiguous in memory.
+        """
         n = require_integer("sample size", n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")

@@ -365,6 +365,39 @@ def test_each_worker_thread_allocates_one_workspace(monkeypatch):
         assert 1 <= len(made) <= workers
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding", "winding-cyclic"])
+def test_models_are_passed_column_major_batches(kind, workers):
+    layouts = []
+
+    def f(X):
+        layouts.append((X.shape, X.flags.f_contiguous))
+        return np.sin(X).sum(axis=1)
+
+    model = ModelFunction(3, f, vectorized=True)
+    cfg = EstimatorConfig(n=4097, seed=8, workers=workers)
+    if kind.startswith("winding"):
+        estimate_shapley_winding(model, unit_square(3), cfg, cyclic=kind == "winding-cyclic")
+    else:
+        {"shapley": estimate_shapley_all, "main": estimate_main_effects,
+         "total": estimate_total_effects}[kind](model, unit_square(3), cfg)
+    assert any(shape == (4096, 3) for shape, _ in layouts)
+    assert all(column_major for _, column_major in layouts)
+
+
+def test_flat_view_of_a_row_major_matrix_raises():
+    from shapeff.estimators import _flat
+
+    columns = np.zeros((5, 3), order="F")
+    flat = _flat(columns)
+    flat[1 * 5 + 4] = 1.0
+    assert columns[4, 1] == 1.0
+    with pytest.raises(ValueError, match="not column-major"):
+        _flat(np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="not column-major"):
+        _flat(columns[::2])
+
+
 def test_total_effects_are_nonnegative():
     report = estimate_total_effects(sobol_g([0.0, 1.0, 2.0]), sobol_g_space(3),
                                     EstimatorConfig(n=512, seed=13))

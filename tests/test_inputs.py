@@ -172,6 +172,17 @@ def test_sample_is_bitwise_the_integer_grid(space, seed, stream):
     assert np.array_equal(x.view(np.int64), ref.view(np.int64))
 
 
+@pytest.mark.parametrize("space", [
+    InputSpace([Uniform(0.0, 1.0)] * 3),
+    InputSpace([Normal(2.0, 0.5)] * 3),
+    InputSpace([Uniform(-math.pi, math.pi), Normal(2.0, 0.5), LogNormal(0.525, 0.044)]),
+], ids=["uniform", "normal", "mixed"])
+def test_sample_is_column_major(space):
+    x = space.sample(4097, RngStream(3).generator())
+    assert x.shape == (4097, 3)
+    assert x.flags.f_contiguous
+
+
 class _StubGenerator:
     """Returns fixed values where numpy's Generator.random returns draws."""
 
