@@ -149,18 +149,17 @@ def _columns(flat: np.ndarray, count: int, width: int) -> np.ndarray:
 
 
 def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """Count, column means and M2 of a (count, width) block.
+    """Count, column means and M2 of a column-major (count, width) block.
 
-    The block is copied row by row into the first count * width floats of
-    scratch, a column-major float matrix the chunk no longer needs, and
-    reduced there, so each column is summed in sample order. The deviations
-    are squared in place; dev * dev is bitwise (values - mean) ** 2.
+    Each column is contiguous, so numpy sums it pairwise. The deviations are
+    squared in the first count * width floats of scratch, a column-major
+    float matrix the chunk no longer needs; dev * dev is bitwise
+    (values - mean) ** 2.
     """
     count, width = values.shape
-    dev = _flat(scratch)[:count * width].reshape(count, width)
-    np.copyto(dev, values)
-    mean = dev.mean(axis=0)
-    dev -= mean
+    mean = values.mean(axis=0)
+    dev = _columns(_flat(scratch), count, width)
+    np.subtract(values, mean, out=dev)
     dev *= dev
     return count, mean, dev.sum(axis=0)
 

@@ -102,6 +102,17 @@ def test_analyze_round_trip_is_bitwise(tmp_path):
         [r["variance"] for r in report2["results"]]
 
 
+def test_package_and_reports_carry_the_declared_version(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    with open(PYPROJECT, "rb") as handle:
+        declared = tomllib.load(handle)["project"]["version"]
+    assert shapeff.__version__ == declared
+    out = tmp_path / "report.json"
+    assert run(["analyze", "--model", "ishigami", "--n", "64", "--seed", "1",
+                "--output", str(out)]) == 0
+    assert read_json(out)["version"] == shapeff.__version__
+
+
 def test_analyze_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"model": {"name": "ishigami"}, "n": 32, "seed": 5})
