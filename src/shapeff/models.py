@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError
+from .errors import EvaluationError, ParameterError, require_integer
 from .inputs import InputSpace, LogNormal, Normal, Uniform
 
 
@@ -31,9 +31,10 @@ class ModelFunction:
 
     def __init__(self, dim: int, func: Callable, *, name: str = "model",
                  vectorized: bool = False):
+        dim = require_integer("model dimension", dim)
         if dim < 1:
             raise ParameterError(f"model dimension must be >= 1, got {dim}")
-        self.dim = int(dim)
+        self.dim = dim
         self.name = name
         self._func = func
         self._vectorized = vectorized
@@ -121,7 +122,7 @@ def sobol_g(a: Sequence[float]) -> ModelFunction:
 
 
 def sobol_g_space(d: int) -> InputSpace:
-    return InputSpace([Uniform(0.0, 1.0)] * d)
+    return InputSpace([Uniform(0.0, 1.0)] * require_integer("dimension", d))
 
 
 def plate_buckling() -> ModelFunction:
@@ -306,12 +307,13 @@ class ExternalModel:
     """
 
     def __init__(self, command: Sequence[str], dim: int):
+        dim = require_integer("external model dimension", dim)
         if dim < 1:
             raise ParameterError(f"external model dimension must be >= 1, got {dim}")
         self.command = list(command)
         if not self.command:
             raise ParameterError("external model command must be non-empty")
-        self.dim = int(dim)
+        self.dim = dim
         self._child: _Child | None = None
         self._lock = threading.Lock()
 

@@ -393,3 +393,17 @@ def test_plate_space_sample_matches_its_golden():
 def test_constant_model_value():
     f = constant_model(-3.25, 4)
     assert f([0.0, 1.0, 2.0, 3.0]) == -3.25
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelFunction(2.5, lambda X: X[:, 0], vectorized=True),
+    lambda: ModelFunction(True, lambda X: X[:, 0], vectorized=True),
+    lambda: ModelFunction(np.float64(2.0), lambda X: X[:, 0], vectorized=True),
+    lambda: ExternalModel(["true"], 3.7),
+    lambda: constant_model(1.0, 2.9),
+    lambda: sobol_g_space(2.0),
+], ids=["model-float", "model-bool", "model-numpy-float", "external-float",
+        "constant-float", "sobol-g-space-float"])
+def test_model_dimensions_must_be_integers(make):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        make()
