@@ -169,9 +169,9 @@ class _Workspace:
     runs: `matrices` column-major float matrices of min(n, 4096) rows by d
     and, for the walks, the step index buffer.
 
-    A chunk of count samples uses the first count rows of each buffer and
-    writes every element it reads, so a short tail chunk never sees rows left
-    by an earlier chunk. Models are passed these buffers, so they must
+    A chunk of count samples uses the first count * d floats of each buffer
+    and writes every element it reads, so a short tail chunk never sees
+    values left by an earlier chunk. Models are passed these buffers, so they must
     neither keep nor modify the arrays they are given.
 
     Each buffer is made on first use, after the thread's first chunk has

@@ -1,5 +1,11 @@
 """Property tests: cost contracts at any N, the per-sample telescoping identity,
-and worker-count invariance with reused chunk buffers."""
+worker-count invariance with reused chunk buffers, chunked moments against an
+exact two-pass reference, and bitwise reruns of a report's config."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -8,6 +14,8 @@ from hypothesis import strategies as st
 from shapeff import (EstimatorConfig, InputSpace, ModelFunction, Uniform,
                      estimate_main_effects, estimate_shapley_all,
                      estimate_shapley_winding, estimate_total_effects)
+from shapeff.cli import main
+from shapeff.estimators import _chunk_moments, _Moments
 from test_models import report_bits
 
 # Each kind's estimator and its contracted evaluation count for (d, N).
@@ -93,3 +101,83 @@ def test_reports_are_bitwise_equal_at_any_worker_count(kind, d, n, seed):
         reports.append(report_bits(run(kind, f, space,
                                        EstimatorConfig(n=n, seed=seed, workers=workers))))
     assert reports[0] == reports[1] == reports[2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 10), wide=st.booleans(),
+       sizes=st.lists(st.integers(1, 300), min_size=1, max_size=8),
+       shift=st.floats(-3.0, 3.0), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+@example(d=10, wide=True, sizes=[4096, 4096, 4], shift=1.0, scale=1.0, seed=0)
+@example(d=10, wide=False, sizes=[4096, 1], shift=-2.0, scale=1e3, seed=1)
+def test_merged_chunk_moments_match_an_exact_two_pass_sum(d, wide, sizes, shift, scale, seed):
+    # Column means and M2 of the chunks, merged in chunk order, against the
+    # mean and the sum of squared deviations from it, each summed exactly.
+    width = d if wide else 1
+    n = sum(sizes)
+    values = scale * (np.random.default_rng(seed).standard_normal((n, width)) + shift)
+    stats = _Moments(width)
+    start = 0
+    for size in sizes:
+        block = np.asfortranarray(values[start:start + size])
+        stats.merge(*_chunk_moments(block, np.empty((size, d), order="F")))
+        start += size
+    assert stats.count == n
+    for j in range(width):
+        column = values[:, j].tolist()
+        mean = math.fsum(column) / n
+        m2 = math.fsum((v - mean) ** 2 for v in column)
+        assert abs(stats.mean[j] - mean) <= 1e-13 * math.fsum(map(abs, column)) / n
+        assert abs(stats.m2[j] - m2) <= 1e-13 * m2
+
+
+@st.composite
+def analyze_configs(draw):
+    """An analyze config: a builtin model, optionally its own input marginals,
+    and any estimator, sample size, seed, worker count and CI multiplier."""
+    name = draw(st.sampled_from(["ishigami", "sobol-g", "plate-buckling", "constant"]))
+    positive = st.floats(0.05, 10.0)
+    if name == "ishigami":
+        model, dim = {"name": name, "a": draw(positive), "b": draw(positive)}, 3
+    elif name == "sobol-g":
+        dim = draw(st.integers(1, 10))
+        model = {"name": name, "a": draw(st.lists(st.floats(0.0, 99.0), min_size=dim,
+                                                  max_size=dim))}
+    elif name == "constant":
+        dim = draw(st.integers(1, 4))
+        model = {"name": name, "value": draw(st.floats(-5.0, 5.0)), "dim": dim}
+    else:
+        model, dim = {"name": name}, 6
+    config = {"model": model,
+              "estimator": draw(st.sampled_from(["shapley", "shapley-winding", "main", "total"])),
+              "n": draw(st.integers(2, 5000)), "seed": draw(st.integers(0, 2 ** 64 - 1)),
+              "workers": draw(st.integers(1, 3)), "ci_z": draw(st.floats(0.5, 4.0)),
+              "cyclic": draw(st.booleans())}
+    # The plate needs positive widths, thicknesses and moduli: its own marginals.
+    if name != "plate-buckling" and draw(st.booleans()):
+        marginal = st.one_of(
+            st.builds(lambda lo, width: {"kind": "uniform", "lo": lo, "hi": lo + width},
+                      st.floats(-5.0, 5.0), positive),
+            st.builds(lambda mean, sd: {"kind": "normal", "mean": mean, "sd": sd},
+                      st.floats(-5.0, 5.0), positive),
+            st.builds(lambda mean, cv: {"kind": "normal", "mean": mean, "cv": cv},
+                      st.floats(0.5, 5.0), st.floats(0.01, 1.0)),
+            st.builds(lambda mean, cv: {"kind": "lognormal", "mean": mean, "cv": cv},
+                      st.floats(0.5, 5.0), st.floats(0.01, 1.0)))
+        config["distributions"] = draw(st.lists(marginal, min_size=dim, max_size=dim))
+    return config
+
+
+@settings(max_examples=25, deadline=None)
+@given(config=analyze_configs())
+def test_a_reports_config_reruns_bitwise(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        def analyze(cfg, name):
+            path, out = Path(tmp, f"{name}.json"), Path(tmp, f"{name}-report.json")
+            path.write_text(json.dumps(cfg))
+            assert main(["analyze", "--config", str(path), "--output", str(out)]) == 0
+            report = json.loads(out.read_text())
+            del report["elapsed_seconds"]
+            return report
+
+        first = analyze(config, "first")
+        assert analyze(first["config"], "rerun") == first
