@@ -103,10 +103,7 @@ def test_analyze_round_trip_is_bitwise(tmp_path):
 
 
 def test_package_and_reports_carry_the_declared_version(tmp_path):
-    tomllib = pytest.importorskip("tomllib")
-    with open(PYPROJECT, "rb") as handle:
-        declared = tomllib.load(handle)["project"]["version"]
-    assert shapeff.__version__ == declared
+    assert shapeff.__version__ == read_pyproject()["project"]["version"]
     out = tmp_path / "report.json"
     assert run(["analyze", "--model", "ishigami", "--n", "64", "--seed", "1",
                 "--output", str(out)]) == 0
@@ -350,12 +347,16 @@ def test_stdout_when_no_output_path(capsys):
     jsonschema.validate(report, EXACT_SCHEMA)
 
 
-def declared_console_script():
-    """The ``shapeff`` value of ``[project.scripts]`` in pyproject.toml."""
+def read_pyproject():
+    """pyproject.toml as a dict; skips the test where tomllib is missing."""
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as handle:
-        scripts = tomllib.load(handle)["project"]["scripts"]
-    return scripts["shapeff"]
+        return tomllib.load(handle)
+
+
+def declared_console_script():
+    """The ``shapeff`` value of ``[project.scripts]`` in pyproject.toml."""
+    return read_pyproject()["project"]["scripts"]["shapeff"]
 
 
 def env_importing_this_shapeff():
