@@ -171,8 +171,8 @@ class _Workspace:
 
     A chunk of count samples uses the first count * d floats of each buffer
     and writes every element it reads, so a short tail chunk never sees
-    values left by an earlier chunk. Models are passed these buffers, so they must
-    neither keep nor modify the arrays they are given.
+    values left by an earlier chunk. Models are passed these buffers, so
+    they must neither keep nor modify the arrays they are given.
 
     Each buffer is made on first use, after the thread's first chunk has
     drawn its points. The draws, which every chunk allocates and frees, then
