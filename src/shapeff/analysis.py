@@ -83,25 +83,18 @@ class ConvergenceStudy:
     fitted_slope: float | None
 
 
-def _run_estimator(kind: str, f: ModelFunction, space: InputSpace,
-                   cfg: EstimatorConfig) -> np.ndarray:
-    if kind == "shapley":
-        return np.asarray(estimate_shapley_all(f, space, cfg).estimates)
+def run_estimator(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
+                  *, cyclic: bool = False):
+    """Run the estimator named `kind`, one of ESTIMATOR_KINDS, and return its
+    report. `cyclic` applies to shapley-winding only."""
+    if kind not in ESTIMATOR_KINDS:
+        raise ParameterError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
     if kind == "shapley-winding":
-        return np.asarray(estimate_shapley_winding(f, space, cfg).estimates)
-    if kind == "main":
-        return np.asarray(estimate_main_effects(f, space, cfg).values)
-    if kind == "total":
-        return np.asarray(estimate_total_effects(f, space, cfg).values)
-    raise ParameterError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
-
-
-def _exact_vector(kind: str, exact: SensitivityIndices) -> np.ndarray:
-    if kind in ("shapley", "shapley-winding"):
-        return np.asarray(exact.shapley)
-    if kind == "main":
-        return np.asarray(exact.main)
-    return np.asarray(exact.total)
+        return estimate_shapley_winding(f, space, cfg, cyclic=cyclic)
+    # Looked up per call, so a caller that rebinds this module's estimate_*
+    # names (the benchmark's tracer) sees every run.
+    return {"shapley": estimate_shapley_all, "main": estimate_main_effects,
+            "total": estimate_total_effects}[kind](f, space, cfg)
 
 
 def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
@@ -131,12 +124,13 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
         for r in range(1, trials + 1):
             cfg = EstimatorConfig(n=n, seed=trial_seed(base_seed, n, r), workers=workers)
             try:
-                rows.append(_run_estimator(kind, f, space, cfg))
+                rep = run_estimator(kind, f, space, cfg)
+                rows.append(rep.values if kind in ("main", "total") else rep.estimates)
             except EvaluationError as exc:
                 raise EvaluationError(f"trial {r} at N={n} failed: {exc}") from exc
         table = np.vstack(rows)
         if exact is not None:
-            target = _exact_vector(kind, exact)
+            target = exact.shapley if kind.startswith("shapley") else getattr(exact, kind)
             for r in range(1, trials + 1):
                 sse_per_trial[(n, r)] = sse_exact(table[r - 1], target)
             mean_sse[n] = math.fsum(sse_per_trial[(n, r)] for r in range(1, trials + 1)) / trials

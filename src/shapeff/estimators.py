@@ -22,6 +22,7 @@ sample through a single flat index, perm * count + row.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -259,6 +260,113 @@ def _require_match(f: ModelFunction, space: InputSpace) -> None:
             f"model dimension {f.dim} does not match input space dimension {space.d}")
 
 
+def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int, parts: list):
+    """Merge per-chunk moments in chunk order and build the report of `kind`.
+
+    Each part holds a chunk's term moments and, for the Shapley walks, the
+    moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
+    samples overlap, so its report carries no variance or CI.
+    """
+    terms, pairs = _Moments(d), _Moments(1)
+    for term_part, pair_part in parts:
+        terms.merge(*term_part)
+        if pair_part is not None:
+            pairs.merge(*pair_part)
+    estimates = terms.mean
+    variance = terms.m2 / (cfg.n * (cfg.n - 1))
+    if kind in ("main", "total"):
+        return EffectReport(d=d, n=cfg.n, values=tuple(estimates.tolist()),
+                            variance_of_estimator=tuple(variance.tolist()), kind=kind,
+                            eval_count=eval_count, seed=cfg.seed)
+    low = high = None
+    if kind == "shapley":
+        half = cfg.ci_z * np.sqrt(variance)
+        variance, low, high = (tuple(v.tolist())
+                               for v in (variance, estimates - half, estimates + half))
+    else:
+        variance = None
+    return ShapleyReport(
+        d=d,
+        n=cfg.n,
+        estimates=tuple(estimates.tolist()),
+        variance_of_estimator=variance,
+        ci_low=low,
+        ci_high=high,
+        sigma2_estimate=math.fsum(estimates.tolist()),
+        sigma2_from_pairs=float(pairs.mean[0]),
+        eval_count=eval_count,
+        seed=cfg.seed,
+    )
+
+
+def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
+             matrices: int, design):
+    """Run `design` on every chunk of cfg.n samples and report the merged moments.
+
+    Chunk k draws from RngStream(seed, k): x, then y, then what the design
+    draws itself. design(f, x, y, gen, ws, start) evaluates the chunk and
+    returns its part for `_report`; ws is the worker's workspace of
+    `matrices` column-major matrices.
+    """
+    _require_match(f, space)
+
+    def task(chunk, ws):
+        k, start, count = chunk
+        gen = RngStream(cfg.seed, stream=k).generator()
+        x = space.sample(count, gen)
+        y = space.sample(count, gen)
+        return design(f, x, y, gen, ws, start)
+
+    before = f.eval_count
+    parts = _run_chunks(task, cfg.n, cfg.workers,
+                        lambda: _Workspace(space.d, cfg.n, matrices))
+    return _report(kind, cfg, space.d, f.eval_count - before, parts)
+
+
+def _walk(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
+          ws: _Workspace, start: int):
+    """The Shapley design: walk each sample from x to y along a random
+    permutation, crediting each step's increment to the variable it swaps."""
+    count, d = x.shape
+    steps = ws.walk_steps(permutation_rows(gen, count, d))
+    (g,) = ws.matrices(count)
+    fx = _checked_batch(f, x, start)
+    # The walk moves its point z from x to y in place; x is not read again.
+    z = x
+    z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
+    fprev = fx
+    for idx in steps:
+        z_flat[idx] = y_flat[idx]
+        fz = _checked_batch(f, z, start)
+        g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
+        fprev = fz
+    pairs = 0.5 * (fx - fprev) ** 2
+    # The walk is done, so z is free to hold the squared deviations.
+    return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
+
+
+def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
+                 ws: _Workspace, start: int, *, main: bool):
+    """The main and total effects' design: for each variable j, evaluate a
+    base matrix with its column j taken from the other draw.
+
+    Main's base is y and its term f(x) * (f(x_j, y_-j) - f(y)); total's base
+    is x and its term 0.5 * (f(x) - f(y_j, x_-j))^2.
+    """
+    count, d = x.shape
+    base, swap = (y, x) if main else (x, y)
+    w, terms = ws.matrices(count)
+    fx = _checked_batch(f, x, start)
+    fy = _checked_batch(f, y, start) if main else None
+    np.copyto(w, base)
+    for j in range(d):
+        w[:, j] = swap[:, j]
+        fw = _checked_batch(f, w, start)
+        terms[:, j] = fx * (fw - fy) if main else 0.5 * (fx - fw) ** 2
+        w[:, j] = base[:, j]
+    return _chunk_moments(terms, w), None
+
+
 def estimate_shapley_all(f: ModelFunction, space: InputSpace,
                          cfg: EstimatorConfig) -> ShapleyReport:
     """Estimate all d Shapley effects simultaneously from N permutation walks.
@@ -266,55 +374,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
     per-variable variance estimates and ci_z-sigma confidence intervals.
     """
-    _require_match(f, space)
-    d = space.d
-
-    def task(chunk, ws):
-        k, start, count = chunk
-        gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
-        steps = ws.walk_steps(permutation_rows(gen, count, d))
-        (g,) = ws.matrices(count)
-        fx = _checked_batch(f, x, start)
-        # The walk moves its point z from x to y in place; x is not read again.
-        z = x
-        z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
-        fprev = fx
-        for idx in steps:
-            z_flat[idx] = y_flat[idx]
-            fz = _checked_batch(f, z, start)
-            g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
-            fprev = fz
-        pairs = 0.5 * (fx - fprev) ** 2
-        # The walk is done, so z is free to hold the squared deviations.
-        return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
-
-    before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, 1))
-    eval_count = f.eval_count - before
-
-    g_stats = _Moments(d)
-    pair_stats = _Moments(1)
-    for g_part, pair_part in results:
-        g_stats.merge(*g_part)
-        pair_stats.merge(*pair_part)
-
-    estimates = g_stats.mean
-    variance = g_stats.m2 / (cfg.n * (cfg.n - 1))
-    half = cfg.ci_z * np.sqrt(variance)
-    return ShapleyReport(
-        d=d,
-        n=cfg.n,
-        estimates=tuple(estimates.tolist()),
-        variance_of_estimator=tuple(variance.tolist()),
-        ci_low=tuple((estimates - half).tolist()),
-        ci_high=tuple((estimates + half).tolist()),
-        sigma2_estimate=math.fsum(estimates.tolist()),
-        sigma2_from_pairs=float(pair_stats.mean[0]),
-        eval_count=eval_count,
-        seed=cfg.seed,
-    )
+    return _sampled("shapley", f, space, cfg, 1, _walk)
 
 
 def _winding_streams(seed: int, n: int, d: int,
@@ -398,27 +458,8 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         pairs = 0.5 * (fbase - fstep[:, d - 1]) ** 2
         return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
 
-    g_stats = _Moments(d)
-    pair_stats = _Moments(1)
-    for chunk in _chunks(n):
-        g_part, pair_part = task(chunk)
-        g_stats.merge(*g_part)
-        pair_stats.merge(*pair_part)
-
-    eval_count = f.eval_count - before
-    estimates = g_stats.mean
-    return ShapleyReport(
-        d=d,
-        n=n,
-        estimates=tuple(estimates.tolist()),
-        variance_of_estimator=None,
-        ci_low=None,
-        ci_high=None,
-        sigma2_estimate=math.fsum(estimates.tolist()),
-        sigma2_from_pairs=float(pair_stats.mean[0]),
-        eval_count=eval_count,
-        seed=cfg.seed,
-    )
+    parts = [task(chunk) for chunk in _chunks(n)]
+    return _report("shapley-winding", cfg, d, f.eval_count - before, parts)
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,
@@ -429,42 +470,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     estimator one sample mean, so the same per-term variance estimate applies.
     Costs (d+2)N evaluations.
     """
-    _require_match(f, space)
-    d = space.d
-
-    def task(chunk, ws):
-        k, start, count = chunk
-        gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
-        w, terms = ws.matrices(count)
-        fx = _checked_batch(f, x, start)
-        fy = _checked_batch(f, y, start)
-        np.copyto(w, y)
-        for j in range(d):
-            w[:, j] = x[:, j]
-            fw = _checked_batch(f, w, start)
-            terms[:, j] = fx * (fw - fy)
-            w[:, j] = y[:, j]
-        return _chunk_moments(terms, w)
-
-    before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, 2))
-    eval_count = f.eval_count - before
-
-    stats = _Moments(d)
-    for part in results:
-        stats.merge(*part)
-    variance = stats.m2 / (cfg.n * (cfg.n - 1))
-    return EffectReport(
-        d=d,
-        n=cfg.n,
-        values=tuple(stats.mean.tolist()),
-        variance_of_estimator=tuple(variance.tolist()),
-        kind="main",
-        eval_count=eval_count,
-        seed=cfg.seed,
-    )
+    return _sampled("main", f, space, cfg, 2, functools.partial(_pick_freeze, main=True))
 
 
 def estimate_total_effects(f: ModelFunction, space: InputSpace,
@@ -473,38 +479,4 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
 
     Costs (d+1)N evaluations; values are non-negative by construction.
     """
-    _require_match(f, space)
-    d = space.d
-
-    def task(chunk, ws):
-        k, start, count = chunk
-        gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
-        v, terms = ws.matrices(count)
-        fx = _checked_batch(f, x, start)
-        np.copyto(v, x)
-        for j in range(d):
-            v[:, j] = y[:, j]
-            fv = _checked_batch(f, v, start)
-            terms[:, j] = 0.5 * (fx - fv) ** 2
-            v[:, j] = x[:, j]
-        return _chunk_moments(terms, v)
-
-    before = f.eval_count
-    results = _run_chunks(task, cfg.n, cfg.workers, lambda: _Workspace(d, cfg.n, 2))
-    eval_count = f.eval_count - before
-
-    stats = _Moments(d)
-    for part in results:
-        stats.merge(*part)
-    variance = stats.m2 / (cfg.n * (cfg.n - 1))
-    return EffectReport(
-        d=d,
-        n=cfg.n,
-        values=tuple(stats.mean.tolist()),
-        variance_of_estimator=tuple(variance.tolist()),
-        kind="total",
-        eval_count=eval_count,
-        seed=cfg.seed,
-    )
+    return _sampled("total", f, space, cfg, 2, functools.partial(_pick_freeze, main=False))
