@@ -7,15 +7,14 @@ estimators, closed-form references for the analytic benchmarks, a brute-force
 ANOVA oracle, and convergence-study tooling.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analysis import (ConvergenceStudy, convergence_csv_lines,
                        convergence_study, sse_exact, sse_samplemean,
                        trial_seed)
 from .errors import (CapacityError, ConfigError, EvaluationError,
                      ParameterError, SensitivityError)
-from .estimators import (EffectReport, EstimatorConfig, ShapleyReport,
-                         estimate_main_effects, estimate_shapley_all,
+from .estimators import (EstimatorConfig, Report, estimate_main_effects, estimate_shapley_all,
                          estimate_shapley_winding, estimate_total_effects,
                          pickfreeze_increment)
 from .inputs import (InputSpace, LogNormal, Normal, RngStream, Uniform,
@@ -35,7 +34,6 @@ __all__ = [
     "CapacityError",
     "ConfigError",
     "ConvergenceStudy",
-    "EffectReport",
     "EstimatorConfig",
     "EvaluationError",
     "ExternalModel",
@@ -45,10 +43,10 @@ __all__ = [
     "Normal",
     "OrthogonalityReport",
     "ParameterError",
+    "Report",
     "RngStream",
     "SensitivityError",
     "SensitivityIndices",
-    "ShapleyReport",
     "Uniform",
     "anova_oracle",
     "constant_model",

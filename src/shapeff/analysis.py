@@ -17,15 +17,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import EvaluationError, ParameterError, require_integer
-from .estimators import (EstimatorConfig, estimate_main_effects,
-                         estimate_shapley_all, estimate_shapley_winding,
-                         estimate_total_effects)
+from .estimators import (ESTIMATOR_KINDS, EstimatorConfig, Report,
+                         estimate_main_effects, estimate_shapley_all,
+                         estimate_shapley_winding, estimate_total_effects)
 from .inputs import InputSpace
 from .models import ModelFunction
 from .reference import SensitivityIndices
-
-ESTIMATOR_KINDS = ("shapley", "shapley-winding", "main", "total")
-
 
 def sse_exact(estimates: Sequence[float], exact: Sequence[float]) -> float:
     """Sum of squared errors of an estimate vector against exact indices."""
@@ -84,7 +81,7 @@ class ConvergenceStudy:
 
 
 def run_estimator(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
-                  *, cyclic: bool = False):
+                  *, cyclic: bool = False) -> Report:
     """Run the estimator named `kind`, one of ESTIMATOR_KINDS, and return its
     report. `cyclic` applies to shapley-winding only."""
     if kind not in ESTIMATOR_KINDS:
@@ -124,8 +121,7 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
         for r in range(1, trials + 1):
             cfg = EstimatorConfig(n=n, seed=trial_seed(base_seed, n, r), workers=workers)
             try:
-                rep = run_estimator(kind, f, space, cfg)
-                rows.append(rep.values if kind in ("main", "total") else rep.estimates)
+                rows.append(run_estimator(kind, f, space, cfg).estimates)
             except EvaluationError as exc:
                 raise EvaluationError(f"trial {r} at N={n} failed: {exc}") from exc
         table = np.vstack(rows)

@@ -20,9 +20,12 @@ import time
 from typing import Sequence
 
 from . import __version__
-from .analysis import ESTIMATOR_KINDS, convergence_csv_lines, convergence_study
+from .analysis import (ESTIMATOR_KINDS, convergence_csv_lines, convergence_study,
+                       run_estimator)
 from .errors import CapacityError, ConfigError, EvaluationError, ParameterError
-from .estimators import (EstimatorConfig, estimate_main_effects,
+# Runs go through analysis.run_estimator. The estimate_* names stay bound here
+# because perfbench's tracer wraps them in every module that imports them.
+from .estimators import (EstimatorConfig, estimate_main_effects,  # noqa: F401
                          estimate_shapley_all, estimate_shapley_winding,
                          estimate_total_effects)
 from .inputs import InputSpace, LogNormal, Normal, Uniform
@@ -386,35 +389,21 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             raise _fail(str(exc))
 
         start = time.perf_counter()
-        if estimator == "shapley":
-            rep = estimate_shapley_all(model, space, est_cfg)
-            rows = [{"variable": j + 1, "estimate": rep.estimates[j],
-                     "variance": rep.variance_of_estimator[j],
-                     "ci_low": rep.ci_low[j], "ci_high": rep.ci_high[j]}
-                    for j in range(rep.d)]
-            sigma2, evals = rep.sigma2_estimate, rep.eval_count
-        elif estimator == "shapley-winding":
-            rep = estimate_shapley_winding(model, space, est_cfg, cyclic=cyclic)
-            rows = [{"variable": j + 1, "estimate": rep.estimates[j],
-                     "variance": None, "ci_low": None, "ci_high": None}
-                    for j in range(rep.d)]
-            sigma2, evals = rep.sigma2_estimate, rep.eval_count
-        else:
-            runner = estimate_main_effects if estimator == "main" else estimate_total_effects
-            rep = runner(model, space, est_cfg)
-            rows = [{"variable": j + 1, "estimate": rep.values[j],
-                     "variance": rep.variance_of_estimator[j],
-                     "ci_low": None, "ci_high": None}
-                    for j in range(rep.d)]
-            sigma2, evals = None, rep.eval_count
+        rep = run_estimator(estimator, model, space, est_cfg, cyclic=cyclic)
         elapsed = time.perf_counter() - start
+        none = (None,) * rep.d
+        cells = zip(rep.estimates, rep.variance_of_estimator or none,
+                    rep.ci_low or none, rep.ci_high or none)
+        rows = [{"variable": j + 1, "estimate": est, "variance": var,
+                 "ci_low": low, "ci_high": high}
+                for j, (est, var, low, high) in enumerate(cells)]
 
         report = {
             "config": resolved,
             "version": __version__,
             "results": rows,
-            "sigma2_estimate": sigma2,
-            "eval_count": evals,
+            "sigma2_estimate": rep.sigma2_estimate,
+            "eval_count": rep.eval_count,
             "seed": seed,
             "elapsed_seconds": elapsed,
         }

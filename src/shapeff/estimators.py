@@ -36,6 +36,8 @@ from .models import ModelFunction
 
 _CHUNK = 4096
 
+ESTIMATOR_KINDS = ("shapley", "shapley-winding", "main", "total")
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -58,40 +60,34 @@ class EstimatorConfig:
 
 
 @dataclass(frozen=True)
-class ShapleyReport:
-    """Per-variable Shapley estimates with variances and confidence bounds.
+class Report:
+    """One estimator run: per-variable estimates with variances and bounds.
 
-    variance_of_estimator / ci_low / ci_high are None for the winding-stairs
-    variant, whose correlated samples admit no unbiased variance estimate.
-    sigma2_estimate is the plain sum of the estimates; sigma2_from_pairs is
+    kind is the estimator's name in ESTIMATOR_KINDS. variance_of_estimator,
+    ci_low and ci_high are None for shapley-winding, whose correlated samples
+    admit no unbiased variance estimate. For the two Shapley kinds
+    sigma2_estimate is the plain sum of the estimates and sigma2_from_pairs
     the mean of 0.5*(f(x)-f(y))^2 over the sample pairs, equal to it up to
-    rounding by the per-sample telescoping identity. Estimates may be
-    negative; they are never clamped.
+    rounding by the per-sample telescoping identity; both are None for main
+    and total. Estimates may be negative; they are never clamped.
     """
 
+    kind: str
     d: int
     n: int
     estimates: tuple[float, ...]
     variance_of_estimator: tuple[float, ...] | None
     ci_low: tuple[float, ...] | None
     ci_high: tuple[float, ...] | None
-    sigma2_estimate: float
-    sigma2_from_pairs: float
+    sigma2_estimate: float | None
+    sigma2_from_pairs: float | None
     eval_count: int
     seed: int
 
-
-@dataclass(frozen=True)
-class EffectReport:
-    """Pick-freeze main or total effect estimates with per-variable variances."""
-
-    d: int
-    n: int
-    values: tuple[float, ...]
-    variance_of_estimator: tuple[float, ...]
-    kind: str
-    eval_count: int
-    seed: int
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The estimates, under the name main and total effects once used."""
+        return self.estimates
 
 
 def pickfreeze_increment(f_x: float, f_minus: float, f_plus: float) -> float:
@@ -260,7 +256,8 @@ def _require_match(f: ModelFunction, space: InputSpace) -> None:
             f"model dimension {f.dim} does not match input space dimension {space.d}")
 
 
-def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int, parts: list):
+def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int,
+            parts: list) -> Report:
     """Merge per-chunk moments in chunk order and build the report of `kind`.
 
     Each part holds a chunk's term moments and, for the Shapley walks, the
@@ -273,30 +270,17 @@ def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int, parts: lis
         if pair_part is not None:
             pairs.merge(*pair_part)
     estimates = terms.mean
-    variance = terms.m2 / (cfg.n * (cfg.n - 1))
-    if kind in ("main", "total"):
-        return EffectReport(d=d, n=cfg.n, values=tuple(estimates.tolist()),
-                            variance_of_estimator=tuple(variance.tolist()), kind=kind,
-                            eval_count=eval_count, seed=cfg.seed)
-    low = high = None
-    if kind == "shapley":
-        half = cfg.ci_z * np.sqrt(variance)
-        variance, low, high = (tuple(v.tolist())
-                               for v in (variance, estimates - half, estimates + half))
-    else:
-        variance = None
-    return ShapleyReport(
-        d=d,
-        n=cfg.n,
-        estimates=tuple(estimates.tolist()),
-        variance_of_estimator=variance,
-        ci_low=low,
-        ci_high=high,
-        sigma2_estimate=math.fsum(estimates.tolist()),
-        sigma2_from_pairs=float(pairs.mean[0]),
-        eval_count=eval_count,
-        seed=cfg.seed,
-    )
+    variance = low = high = sigma2 = from_pairs = None
+    if kind != "shapley-winding":
+        var = terms.m2 / (cfg.n * (cfg.n - 1))
+        half = cfg.ci_z * np.sqrt(var)
+        variance, low, high = (tuple(v.tolist()) for v in (var, estimates - half, estimates + half))
+    if pairs.count:
+        sigma2, from_pairs = math.fsum(estimates.tolist()), float(pairs.mean[0])
+    return Report(kind=kind, d=d, n=cfg.n, estimates=tuple(estimates.tolist()),
+                  variance_of_estimator=variance, ci_low=low, ci_high=high,
+                  sigma2_estimate=sigma2, sigma2_from_pairs=from_pairs,
+                  eval_count=eval_count, seed=cfg.seed)
 
 
 def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
@@ -368,7 +352,7 @@ def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.
 
 
 def estimate_shapley_all(f: ModelFunction, space: InputSpace,
-                         cfg: EstimatorConfig) -> ShapleyReport:
+                         cfg: EstimatorConfig) -> Report:
     """Estimate all d Shapley effects simultaneously from N permutation walks.
 
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
@@ -393,7 +377,7 @@ def _winding_streams(seed: int, n: int, d: int,
 
 
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
-                             cfg: EstimatorConfig, *, cyclic: bool = False) -> ShapleyReport:
+                             cfg: EstimatorConfig, *, cyclic: bool = False) -> Report:
     """Winding-stairs Shapley estimator: pair consecutive points of one sequence.
 
     Reusing each walk's final value as the next pair's base value cuts the
@@ -463,7 +447,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,
-                          cfg: EstimatorConfig) -> EffectReport:
+                          cfg: EstimatorConfig) -> Report:
     """Pick-freeze main effects: mean of f(x) * (f(x_j, y_-j) - f(y)) per j.
 
     Pairing the mu^2 correction f(x)f(y) with each sample keeps the whole
@@ -474,7 +458,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
 
 
 def estimate_total_effects(f: ModelFunction, space: InputSpace,
-                           cfg: EstimatorConfig) -> EffectReport:
+                           cfg: EstimatorConfig) -> Report:
     """Pick-freeze total effects: mean of 0.5 * (f(x) - f(y_j, x_-j))^2 per j.
 
     Costs (d+1)N evaluations; values are non-negative by construction.

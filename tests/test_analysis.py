@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from shapeff import (ParameterError, constant_model, convergence_csv_lines,
-                     convergence_study, ishigami, ishigami_exact,
-                     ishigami_space, sobol_g_space, sse_exact, sse_samplemean,
-                     trial_seed)
+from shapeff import (EstimatorConfig, ParameterError, constant_model,
+                     convergence_csv_lines, convergence_study, ishigami,
+                     ishigami_exact, ishigami_space, sobol_g_space, sse_exact,
+                     sse_samplemean, trial_seed)
+from shapeff.analysis import ESTIMATOR_KINDS, run_estimator
 
 
 def test_sse_exact_hand_values():
@@ -93,6 +94,25 @@ def test_study_runs_all_estimator_kinds():
                                   [64, 128], 2, 1, exact=ishigami_exact())
         assert study.estimator == kind
         assert len(study.sse_per_trial) == 4
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_run_estimator_reports_its_kind(kind):
+    rep = run_estimator(kind, ishigami(), ishigami_space(), EstimatorConfig(n=64, seed=3))
+    assert rep.kind == kind
+    assert rep.values == rep.estimates
+    bounds = (rep.variance_of_estimator, rep.ci_low, rep.ci_high)
+    if kind == "shapley-winding":
+        assert bounds == (None, None, None)
+    else:
+        assert all(len(b) == 3 for b in bounds)
+        assert all(lo <= est <= hi for lo, est, hi in zip(rep.ci_low, rep.estimates, rep.ci_high))
+
+
+@pytest.mark.parametrize("kind", ["Shapley", "winding", "pick-freeze", ""])
+def test_run_estimator_rejects_other_kinds(kind):
+    with pytest.raises(ParameterError, match="unknown estimator kind"):
+        run_estimator(kind, ishigami(), ishigami_space(), EstimatorConfig(n=64, seed=3))
 
 
 def test_csv_lines_format():

@@ -73,7 +73,7 @@ def test_analyze_all_estimators_validate_schema(tmp_path):
             assert all(r["variance"] is None for r in report["results"])
         if estimator in ("main", "total"):
             assert report["sigma2_estimate"] is None
-            assert all(r["ci_low"] is None for r in report["results"])
+            assert all(r["ci_low"] <= r["estimate"] <= r["ci_high"] for r in report["results"])
 
 
 def test_analyze_csv_format(tmp_path):
