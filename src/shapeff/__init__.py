@@ -14,11 +14,10 @@ from .analysis import (ConvergenceStudy, convergence_csv_lines,
                        trial_seed)
 from .errors import (CapacityError, ConfigError, EvaluationError,
                      ParameterError, SensitivityError)
-from .estimators import (EstimatorConfig, Report, estimate_main_effects, estimate_shapley_all,
-                         estimate_shapley_winding, estimate_total_effects,
-                         pickfreeze_increment)
-from .inputs import (InputSpace, LogNormal, Normal, RngStream, Uniform,
-                     inverse_cdf, random_permutation, sample_matrix)
+from .estimators import (EstimatorConfig, Report, estimate_main_effects,
+                         estimate_shapley_all, estimate_shapley_winding,
+                         estimate_total_effects)
+from .inputs import InputSpace, LogNormal, Normal, RngStream, Uniform
 from .models import (ExternalModel, ModelFunction, constant_model,
                      external_model, ishigami, ishigami_space, plate_buckling,
                      plate_buckling_space, sobol_g, sobol_g_space)
@@ -58,18 +57,14 @@ __all__ = [
     "estimate_total_effects",
     "external_model",
     "indices_from_anova",
-    "inverse_cdf",
     "ishigami",
     "ishigami_anova",
     "ishigami_exact",
     "ishigami_space",
     "main_total_from_anova",
     "orthogonality_check",
-    "pickfreeze_increment",
     "plate_buckling",
     "plate_buckling_space",
-    "random_permutation",
-    "sample_matrix",
     "shapley_from_anova",
     "sobol_g",
     "sobol_g_anova",

@@ -159,49 +159,45 @@ CONVERGENCE_SCHEMA = {
 }
 
 
-def _fail(message: str) -> ConfigError:
-    return ConfigError(message)
-
-
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
-        raise _fail(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
 def _require_int(cfg: dict, key: str, minimum: int, where: str = "config") -> int:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(f"{where}: {key} must be an integer, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
     if value < minimum:
-        raise _fail(f"{where}: {key} must be >= {minimum}, got {value}")
+        raise ConfigError(f"{where}: {key} must be >= {minimum}, got {value}")
     return value
 
 
 def _require_number(cfg: dict, key: str, where: str = "config") -> float:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{where}: {key} must be a number, got {value!r}")
+        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
     return float(value)
 
 
 def _marginal_from_spec(spec, where: str):
     if not isinstance(spec, dict):
-        raise _fail(f"{where} must be an object, got {spec!r}")
+        raise ConfigError(f"{where} must be an object, got {spec!r}")
     kind = spec.get("kind")
     if kind not in _DIST_KEYS:
-        raise _fail(f"{where}: kind must be one of {sorted(_DIST_KEYS)}, got {kind!r}")
+        raise ConfigError(f"{where}: kind must be one of {sorted(_DIST_KEYS)}, got {kind!r}")
     _check_keys(spec, _DIST_KEYS[kind], where)
     required = _DIST_KEYS[kind]
     if kind == "normal":
         spread = {"sd", "cv"} & set(spec)
         if len(spread) != 1:
-            raise _fail(f"{where}: normal takes exactly one of sd or cv, got "
+            raise ConfigError(f"{where}: normal takes exactly one of sd or cv, got "
                         f"{' and '.join(sorted(spread)) or 'neither'}")
         required = required - {"sd", "cv"} | spread
     missing = required - set(spec)
     if missing:
-        raise _fail(f"{where}: missing key(s): {', '.join(sorted(missing))}")
+        raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
     try:
         if kind == "uniform":
             return Uniform(_require_number(spec, "lo", where), _require_number(spec, "hi", where))
@@ -214,7 +210,7 @@ def _marginal_from_spec(spec, where: str):
         return LogNormal(_require_number(spec, "mean", where),
                          _require_number(spec, "cv", where))
     except ParameterError as exc:
-        raise _fail(f"{where}: {exc}")
+        raise ConfigError(f"{where}: {exc}")
 
 
 def _canonical_distribution_specs(name: str, dim: int) -> list[dict]:
@@ -226,26 +222,26 @@ def _canonical_distribution_specs(name: str, dim: int) -> list[dict]:
         return [dict(spec) for spec in _PLATE_TABLE]
     if name == "constant":
         return [{"kind": "uniform", "lo": 0.0, "hi": 1.0}] * dim
-    raise _fail(f"no canonical input space for model {name!r}; supply distributions")
+    raise ConfigError(f"no canonical input space for model {name!r}; supply distributions")
 
 
 def _resolve_model(model_cfg):
     """Build the ModelFunction; return (model, resolved model config, closer)."""
     if not isinstance(model_cfg, dict):
-        raise _fail(f"model must be an object, got {model_cfg!r}")
+        raise ConfigError(f"model must be an object, got {model_cfg!r}")
     if "command" in model_cfg:
         _check_keys(model_cfg, _EXTERNAL_KEYS, "model")
         command = model_cfg.get("command")
         if (not isinstance(command, list) or not command
                 or not all(isinstance(c, str) for c in command)):
-            raise _fail(f"model.command must be a non-empty list of strings, got {command!r}")
+            raise ConfigError(f"model.command must be a non-empty list of strings, got {command!r}")
         dim = _require_int(model_cfg, "dim", 1, "model")
         adapter = ExternalModel(command, dim)
         return adapter.as_model(), {"command": command, "dim": dim}, adapter.close
 
     name = model_cfg.get("name")
     if name not in _MODEL_KEYS:
-        raise _fail(f"model.name must be one of {sorted(_MODEL_KEYS)}, got {name!r}")
+        raise ConfigError(f"model.name must be one of {sorted(_MODEL_KEYS)}, got {name!r}")
     _check_keys(model_cfg, _MODEL_KEYS[name], "model")
     try:
         if name == "ishigami":
@@ -258,10 +254,10 @@ def _resolve_model(model_cfg):
             if a is not None:
                 if not isinstance(a, list) or not all(
                         isinstance(v, (int, float)) and not isinstance(v, bool) for v in a):
-                    raise _fail(f"model.a must be a list of numbers, got {a!r}")
+                    raise ConfigError(f"model.a must be a list of numbers, got {a!r}")
                 a = [float(v) for v in a]
                 if d is not None and _require_int(model_cfg, "d", 1, "model") != len(a):
-                    raise _fail(f"model.d = {d} contradicts len(model.a) = {len(a)}")
+                    raise ConfigError(f"model.d = {d} contradicts len(model.a) = {len(a)}")
             else:
                 d = _require_int(model_cfg, "d", 1, "model") if d is not None else 10
                 a = [float(j) for j in range(d)]
@@ -272,22 +268,32 @@ def _resolve_model(model_cfg):
         dim = _require_int(model_cfg, "dim", 1, "model") if "dim" in model_cfg else 3
         return constant_model(value, dim), {"name": name, "value": value, "dim": dim}, None
     except ParameterError as exc:
-        raise _fail(f"model: {exc}")
+        raise ConfigError(f"model: {exc}")
 
 
 def _resolve_space(cfg: dict, model, model_resolved) -> tuple[InputSpace, list[dict]]:
     specs = cfg.get("distributions")
     if specs is None:
         if "command" in model_resolved:
-            raise _fail("external models need an explicit distributions list")
+            raise ConfigError("external models need an explicit distributions list")
         specs = _canonical_distribution_specs(model_resolved["name"], model.dim)
     if not isinstance(specs, list):
-        raise _fail(f"distributions must be a list, got {specs!r}")
+        raise ConfigError(f"distributions must be a list, got {specs!r}")
     if len(specs) != model.dim:
-        raise _fail(
+        raise ConfigError(
             f"distributions length {len(specs)} does not match model dimension {model.dim}")
     marginals = [_marginal_from_spec(s, f"distributions[{i}]") for i, s in enumerate(specs)]
     return InputSpace(marginals), specs
+
+
+def _exact_indices(model_resolved: dict):
+    """Closed-form indices of a resolved builtin model, or None if it has none."""
+    name = model_resolved.get("name")
+    if name == "ishigami":
+        return ishigami_exact(model_resolved["a"], model_resolved["b"])
+    if name == "sobol-g":
+        return sobol_g_exact(model_resolved["a"])
+    return None
 
 
 def _load_config(path: str | None) -> dict:
@@ -297,11 +303,11 @@ def _load_config(path: str | None) -> dict:
         with open(path, "r", encoding="utf-8") as handle:
             config = json.load(handle)
     except OSError as exc:
-        raise _fail(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail(f"config {path} is not valid JSON: {exc}")
+        raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
-        raise _fail(f"config {path} must hold a JSON object")
+        raise ConfigError(f"config {path} must hold a JSON object")
     return config
 
 
@@ -317,7 +323,7 @@ def _merge_flags(config: dict, args: argparse.Namespace) -> dict:
         try:
             merged["ns"] = [int(v) for v in args.ns.split(",")]
         except ValueError:
-            raise _fail(f"--ns must be comma-separated integers, got {args.ns!r}")
+            raise ConfigError(f"--ns must be comma-separated integers, got {args.ns!r}")
     if getattr(args, "cyclic", False):
         merged["cyclic"] = True
     return merged
@@ -351,26 +357,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _merge_flags(_load_config(args.config), args)
     _check_keys(cfg, _ANALYZE_KEYS, "config")
     if "model" not in cfg:
-        raise _fail("config needs a model (or pass --model)")
+        raise ConfigError("config needs a model (or pass --model)")
     if "n" not in cfg:
-        raise _fail("config needs a sample size n (or pass --n)")
+        raise ConfigError("config needs a sample size n (or pass --n)")
 
     model, model_resolved, closer = _resolve_model(cfg["model"])
     try:
         space, dist_specs = _resolve_space(cfg, model, model_resolved)
         estimator = cfg.get("estimator", "shapley")
         if estimator not in ESTIMATOR_KINDS:
-            raise _fail(f"estimator must be one of {ESTIMATOR_KINDS}, got {estimator!r}")
+            raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}, got {estimator!r}")
         n = _require_int(cfg, "n", 2)
         seed = _require_int(cfg, "seed", 0) if "seed" in cfg else 0
         workers = _require_int(cfg, "workers", 1) if "workers" in cfg else 1
         ci_z = _require_number(cfg, "ci_z") if "ci_z" in cfg else 1.96
         cyclic = cfg.get("cyclic", False)
         if not isinstance(cyclic, bool):
-            raise _fail(f"cyclic must be a boolean, got {cyclic!r}")
+            raise ConfigError(f"cyclic must be a boolean, got {cyclic!r}")
         fmt = cfg.get("format", "json")
         if fmt not in ("json", "csv"):
-            raise _fail(f"format must be json or csv, got {fmt!r}")
+            raise ConfigError(f"format must be json or csv, got {fmt!r}")
 
         resolved = {
             "model": model_resolved,
@@ -383,11 +389,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "cyclic": cyclic,
             "format": fmt,
         }
-        try:
-            est_cfg = EstimatorConfig(n=n, seed=seed, workers=workers, ci_z=ci_z)
-        except ParameterError as exc:
-            raise _fail(str(exc))
-
+        est_cfg = EstimatorConfig(n=n, seed=seed, workers=workers, ci_z=ci_z)
         start = time.perf_counter()
         rep = run_estimator(estimator, model, space, est_cfg, cyclic=cyclic)
         elapsed = time.perf_counter() - start
@@ -421,9 +423,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _merge_flags(_load_config(args.config), args)
     _check_keys(cfg, _CONVERGENCE_KEYS, "config")
     if "model" not in cfg:
-        raise _fail("config needs a model (or pass --model)")
+        raise ConfigError("config needs a model (or pass --model)")
     if "ns" not in cfg:
-        raise _fail("config needs a list of sample sizes ns (or pass --ns)")
+        raise ConfigError("config needs a list of sample sizes ns (or pass --ns)")
 
     model, model_resolved, closer = _resolve_model(cfg["model"])
     try:
@@ -432,21 +434,15 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         ns = cfg["ns"]
         if not isinstance(ns, list) or not all(
                 isinstance(v, int) and not isinstance(v, bool) for v in ns):
-            raise _fail(f"ns must be a list of integers, got {ns!r}")
+            raise ConfigError(f"ns must be a list of integers, got {ns!r}")
         trials = _require_int(cfg, "trials", 2) if "trials" in cfg else 10
         seed = _require_int(cfg, "seed", 0) if "seed" in cfg else 0
         workers = _require_int(cfg, "workers", 1) if "workers" in cfg else 1
         fmt = cfg.get("format", "csv")
         if fmt not in ("json", "csv"):
-            raise _fail(f"format must be json or csv, got {fmt!r}")
+            raise ConfigError(f"format must be json or csv, got {fmt!r}")
 
-        name = model_resolved.get("name")
-        exact = None
-        if name == "ishigami":
-            exact = ishigami_exact(model_resolved["a"], model_resolved["b"])
-        elif name == "sobol-g":
-            exact = sobol_g_exact(model_resolved["a"])
-
+        exact = _exact_indices(model_resolved)
         resolved = {
             "model": model_resolved,
             "distributions": dist_specs,
@@ -457,13 +453,10 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             "workers": workers,
             "format": fmt,
         }
-        try:
-            start = time.perf_counter()
-            study = convergence_study(model, space, estimator, ns, trials, seed,
-                                      exact=exact, workers=workers)
-            elapsed = time.perf_counter() - start
-        except ParameterError as exc:
-            raise _fail(str(exc))
+        start = time.perf_counter()
+        study = convergence_study(model, space, estimator, ns, trials, seed,
+                                  exact=exact, workers=workers)
+        elapsed = time.perf_counter() - start
 
         if fmt == "csv":
             _emit("\n".join(convergence_csv_lines(study)), cfg.get("output"))
@@ -488,27 +481,21 @@ def cmd_exact(args: argparse.Namespace) -> int:
     cfg = _merge_flags(_load_config(args.config), args)
     _check_keys(cfg, _EXACT_KEYS, "config")
     if "model" not in cfg:
-        raise _fail("config needs a model (or pass --model)")
+        raise ConfigError("config needs a model (or pass --model)")
 
     model_cfg = cfg["model"]
     if not isinstance(model_cfg, dict):
-        raise _fail(f"model must be an object, got {model_cfg!r}")
+        raise ConfigError(f"model must be an object, got {model_cfg!r}")
     name = model_cfg.get("name")
     if name not in ("ishigami", "sobol-g"):
-        raise _fail(
+        raise ConfigError(
             f"exact indices exist only for ishigami and sobol-g, got {name or model_cfg!r}")
     _, model_resolved, _ = _resolve_model(model_cfg)
-    try:
-        if name == "ishigami":
-            idx = ishigami_exact(model_resolved["a"], model_resolved["b"])
-        else:
-            idx = sobol_g_exact(model_resolved["a"])
-    except (ParameterError, CapacityError) as exc:
-        raise _fail(str(exc))
+    idx = _exact_indices(model_resolved)
 
     fmt = cfg.get("format", "json")
     if fmt not in ("json", "csv"):
-        raise _fail(f"format must be json or csv, got {fmt!r}")
+        raise ConfigError(f"format must be json or csv, got {fmt!r}")
     report = {
         "config": {"model": model_resolved, "format": fmt},
         "version": __version__,
@@ -566,10 +553,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
+    except (ConfigError, CapacityError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

@@ -90,19 +90,6 @@ class Report:
         return self.estimates
 
 
-def pickfreeze_increment(f_x: float, f_minus: float, f_plus: float) -> float:
-    """One permutation-walk increment (F - (F- + F+)/2) * (F- - F+).
-
-    F is the value at the base point, F- the value before the current
-    variable's coordinate is swapped, F+ the value after. Algebraically equal
-    to 0.5*(F - F+)^2 - 0.5*(F - F-)^2.
-    """
-    if not (math.isfinite(f_x) and math.isfinite(f_minus) and math.isfinite(f_plus)):
-        raise EvaluationError(
-            f"pick-freeze increment needs finite values, got ({f_x}, {f_minus}, {f_plus})")
-    return (f_x - 0.5 * (f_minus + f_plus)) * (f_minus - f_plus)
-
-
 class _Moments:
     """Running per-variable mean and sum of squared deviations (M2).
 

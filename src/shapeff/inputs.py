@@ -262,23 +262,6 @@ class RngStream:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def inverse_cdf(dist: MarginalDistribution, u: float) -> float:
-    """The u-quantile of a marginal, for u strictly inside (0, 1)."""
-    return float(dist.quantile(u))
-
-
-def sample_matrix(space: InputSpace, n: int, rng: RngStream) -> np.ndarray:
-    """Draw n i.i.d. points from the input space as an (n, d) matrix."""
-    return space.sample(n, rng.generator())
-
-
-def random_permutation(d: int, rng: RngStream) -> np.ndarray:
-    """Uniformly random permutation of the variable indices 0..d-1."""
-    if d < 1:
-        raise ParameterError(f"permutation size must be >= 1, got {d}")
-    return rng.generator().permutation(d)
-
-
 def permutation_rows(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
     """n independent uniform permutations of 0..d-1, one per row."""
     rows = np.tile(np.arange(d), (n, 1))

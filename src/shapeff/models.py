@@ -80,10 +80,15 @@ class ModelFunction:
         return f"ModelFunction({self.name!r}, dim={self.dim}, eval_count={self._count})"
 
 
+def _check_ishigami(a: float, b: float) -> None:
+    """ParameterError unless a and b are finite and > 0."""
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ParameterError(f"ishigami needs finite a > 0 and b > 0, got a={a}, b={b}")
+
+
 def ishigami(a: float = 7.0, b: float = 0.1) -> ModelFunction:
     """Three-variable benchmark (1 + b*x3^4) sin(x1) + a sin(x2)^2."""
-    if not (a > 0 and b > 0):
-        raise ParameterError(f"ishigami needs a > 0 and b > 0, got a={a}, b={b}")
+    _check_ishigami(a, b)
 
     def f(X):
         return (1.0 + b * X[:, 2] ** 4) * np.sin(X[:, 0]) + a * np.sin(X[:, 1]) ** 2
@@ -95,14 +100,20 @@ def ishigami_space() -> InputSpace:
     return InputSpace([Uniform(-math.pi, math.pi)] * 3)
 
 
-def sobol_g(a: Sequence[float]) -> ModelFunction:
-    """Product benchmark prod_j (|4x_j - 2| + a_j) / (1 + a_j) on [0, 1]^d."""
+def _sobol_g_weights(a: Sequence[float]) -> np.ndarray:
+    """a as a float vector; ParameterError unless it is non-empty, 1-d, finite
+    and non-negative."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or a.size == 0:
         raise ParameterError("sobol_g needs a non-empty 1-d weight vector")
-    if np.any(a < 0):
-        raise ParameterError("sobol_g weights must be non-negative")
+    if not np.all((a >= 0) & (a < math.inf)):
+        raise ParameterError("sobol_g weights must be finite and non-negative")
+    return a
 
+
+def sobol_g(a: Sequence[float]) -> ModelFunction:
+    """Product benchmark prod_j (|4x_j - 2| + a_j) / (1 + a_j) on [0, 1]^d."""
+    a = _sobol_g_weights(a)
     scale = 1.0 + a
 
     def f(X):
@@ -162,6 +173,8 @@ def plate_buckling_space() -> InputSpace:
 def constant_model(value: float, dim: int) -> ModelFunction:
     """f(x) = value for every x; all sensitivity indices are exactly zero."""
     value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"constant model value must be finite, got {value}")
 
     def f(X):
         return np.full(X.shape[0], value)

@@ -20,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import CapacityError, ParameterError
 from .inputs import InputSpace, Uniform
-from .models import ModelFunction
+from .models import ModelFunction, _check_ishigami, _sobol_g_weights
 
 # Subset enumeration is 2^d work and sigma_u^2 maps hold 2^d - 1 entries.
 _MAX_ENUM_D = 25
@@ -108,8 +108,7 @@ def ishigami_exact(a: float = 7.0, b: float = 0.1) -> SensitivityIndices:
     The decomposition has three terms: main effects of x1 and x2 and a single
     x1-x3 interaction, so x3's Shapley effect is half its total effect.
     """
-    if not (a > 0 and b > 0):
-        raise ParameterError(f"ishigami needs a > 0 and b > 0, got a={a}, b={b}")
+    _check_ishigami(a, b)
     pi4 = math.pi ** 4
     v1 = 0.5 * (1.0 + b * pi4 / 5.0) ** 2
     v2 = a * a / 8.0
@@ -139,12 +138,7 @@ def ishigami_anova(a: float = 7.0, b: float = 0.1) -> AnovaDecomposition:
 
 
 def _sobol_g_c(a: Sequence[float]) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0:
-        raise ParameterError("sobol_g needs a non-empty 1-d weight vector")
-    if np.any(a < 0):
-        raise ParameterError("sobol_g weights must be non-negative")
-    return 1.0 / (3.0 * (1.0 + a) ** 2)
+    return 1.0 / (3.0 * (1.0 + _sobol_g_weights(a)) ** 2)
 
 
 def sobol_g_exact(a: Sequence[float]) -> SensitivityIndices:

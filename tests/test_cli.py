@@ -251,6 +251,28 @@ def test_config_validation_errors_exit_2(tmp_path):
         assert run(["analyze", "--config", str(cfg)]) == 2, payload
 
 
+@pytest.mark.parametrize("model", [
+    {"name": "ishigami", "a": math.inf}, {"name": "ishigami", "b": math.nan},
+    {"name": "sobol-g", "a": [math.nan, 1.0]}, {"name": "sobol-g", "a": [1.0, math.inf]},
+    {"name": "constant", "value": math.inf}],
+    ids=["ishigami-a-inf", "ishigami-b-nan", "sobol-g-nan", "sobol-g-inf", "constant-inf"])
+def test_non_finite_model_parameters_are_rejected(tmp_path, capsys, model):
+    params = {k: v for k, v in model.items() if k != "name"}
+    factory, reference = {
+        "ishigami": (shapeff.ishigami, shapeff.ishigami_exact),
+        "sobol-g": (shapeff.sobol_g, shapeff.sobol_g_exact),
+        "constant": (lambda value: shapeff.constant_model(value, 3), None),
+    }[model["name"]]
+    for make in filter(None, (factory, reference)):
+        with pytest.raises(shapeff.ParameterError, match="finite"):
+            make(**params)
+    for command in ("analyze", "exact") if reference else ("analyze",):
+        path = tmp_path / f"{command}.json"
+        write_json(path, {"model": model, **({"n": 64} if command == "analyze" else {})})
+        assert run([command, "--config", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -8,15 +8,14 @@ import pytest
 from scipy.stats import chi2
 
 from shapeff import (InputSpace, LogNormal, Normal, ParameterError, RngStream,
-                     Uniform, convergence_study, inverse_cdf, ishigami,
-                     ishigami_space, random_permutation, sample_matrix)
+                     Uniform, convergence_study, ishigami, ishigami_space)
 from shapeff.inputs import permutation_rows
 
 
 def test_uniform_quantile_is_identity_on_unit_interval():
     u = Uniform(0.0, 1.0)
-    assert inverse_cdf(u, 0.5) == 0.5
-    assert inverse_cdf(u, 0.25) == 0.25
+    assert u.quantile(0.5) == 0.5
+    assert u.quantile(0.25) == 0.25
 
 
 def test_uniform_rejects_empty_interval():
@@ -30,8 +29,8 @@ def test_uniform_rejects_empty_interval():
 
 def test_normal_median_is_mean():
     n = Normal(0.0, 1.0)
-    assert inverse_cdf(n, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert inverse_cdf(Normal(3.0, 2.0), 0.5) == pytest.approx(3.0, abs=1e-14)
+    assert n.quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+    assert Normal(3.0, 2.0).quantile(0.5) == pytest.approx(3.0, abs=1e-14)
 
 
 def test_normal_from_cv_scales_by_abs_mean():
@@ -56,7 +55,7 @@ def test_lognormal_moment_matching_parameters():
 
 def test_lognormal_median_below_mean():
     ln = LogNormal(1.0, 0.2)
-    median = inverse_cdf(ln, 0.5)
+    median = ln.quantile(0.5)
     assert median == pytest.approx(math.exp(ln.mu_ln), rel=1e-14)
     assert median < 1.0
 
@@ -72,27 +71,27 @@ def test_quantile_rejects_unit_boundary():
     for dist in (Uniform(0, 1), Normal(0, 1), LogNormal(1, 0.1)):
         for u in (0.0, 1.0, -0.2, 1.7):
             with pytest.raises(ParameterError):
-                inverse_cdf(dist, u)
+                dist.quantile(u)
 
 
 def test_sample_matrix_stays_in_support():
     space = InputSpace([Uniform(0, 1), Uniform(0, 1)])
-    x = sample_matrix(space, 3, RngStream(0))
+    x = space.sample(3, RngStream(0).generator())
     assert x.shape == (3, 2)
     assert np.all((x >= 0) & (x < 1))
 
     ish = InputSpace([Uniform(-math.pi, math.pi)] * 3)
-    x = sample_matrix(ish, 1000, RngStream(1))
+    x = ish.sample(1000, RngStream(1).generator())
     assert np.all((x >= -math.pi) & (x < math.pi))
 
     ln_space = InputSpace([LogNormal(0.5, 0.3)])
-    x = sample_matrix(ln_space, 1000, RngStream(2))
+    x = ln_space.sample(1000, RngStream(2).generator())
     assert np.all(x > 0)
 
 
 def test_lognormal_sample_moments_match_declared():
     space = InputSpace([LogNormal(0.525, 0.044)])
-    x = sample_matrix(space, 10**6, RngStream(99))[:, 0]
+    x = space.sample(10**6, RngStream(99).generator())[:, 0]
     se_mean = x.std(ddof=1) / 1000.0
     assert abs(x.mean() - 0.525) < 3 * se_mean
     assert x.std(ddof=1) / x.mean() == pytest.approx(0.044, rel=0.01)
@@ -100,10 +99,10 @@ def test_lognormal_sample_moments_match_declared():
 
 def test_streams_reproduce_and_differ():
     space = InputSpace([Uniform(0, 1), Normal(0, 1)])
-    a = sample_matrix(space, 100, RngStream(42, stream=3))
-    b = sample_matrix(space, 100, RngStream(42, stream=3))
-    c = sample_matrix(space, 100, RngStream(42, stream=4))
-    d = sample_matrix(space, 100, RngStream(43, stream=3))
+    a = space.sample(100, RngStream(42, stream=3).generator())
+    b = space.sample(100, RngStream(42, stream=3).generator())
+    c = space.sample(100, RngStream(42, stream=4).generator())
+    d = space.sample(100, RngStream(43, stream=3).generator())
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -215,11 +214,9 @@ def test_draws_outside_the_unit_interval_are_rejected(bad):
         InputSpace([Uniform(0.0, 1.0)] * 2).sample(2, stub)
 
 
-def test_random_permutation_d1_is_identity():
+def test_permutation_rows_d1_is_identity():
     for seed in range(5):
-        assert random_permutation(1, RngStream(seed)).tolist() == [0]
-    with pytest.raises(ParameterError):
-        random_permutation(0, RngStream(0))
+        assert permutation_rows(RngStream(seed).generator(), 3, 1).tolist() == [[0]] * 3
 
 
 def test_permutations_are_bijections():
