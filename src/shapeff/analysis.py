@@ -24,6 +24,7 @@ from .inputs import InputSpace
 from .models import ModelFunction
 from .reference import SensitivityIndices
 
+
 def sse_exact(estimates: Sequence[float], exact: Sequence[float]) -> float:
     """Sum of squared errors of an estimate vector against exact indices."""
     estimates = np.asarray(estimates, dtype=float)

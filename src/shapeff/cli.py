@@ -193,7 +193,7 @@ def _marginal_from_spec(spec, where: str):
         spread = {"sd", "cv"} & set(spec)
         if len(spread) != 1:
             raise ConfigError(f"{where}: normal takes exactly one of sd or cv, got "
-                        f"{' and '.join(sorted(spread)) or 'neither'}")
+                              f"{' and '.join(sorted(spread)) or 'neither'}")
         required = required - {"sd", "cv"} | spread
     missing = required - set(spec)
     if missing:
@@ -234,7 +234,8 @@ def _resolve_model(model_cfg):
         command = model_cfg.get("command")
         if (not isinstance(command, list) or not command
                 or not all(isinstance(c, str) for c in command)):
-            raise ConfigError(f"model.command must be a non-empty list of strings, got {command!r}")
+            raise ConfigError(
+                f"model.command must be a non-empty list of strings, got {command!r}")
         dim = _require_int(model_cfg, "dim", 1, "model")
         adapter = ExternalModel(command, dim)
         return adapter.as_model(), {"command": command, "dim": dim}, adapter.close
@@ -443,6 +444,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             raise ConfigError(f"format must be json or csv, got {fmt!r}")
 
         exact = _exact_indices(model_resolved)
+
         resolved = {
             "model": model_resolved,
             "distributions": dist_specs,

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types shared across the package, and the integer and finite
+checks that raise one."""
+
+import math
 
 import numpy as np
 
@@ -32,3 +35,11 @@ def require_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_finite(name: str, value) -> float:
+    """value as a float; ParameterError if it is infinite or NaN."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ParameterError(f"{name} must be finite, got {value!r}")
+    return value

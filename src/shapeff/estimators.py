@@ -86,7 +86,8 @@ class Report:
 
     @property
     def values(self) -> tuple[float, ...]:
-        """The estimates, under the name main and total effects once used."""
+        """Alias of estimates, for callers that read main and total effects'
+        `values` field of versions before 0.3.0."""
         return self.estimates
 
 
@@ -271,7 +272,7 @@ def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int,
 
 
 def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
-             matrices: int, design):
+             matrices: int, design) -> Report:
     """Run `design` on every chunk of cfg.n samples and report the merged moments.
 
     Chunk k draws from RngStream(seed, k): x, then y, then what the design
@@ -448,6 +449,6 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
                            cfg: EstimatorConfig) -> Report:
     """Pick-freeze total effects: mean of 0.5 * (f(x) - f(y_j, x_-j))^2 per j.
 
-    Costs (d+1)N evaluations; values are non-negative by construction.
+    Costs (d+1)N evaluations; estimates are non-negative by construction.
     """
     return _sampled("total", f, space, cfg, 2, functools.partial(_pick_freeze, main=False))

@@ -18,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ParameterError, require_integer
+from .errors import ParameterError, require_finite, require_integer
 
 # Uniform draws are (k + 0.5) / 2^53 for k uniform in [0, 2^53), except that
 # the top point (2^53 - 0.5) / 2^53 rounds to exactly 1.0 and is drawn as
@@ -40,13 +40,6 @@ def _ndtri(u):
     return ndtri(u)
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Uniform:
     """Uniform distribution on [lo, hi)."""
@@ -55,8 +48,8 @@ class Uniform:
     hi: float
 
     def __post_init__(self):
-        lo = _require_finite("lo", self.lo)
-        hi = _require_finite("hi", self.hi)
+        lo = require_finite("lo", self.lo)
+        hi = require_finite("hi", self.hi)
         if not lo < hi:
             raise ParameterError(f"uniform needs lo < hi, got [{lo}, {hi}]")
 
@@ -93,15 +86,15 @@ class Normal:
     sd: float
 
     def __post_init__(self):
-        _require_finite("mean", self.mean)
-        sd = _require_finite("sd", self.sd)
+        require_finite("mean", self.mean)
+        sd = require_finite("sd", self.sd)
         if sd < 0:
             raise ParameterError(f"normal sd must be >= 0, got {sd}")
 
     @classmethod
     def from_cv(cls, mean: float, cv: float) -> "Normal":
-        mean = _require_finite("mean", mean)
-        cv = _require_finite("cv", cv)
+        mean = require_finite("mean", mean)
+        cv = require_finite("cv", cv)
         if cv < 0:
             raise ParameterError(f"normal cv must be >= 0, got {cv}")
         if mean == 0:
@@ -138,8 +131,8 @@ class LogNormal:
     cv: float
 
     def __post_init__(self):
-        mean = _require_finite("mean", self.mean)
-        cv = _require_finite("cv", self.cv)
+        mean = require_finite("mean", self.mean)
+        cv = require_finite("cv", self.cv)
         if mean <= 0:
             raise ParameterError(f"lognormal mean must be > 0, got {mean}")
         if cv <= 0:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, require_integer
+from .errors import EvaluationError, ParameterError, require_finite, require_integer
 from .inputs import InputSpace, LogNormal, Normal, Uniform
 
 
@@ -172,9 +172,7 @@ def plate_buckling_space() -> InputSpace:
 
 def constant_model(value: float, dim: int) -> ModelFunction:
     """f(x) = value for every x; all sensitivity indices are exactly zero."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ParameterError(f"constant model value must be finite, got {value}")
+    value = require_finite("constant model value", value)
 
     def f(X):
         return np.full(X.shape[0], value)
