@@ -1,4 +1,4 @@
-"""Bitwise goldens for the in-process path: sampling, builtin kernels, estimators.
+"""Bitwise goldens for the in-process path and for the command line.
 
 ``golden_inproc.json`` holds, as ``float.hex``, the reports of every estimator
 on Sobol' g (d=10, a = 0..9) and on the plate at N = 4100 (one full chunk and a
@@ -8,10 +8,20 @@ quantile transforms, the permutation walks, the moment reduction or the
 kernels' arithmetic shows here as a changed bit; a change that means to alter
 outputs must re-record the file and bump ``__version__``.
 
-Re-record with ``PYTHONPATH=src python tests/test_golden.py > tests/golden_inproc.json``.
+``golden_cli.json`` holds the exit code, stdout and stderr of a fixed matrix
+of CLI invocations: ``analyze`` for every builtin model, estimator and
+format, ``exact`` for every builtin name and an unknown one, an unknown model
+in ``analyze``, and ``convergence`` on Ishigami and the plate. The run time
+is the one value that differs between runs, so ``elapsed_seconds`` is cut out
+(the JSON key and the CSV line) before the comparison.
+
+Re-record both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,7 +30,10 @@ from shapeff import (EstimatorConfig, RngStream, estimate_main_effects,
                      estimate_shapley_all, estimate_shapley_winding,
                      estimate_total_effects, ishigami_space, plate_buckling,
                      plate_buckling_space, sobol_g, sobol_g_space)
+from shapeff.cli import main
 from test_models import GOLDEN_N, report_bits
+
+HERE = Path(__file__).parent
 
 SEED = 4100
 MODELS = {
@@ -69,9 +82,43 @@ def golden_outputs() -> dict:
     }
 
 
+BUILTINS = ["ishigami", "sobol-g", "plate-buckling", "constant"]
+CLI_CASES = {
+    **{f"analyze-{model}-{estimator}-{fmt}": [
+        "analyze", "--model", model, "--estimator", estimator, "--format", fmt,
+        "--n", "300", "--seed", "5"]
+       for model in BUILTINS
+       for estimator in ["shapley", "shapley-winding", "main", "total"]
+       for fmt in ["json", "csv"]},
+    **{f"exact-{model}-json": ["exact", "--model", model] for model in [*BUILTINS, "nope"]},
+    **{f"exact-{model}-csv": ["exact", "--model", model, "--format", "csv"]
+       for model in ["ishigami", "sobol-g"]},
+    "analyze-nope": ["analyze", "--model", "nope", "--n", "300"],
+    **{f"convergence-{model}-{fmt}": [
+        "convergence", "--model", model, "--ns", "64,128", "--trials", "3",
+        "--format", fmt]
+       for model in ["ishigami", "plate-buckling"] for fmt in ["json", "csv"]},
+}
+_ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*|#elapsed_seconds,[^\n]*\n')
+
+
+def cli_output(argv: list) -> dict:
+    """Exit code, stdout and stderr of one CLI run, with elapsed_seconds cut."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    return {"code": code, "stdout": _ELAPSED.sub("", out.getvalue()),
+            "stderr": err.getvalue()}
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    return json.loads(Path(__file__).with_name("golden_inproc.json").read_text())
+    return json.loads((HERE / "golden_inproc.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_cli() -> dict:
+    return json.loads((HERE / "golden_cli.json").read_text())
 
 
 @pytest.mark.parametrize("model", list(MODELS))
@@ -96,5 +143,12 @@ def test_kernel_matches_its_golden(golden, model):
     assert kernel_values(model) == golden["kernels"][model]
 
 
+@pytest.mark.parametrize("case", list(CLI_CASES))
+def test_cli_output_matches_its_golden(golden_cli, case):
+    assert cli_output(CLI_CASES[case]) == golden_cli[case]
+
+
 if __name__ == "__main__":
-    print(json.dumps(golden_outputs(), indent=1))
+    (HERE / "golden_inproc.json").write_text(json.dumps(golden_outputs(), indent=1) + "\n")
+    (HERE / "golden_cli.json").write_text(json.dumps(
+        {case: cli_output(argv) for case, argv in CLI_CASES.items()}, indent=1) + "\n")
