@@ -84,9 +84,12 @@ class ConvergenceStudy:
 def run_estimator(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
                   *, cyclic: bool = False) -> Report:
     """Run the estimator named `kind`, one of ESTIMATOR_KINDS, and return its
-    report. `cyclic` applies to shapley-winding only."""
+    report. `cyclic` applies to shapley-winding only; ParameterError for
+    another kind."""
     if kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
+    if cyclic and kind != "shapley-winding":
+        raise ParameterError(f"cyclic applies only to shapley-winding, not to estimator {kind!r}")
     if kind == "shapley-winding":
         return estimate_shapley_winding(f, space, cfg, cyclic=cyclic)
     # Looked up per call, so a caller that rebinds this module's estimate_*

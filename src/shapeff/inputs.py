@@ -8,6 +8,11 @@ sample chunks without losing determinism.
 
 Sampling is inverse-transform throughout: one matrix of uniforms is drawn
 and each column is overwritten with its marginal's quantiles.
+
+A marginal can also be given as a distribution spec, the JSON object that
+configs use: ``{"kind": "uniform", "lo": ..., "hi": ...}``, ``{"kind":
+"normal", "mean": ..., "sd" or "cv": ...}`` or ``{"kind": "lognormal",
+"mean": ..., "cv": ...}``. :meth:`InputSpace.from_specs` parses a list of them.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ParameterError, require_finite, require_integer
+from .errors import (ConfigError, ParameterError, _check_keys, _require_number,
+                     require_finite, require_integer)
 
 # Uniform draws are (k + 0.5) / 2^53 for k uniform in [0, 2^53), except that
 # the top point (2^53 - 0.5) / 2^53 rounds to exactly 1.0 and is drawn as
@@ -168,6 +174,39 @@ class LogNormal:
 
 MarginalDistribution = Union[Uniform, Normal, LogNormal]
 
+# Each kind's keys besides "kind", in the order its constructor takes them;
+# normal takes sd or cv.
+_DIST_KEYS = {"uniform": ("lo", "hi"), "normal": ("mean", "sd", "cv"),
+              "lognormal": ("mean", "cv")}
+
+
+def _marginal_from_spec(spec, where: str) -> MarginalDistribution:
+    """The marginal a distribution spec describes; ConfigError naming `where`
+    for a malformed spec or invalid parameters."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind not in _DIST_KEYS:
+        raise ConfigError(f"{where}: kind must be one of {sorted(_DIST_KEYS)}, got {kind!r}")
+    keys = _DIST_KEYS[kind]
+    _check_keys(spec, {"kind", *keys}, where)
+    if kind == "normal":
+        spread = {"sd", "cv"} & set(spec)
+        if len(spread) != 1:
+            raise ConfigError(f"{where}: normal takes exactly one of sd or cv, got "
+                              f"{' and '.join(sorted(spread)) or 'neither'}")
+        keys = ("mean", *spread)
+    missing = set(keys) - set(spec)
+    if missing:
+        raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
+    values = [_require_number(spec, key, where) for key in keys]
+    make = {"uniform": Uniform, "lognormal": LogNormal,
+            "normal": Normal if "sd" in spec else Normal.from_cv}[kind]
+    try:
+        return make(*values)
+    except ParameterError as exc:
+        raise ConfigError(f"{where}: {exc}")
+
 
 def _check_unit_open(u) -> None:
     u = np.asarray(u, dtype=float)
@@ -207,6 +246,13 @@ class InputSpace:
         if len(marginals) == 0:
             raise ParameterError("input space needs at least one marginal")
         object.__setattr__(self, "marginals", marginals)
+
+    @classmethod
+    def from_specs(cls, specs: Sequence[dict]) -> "InputSpace":
+        """The space of a list of distribution specs, one per input; a bad
+        entry raises ConfigError naming it as distributions[i]."""
+        return cls([_marginal_from_spec(spec, f"distributions[{i}]")
+                    for i, spec in enumerate(specs)])
 
     @property
     def d(self) -> int:

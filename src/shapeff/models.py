@@ -3,8 +3,10 @@
 :class:`ModelFunction` wraps any scalar-valued function of a d-vector with a
 thread-safe evaluation counter, so the estimators' cost contracts can be
 checked for builtin and user-supplied models alike. Builtin test functions
-carry vectorized implementations and canonical input spaces; external
-simulators are driven over a line-based stdin/stdout protocol.
+carry vectorized implementations; :data:`BUILTINS` holds, for each under its
+config name, the factory, the config keys with their defaults, and the
+default inputs as distribution specs. External simulators are driven over a
+line-based stdin/stdout protocol.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ from __future__ import annotations
 import math
 import subprocess
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, require_finite, require_integer
-from .inputs import InputSpace, LogNormal, Normal, Uniform
+from .errors import (ConfigError, EvaluationError, ParameterError, _require_int,
+                     _require_number, require_finite, require_integer, require_real)
+from .inputs import InputSpace
 
 
 class ModelFunction:
@@ -80,15 +83,17 @@ class ModelFunction:
         return f"ModelFunction({self.name!r}, dim={self.dim}, eval_count={self._count})"
 
 
-def _check_ishigami(a: float, b: float) -> None:
-    """ParameterError unless a and b are finite and > 0."""
+def _check_ishigami(a: float, b: float) -> tuple[float, float]:
+    """a and b as floats; ParameterError unless they are finite and > 0."""
+    a, b = require_real("ishigami a", a), require_real("ishigami b", b)
     if not (0 < a < math.inf and 0 < b < math.inf):
         raise ParameterError(f"ishigami needs finite a > 0 and b > 0, got a={a}, b={b}")
+    return a, b
 
 
 def ishigami(a: float = 7.0, b: float = 0.1) -> ModelFunction:
     """Three-variable benchmark (1 + b*x3^4) sin(x1) + a sin(x2)^2."""
-    _check_ishigami(a, b)
+    a, b = _check_ishigami(a, b)
 
     def f(X):
         return (1.0 + b * X[:, 2] ** 4) * np.sin(X[:, 0]) + a * np.sin(X[:, 1]) ** 2
@@ -97,15 +102,16 @@ def ishigami(a: float = 7.0, b: float = 0.1) -> ModelFunction:
 
 
 def ishigami_space() -> InputSpace:
-    return InputSpace([Uniform(-math.pi, math.pi)] * 3)
+    return InputSpace.from_specs(BUILTINS["ishigami"].inputs(3))
 
 
 def _sobol_g_weights(a: Sequence[float]) -> np.ndarray:
-    """a as a float vector; ParameterError unless it is non-empty, 1-d, finite
-    and non-negative."""
-    a = np.asarray(a, dtype=float)
+    """a as a float vector; ParameterError unless it is a non-empty 1-d
+    sequence of finite, non-negative real numbers."""
+    a = np.asarray(a, dtype=object)
     if a.ndim != 1 or a.size == 0:
         raise ParameterError("sobol_g needs a non-empty 1-d weight vector")
+    a = np.array([require_real("sobol_g weight", v) for v in a])
     if not np.all((a >= 0) & (a < math.inf)):
         raise ParameterError("sobol_g weights must be finite and non-negative")
     return a
@@ -133,7 +139,7 @@ def sobol_g(a: Sequence[float]) -> ModelFunction:
 
 
 def sobol_g_space(d: int) -> InputSpace:
-    return InputSpace([Uniform(0.0, 1.0)] * require_integer("dimension", d))
+    return InputSpace.from_specs(BUILTINS["sobol-g"].inputs(require_integer("dimension", d)))
 
 
 def plate_buckling() -> ModelFunction:
@@ -159,15 +165,7 @@ def plate_buckling() -> ModelFunction:
 
 
 def plate_buckling_space() -> InputSpace:
-    """The published input model for the plate: means and CVs per variable."""
-    return InputSpace([
-        Normal.from_cv(23.808, 0.028),      # width
-        LogNormal(0.525, 0.044),            # thickness
-        LogNormal(44.2, 0.1235),            # yield stress
-        Normal.from_cv(28623.0, 0.076),     # elastic modulus
-        Normal.from_cv(0.35, 0.05),         # initial deflection
-        Normal.from_cv(5.25, 0.07),         # residual stress
-    ])
+    return InputSpace.from_specs(BUILTINS["plate-buckling"].inputs(6))
 
 
 def constant_model(value: float, dim: int) -> ModelFunction:
@@ -178,6 +176,66 @@ def constant_model(value: float, dim: int) -> ModelFunction:
         return np.full(X.shape[0], value)
 
     return ModelFunction(dim, f, name="constant", vectorized=True)
+
+
+def _numeric_keys(cfg: dict, keys: dict) -> dict:
+    """Each key of a model config as a number, an integer >= 1 where its
+    default is an integer, or its default where the config omits it."""
+    return {key: default if key not in cfg
+            else _require_int(cfg, key, 1, "model") if isinstance(default, int)
+            else _require_number(cfg, key, "model")
+            for key, default in keys.items()}
+
+
+def _sobol_g_keys(cfg: dict, keys: dict) -> dict:
+    """The weights from a model config's `a` list, or a = 0, 1, ..., d-1."""
+    a, d = cfg.get("a"), cfg.get("d")
+    if a is None:
+        d = _require_int(cfg, "d", 1, "model") if d is not None else keys["d"]
+        return {"a": [float(j) for j in range(d)]}
+    if not isinstance(a, list) or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in a):
+        raise ConfigError(f"model.a must be a list of numbers, got {a!r}")
+    a = [float(v) for v in a]
+    if d is not None and _require_int(cfg, "d", 1, "model") != len(a):
+        raise ConfigError(f"model.d = {d} contradicts len(model.a) = {len(a)}")
+    return {"a": a}
+
+
+def _plate_inputs(d: int) -> list[dict]:
+    """The published input model for the plate (d = 6): mean and CV per variable."""
+    return [
+        {"kind": "normal", "mean": 23.808, "cv": 0.028},     # width
+        {"kind": "lognormal", "mean": 0.525, "cv": 0.044},   # thickness
+        {"kind": "lognormal", "mean": 44.2, "cv": 0.1235},   # yield stress
+        {"kind": "normal", "mean": 28623.0, "cv": 0.076},    # elastic modulus
+        {"kind": "normal", "mean": 0.35, "cv": 0.05},        # initial deflection
+        {"kind": "normal", "mean": 5.25, "cv": 0.07},        # residual stress
+    ]
+
+
+class _Builtin(NamedTuple):
+    """A builtin model as configs name it."""
+
+    factory: Callable[..., ModelFunction]
+    # Config key -> default (None: no default of its own).
+    keys: dict
+    # Default distribution specs for a model of dimension d.
+    inputs: Callable[[int], list[dict]]
+    # (model config, keys) -> the factory's keyword arguments.
+    read: Callable[[dict, dict], dict] = _numeric_keys
+
+
+BUILTINS = {
+    "ishigami": _Builtin(ishigami, {"a": 7.0, "b": 0.1},
+                         lambda d: [{"kind": "uniform", "lo": -math.pi, "hi": math.pi}] * d),
+    "sobol-g": _Builtin(sobol_g, {"a": None, "d": 10},
+                        lambda d: [{"kind": "uniform", "lo": 0.0, "hi": 1.0}] * d,
+                        _sobol_g_keys),
+    "plate-buckling": _Builtin(plate_buckling, {}, _plate_inputs),
+    "constant": _Builtin(constant_model, {"value": 1.0, "dim": 3},
+                         lambda d: [{"kind": "uniform", "lo": 0.0, "hi": 1.0}] * d),
+}
 
 
 # Request lines per write. The next slice is written before the replies to the

@@ -108,7 +108,7 @@ def ishigami_exact(a: float = 7.0, b: float = 0.1) -> SensitivityIndices:
     The decomposition has three terms: main effects of x1 and x2 and a single
     x1-x3 interaction, so x3's Shapley effect is half its total effect.
     """
-    _check_ishigami(a, b)
+    a, b = _check_ishigami(a, b)
     pi4 = math.pi ** 4
     v1 = 0.5 * (1.0 + b * pi4 / 5.0) ** 2
     v2 = a * a / 8.0

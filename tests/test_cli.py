@@ -4,6 +4,7 @@ import importlib.metadata
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 import shapeff
 from shapeff.cli import (CONVERGENCE_SCHEMA, EXACT_SCHEMA, REPORT_SCHEMA, main)
+from shapeff.models import BUILTINS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -249,6 +251,39 @@ def test_config_validation_errors_exit_2(tmp_path):
         cfg = tmp_path / f"bad{i}.json"
         write_json(cfg, payload)
         assert run(["analyze", "--config", str(cfg)]) == 2, payload
+
+
+@pytest.mark.parametrize("estimator", ["shapley", "main", "total"])
+def test_cyclic_is_rejected_unless_the_estimator_is_winding(tmp_path, capsys, estimator):
+    args = ["analyze", "--model", "ishigami", "--n", "64", "--estimator", estimator]
+    assert run(args + ["--cyclic"]) == 2
+    assert f"not to estimator '{estimator}'" in capsys.readouterr().err
+    path = tmp_path / "cyclic.json"
+    write_json(path, {"model": {"name": "ishigami"}, "n": 64, "estimator": estimator,
+                      "cyclic": True})
+    assert run(["analyze", "--config", str(path)]) == 2
+    write_json(path, {"model": {"name": "ishigami"}, "n": 64, "estimator": estimator,
+                      "cyclic": False, "output": str(tmp_path / "report.json")})
+    assert run(["analyze", "--config", str(path)]) == 0
+    assert read_json(tmp_path / "report.json")["config"]["cyclic"] is False
+    assert run(["analyze", "--model", "ishigami", "--n", "64", "--cyclic",
+                "--estimator", "shapley-winding"]) == 0
+
+
+def test_readme_lists_every_builtin_model_with_its_keys_and_defaults():
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Built-in models and their keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for line in table.splitlines()[2:]:
+        name, keys, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        if name.startswith("`"):
+            documented[name.strip("`")] = {
+                key: default or None
+                for key, default in re.findall(r"`(\w+)`(?: list)?(?: \(([^)]*)\))?", keys)}
+    assert documented == {
+        name: {key: None if default is None else str(default)
+               for key, default in builtin.keys.items()}
+        for name, builtin in BUILTINS.items()}
 
 
 @pytest.mark.parametrize("model", [

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from shapeff import (EstimatorConfig, EvaluationError, ExternalModel,
-                     ModelFunction, ParameterError, RngStream,
-                     constant_model, estimate_main_effects,
-                     estimate_shapley_all, estimate_shapley_winding,
-                     estimate_total_effects, external_model, ishigami,
-                     ishigami_space, plate_buckling, plate_buckling_space,
-                     sobol_g, sobol_g_space)
+                     LogNormal, ModelFunction, Normal, ParameterError,
+                     RngStream, Uniform, constant_model,
+                     estimate_main_effects, estimate_shapley_all,
+                     estimate_shapley_winding, estimate_total_effects,
+                     external_model, ishigami, ishigami_exact, ishigami_space,
+                     plate_buckling, plate_buckling_space, sobol_g,
+                     sobol_g_exact, sobol_g_space)
 
 ECHO_FIRST = ("import sys\n"
               "for line in sys.stdin:\n"
@@ -407,3 +408,28 @@ def test_constant_model_value():
 def test_model_dimensions_must_be_integers(make):
     with pytest.raises(ParameterError, match="must be an integer"):
         make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Uniform("0", "1"),
+    lambda: Uniform(0.0, None),
+    lambda: Normal(True, 1.0),
+    lambda: Normal.from_cv(1.0, "0.1"),
+    lambda: LogNormal("1", 0.1),
+    lambda: constant_model("2", 2),
+    lambda: constant_model(None, 2),
+    lambda: ishigami(a="7"),
+    lambda: ishigami(b=True),
+    lambda: ishigami_exact(a="7"),
+    lambda: sobol_g(["x"]),
+    lambda: sobol_g([1.0, True]),
+    lambda: sobol_g([None, 1.0]),
+    lambda: sobol_g_exact(["1"]),
+], ids=["uniform-str", "uniform-none", "normal-bool", "normal-cv-str", "lognormal-str",
+        "constant-str", "constant-none", "ishigami-str", "ishigami-bool",
+        "ishigami-exact-str", "sobol-g-str", "sobol-g-bool", "sobol-g-none",
+        "sobol-g-exact-str"])
+def test_non_numeric_parameters_raise_parameter_error(make):
+    with pytest.raises(ParameterError, match="must be a real number"):
+        make()
+
