@@ -2,8 +2,9 @@
 
 ``golden_inproc.json`` holds, as ``float.hex``, the reports of every estimator
 on Sobol' g (d=10, a = 0..9) and on the plate at N = 4100 (one full chunk and a
-short tail chunk), an Ishigami-space sample, and the Sobol' g and plate
-kernels on a fixed 4100-row batch. Any change to the sampling grid, the
+short tail chunk), the winding reports, cyclic and not, at the edge sizes
+N = 2 and N = 4097 (whose last chunk holds a single walk), an Ishigami-space
+sample, and the Sobol' g and plate kernels on a fixed 4100-row batch. Any change to the sampling grid, the
 quantile transforms, the permutation walks, the moment reduction or the
 kernels' arithmetic shows here as a changed bit; a change that means to alter
 outputs must re-record the file and bump ``__version__``.
@@ -47,9 +48,13 @@ ESTIMATORS = {
 }
 
 
-def run_report(model: str, kind: str, workers: int = 1) -> dict:
+WINDING_KINDS = ["winding", "winding-cyclic"]
+WINDING_EDGE_NS = [2, 4097]
+
+
+def run_report(model: str, kind: str, workers: int = 1, n: int = GOLDEN_N) -> dict:
     make_f, make_space = MODELS[model]
-    cfg = EstimatorConfig(n=GOLDEN_N, seed=SEED, workers=workers)
+    cfg = EstimatorConfig(n=n, seed=SEED, workers=workers)
     if kind.startswith("winding"):
         report = estimate_shapley_winding(make_f(), make_space(), cfg,
                                           cyclic=kind == "winding-cyclic")
@@ -75,10 +80,13 @@ def kernel_values(model: str) -> list:
 def golden_outputs() -> dict:
     return {
         "reports": {model: {kind: run_report(model, kind)
-                            for kind in [*ESTIMATORS, "winding", "winding-cyclic"]}
+                            for kind in [*ESTIMATORS, *WINDING_KINDS]}
                     for model in MODELS},
         "ishigami_sample": ishigami_sample(),
         "kernels": {model: kernel_values(model) for model in MODELS},
+        "winding_edges": {model: {f"{kind}-{n}": run_report(model, kind, n=n)
+                                  for kind in WINDING_KINDS for n in WINDING_EDGE_NS}
+                          for model in MODELS},
     }
 
 
@@ -129,9 +137,16 @@ def test_report_matches_its_golden(golden, model, kind, workers):
 
 
 @pytest.mark.parametrize("model", list(MODELS))
-@pytest.mark.parametrize("kind", ["winding", "winding-cyclic"])
+@pytest.mark.parametrize("kind", WINDING_KINDS)
 def test_winding_report_matches_its_golden(golden, model, kind):
     assert run_report(model, kind) == golden["reports"][model][kind]
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@pytest.mark.parametrize("kind", WINDING_KINDS)
+@pytest.mark.parametrize("n", WINDING_EDGE_NS)
+def test_winding_edge_report_matches_its_golden(golden, model, kind, n):
+    assert run_report(model, kind, n=n) == golden["winding_edges"][model][f"{kind}-{n}"]
 
 
 def test_ishigami_sample_matches_its_golden(golden):
