@@ -114,8 +114,6 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
         raise ParameterError(f"sample sizes must be non-empty and ascending, got {ns}")
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    if kind not in ESTIMATOR_KINDS:
-        raise ParameterError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
 
     mode = "exact" if exact is not None else "sample-mean"
     sse_per_trial: dict[tuple[int, int], float] = {}

@@ -8,6 +8,12 @@ model evaluations while leaving every per-variable estimate unbiased; the
 per-sample increments also yield an unbiased estimate of each estimator's
 variance and hence confidence intervals.
 
+Both Shapley estimators share one walk. A chunk evaluates f at its walks'
+two ends first, f(x) and then f(y), and then at the d-1 points between; the
+last step ends at y and reuses f(y). Winding stairs is the same walk with
+each walk starting where the one before ended, so a chunk evaluates its new
+points first and takes each walk's start value from the previous point.
+
 All estimators partition the N samples into fixed-size chunks, give chunk k
 the RNG stream id k, and merge per-chunk moments in ascending chunk order, so
 reports are bitwise identical for any worker count. Each worker thread
@@ -30,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, require_integer
+from .errors import EvaluationError, ParameterError, require_finite, require_integer
 from .inputs import InputSpace, RngStream, permutation_rows
 from .models import ModelFunction
 
@@ -55,8 +61,10 @@ class EstimatorConfig:
             raise ParameterError(f"sample size must be >= 2, got {self.n}")
         if self.workers < 1:
             raise ParameterError(f"worker count must be >= 1, got {self.workers}")
-        if not (self.ci_z > 0 and math.isfinite(self.ci_z)):
-            raise ParameterError(f"ci multiplier must be finite and > 0, got {self.ci_z}")
+        ci_z = require_finite("ci multiplier", self.ci_z)
+        if ci_z <= 0:
+            raise ParameterError(f"ci multiplier must be finite and > 0, got {ci_z}")
+        object.__setattr__(self, "ci_z", ci_z)
 
 
 @dataclass(frozen=True)
@@ -295,26 +303,39 @@ def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfi
     return _report(kind, cfg, space.d, f.eval_count - before, parts)
 
 
-def _walk(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
-          ws: _Workspace, start: int):
-    """The Shapley design: walk each sample from x to y along a random
-    permutation, crediting each step's increment to the variable it swaps."""
+def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np.ndarray,
+          steps: np.ndarray, g: np.ndarray, start: int):
+    """Walk each row of z to the same row of y in place, one coordinate per
+    row of steps, crediting each step's increment to the variable it swaps.
+
+    fx and fy are f at the walks' two ends. Each step but the last evaluates
+    f at the walks' new points; the last step ends at y and takes fy. Returns
+    the chunk's part for `_report`; g receives the increments.
+    """
+    z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
+    last = len(steps) - 1
+    fprev = fx
+    for step, idx in enumerate(steps):
+        z_flat[idx] = y_flat[idx]
+        fz = fy if step == last else _checked_batch(f, z, start)
+        g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
+        fprev = fz
+    pairs = 0.5 * (fx - fy) ** 2
+    # The walk is done, so z is free to hold the squared deviations.
+    return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
+
+
+def _shapley(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
+             ws: _Workspace, start: int):
+    """The Shapley design: f(x), f(y), then walk each sample from x to y
+    along a random permutation."""
     count, d = x.shape
     steps = ws.walk_steps(permutation_rows(gen, count, d))
     (g,) = ws.matrices(count)
     fx = _checked_batch(f, x, start)
-    # The walk moves its point z from x to y in place; x is not read again.
-    z = x
-    z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
-    fprev = fx
-    for idx in steps:
-        z_flat[idx] = y_flat[idx]
-        fz = _checked_batch(f, z, start)
-        g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
-        fprev = fz
-    pairs = 0.5 * (fx - fprev) ** 2
-    # The walk is done, so z is free to hold the squared deviations.
-    return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
+    fy = _checked_batch(f, y, start)
+    # The walk moves x to y in place; x is not read again.
+    return _walk(f, fx, fy, x, y, steps, g, start)
 
 
 def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
@@ -346,7 +367,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
     per-variable variance estimates and ci_z-sigma confidence intervals.
     """
-    return _sampled("shapley", f, space, cfg, 1, _walk)
+    return _sampled("shapley", f, space, cfg, 1, _shapley)
 
 
 def _winding_streams(seed: int, n: int, d: int,
@@ -380,7 +401,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     d = space.d
     n = cfg.n
     point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)
-    ws = _Workspace(d, n, 3)
+    ws = _Workspace(d, n, 2)
     first_pt = space.sample(1, point_gen)
     base_pt = first_pt.copy()
 
@@ -388,47 +409,31 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     first = float(_checked_batch(f, first_pt, 0)[0])
     carry = first
 
-    # One chunk of walks. Its draws are freed when it returns, before the
-    # next chunk draws its own.
+    # One chunk of walks: f at the chunk's new points, then the walks from
+    # each point to the next. Its draws are freed when it returns, before
+    # the next chunk draws its own.
     def task(chunk):
         nonlocal carry
         _, start, count = chunk
-        closing = cyclic and start + count == n
-        # nxt[i] is point start + i + 1; a cyclic run's last walk ends at point 0.
-        if not closing:
-            nxt = space.sample(count, point_gen)
-        elif count > 1:
-            nxt = np.asfortranarray(np.vstack([space.sample(count - 1, point_gen), first_pt]))
+        # y[i] is point start + i + 1.
+        if not (cyclic and start + count == n):
+            y = space.sample(count, point_gen)
+            fy = _checked_batch(f, y, start)
         else:
-            nxt = first_pt.copy()
-        z, fstep, g = ws.matrices(count)
+            # A cyclic run's last walk ends at point 0, whose value is cached.
+            y, fy = first_pt, np.array([first])
+            if count > 1:
+                fresh = space.sample(count - 1, point_gen)
+                y = np.asfortranarray(np.vstack([fresh, first_pt]))
+                fy = np.append(_checked_batch(f, fresh, start), first)
+        z, g = ws.matrices(count)
         z[0] = base_pt[0]
-        z[1:] = nxt[:-1]
+        z[1:] = y[:-1]
+        fx = np.concatenate(([carry], fy[:-1]))
+        carry = float(fy[-1])
+        base_pt[0] = y[-1]
         steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
-        z_flat, nxt_flat = _flat(z), _flat(nxt)
-        for step, idx in enumerate(steps):
-            z_flat[idx] = nxt_flat[idx]
-            if closing and step == d - 1:
-                # The final walk ends at the first point; reuse its cached value.
-                if count > 1:
-                    fstep[:-1, step] = _checked_batch(f, z[:-1], start)
-                fstep[-1, step] = first
-            else:
-                fstep[:, step] = _checked_batch(f, z, start)
-        fbase = np.empty(count)
-        fbase[0] = carry
-        fbase[1:] = fstep[:-1, d - 1]
-        carry = float(fstep[-1, d - 1])
-        base_pt[0] = nxt[-1]
-
-        g_flat = _flat(g)
-        fprev = fbase
-        for step, idx in enumerate(steps):
-            fz = fstep[:, step]
-            g_flat[idx] = (fbase - 0.5 * (fprev + fz)) * (fprev - fz)
-            fprev = fz
-        pairs = 0.5 * (fbase - fstep[:, d - 1]) ** 2
-        return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
+        return _walk(f, fx, fy, z, y, steps, g, start)
 
     parts = [task(chunk) for chunk in _chunks(n)]
     return _report("shapley-winding", cfg, d, f.eval_count - before, parts)

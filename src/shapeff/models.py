@@ -57,13 +57,7 @@ class ModelFunction:
         if x.shape != (self.dim,):
             raise ParameterError(
                 f"{self.name} expects a vector of length {self.dim}, got shape {x.shape}")
-        if self._vectorized:
-            value = float(np.asarray(self._func(x[None, :]))[0])
-        else:
-            value = float(self._func(x))
-        with self._lock:
-            self._count += 1
-        return value
+        return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate f at every row of an (n, d) array; counts n evaluations."""

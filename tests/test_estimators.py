@@ -44,7 +44,10 @@ def test_config_validation():
     ("workers", True, "workers must be an integer"), ("workers", np.True_, "workers must be an integer"),
     ("workers", 2.0, "workers must be an integer"),
     ("ci_z", math.inf, "ci multiplier must be finite"),
-    ("ci_z", math.nan, "ci multiplier must be finite")])
+    ("ci_z", math.nan, "ci multiplier must be finite"),
+    ("ci_z", "x", "ci multiplier must be a real number"),
+    ("ci_z", None, "ci multiplier must be a real number"),
+    ("ci_z", True, "ci multiplier must be a real number")])
 def test_config_rejects_non_integral_counts_and_non_finite_ci(field, value, message):
     with pytest.raises(ParameterError, match=message):
         EstimatorConfig(**{"n": 100, "seed": 1, field: value})
@@ -369,12 +372,14 @@ def test_models_are_passed_column_major_batches(kind, workers):
         return np.sin(X).sum(axis=1)
 
     model = ModelFunction(3, f, vectorized=True)
-    cfg = EstimatorConfig(n=4097, seed=8, workers=workers)
-    if kind.startswith("winding"):
-        estimate_shapley_winding(model, unit_square(3), cfg, cyclic=kind == "winding-cyclic")
-    else:
-        {"shapley": estimate_shapley_all, "main": estimate_main_effects,
-         "total": estimate_total_effects}[kind](model, unit_square(3), cfg)
+    # A cyclic run's last chunk holds one walk at N=4097 and four at N=4100.
+    for n in (4097, 4100):
+        cfg = EstimatorConfig(n=n, seed=8, workers=workers)
+        if kind.startswith("winding"):
+            estimate_shapley_winding(model, unit_square(3), cfg, cyclic=kind == "winding-cyclic")
+        else:
+            {"shapley": estimate_shapley_all, "main": estimate_main_effects,
+             "total": estimate_total_effects}[kind](model, unit_square(3), cfg)
     assert any(shape == (4096, 3) for shape, _ in layouts)
     assert all(column_major for _, column_major in layouts)
 
