@@ -7,12 +7,18 @@ N = 2 and N = 4097 (whose last chunk holds a single walk), an Ishigami-space
 sample, and the Sobol' g and plate kernels on a fixed 4100-row batch. Any change to the sampling grid, the
 quantile transforms, the permutation walks, the moment reduction or the
 kernels' arithmetic shows here as a changed bit; a change that means to alter
-outputs must re-record the file and bump ``__version__``.
+outputs must re-record the file and bump ``__version__``. Under ``external``
+it holds the same reports for Ishigami computed by a child process over the
+line protocol (N = 4100, seed 20), and the convergence CSV lines of that
+model; the child's command is built from ``sys.executable`` at run time.
 
 ``golden_cli.json`` holds the exit code, stdout and stderr of a fixed matrix
 of CLI invocations: ``analyze`` for every builtin model, estimator and
 format, ``exact`` for every builtin name and an unknown one, an unknown model
-in ``analyze``, and ``convergence`` on Ishigami and the plate. The run time
+in ``analyze``, and ``convergence`` on Ishigami and the plate. Its
+``config-`` cases run a subcommand with ``--config`` on a JSON payload
+written to a temporary file: valid settings of every kind, each setting with
+a wrong type or an out-of-range value, missing keys and unknown keys. The run time
 is the one value that differs between runs, so ``elapsed_seconds`` is cut out
 (the JSON key and the CSV line) before the comparison.
 
@@ -23,16 +29,19 @@ import contextlib
 import io
 import json
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from shapeff import (EstimatorConfig, RngStream, estimate_main_effects,
+from shapeff import (EstimatorConfig, ExternalModel, RngStream, convergence_csv_lines,
+                     convergence_study, estimate_main_effects,
                      estimate_shapley_all, estimate_shapley_winding,
-                     estimate_total_effects, ishigami_space, plate_buckling,
-                     plate_buckling_space, sobol_g, sobol_g_space)
+                     estimate_total_effects, ishigami_exact, ishigami_space,
+                     plate_buckling, plate_buckling_space, sobol_g, sobol_g_space)
 from shapeff.cli import main
-from test_models import GOLDEN_N, report_bits
+from test_models import GOLDEN_N, ISHIGAMI_CHILD, report_bits
 
 HERE = Path(__file__).parent
 
@@ -63,6 +72,29 @@ def run_report(model: str, kind: str, workers: int = 1, n: int = GOLDEN_N) -> di
     return json.loads(json.dumps(report_bits(report)))
 
 
+EXTERNAL_SEED = 20
+EXTERNAL_KINDS = [*ESTIMATORS, "winding"]
+
+
+def external_ishigami() -> ExternalModel:
+    return ExternalModel([sys.executable, "-c", ISHIGAMI_CHILD], 3)
+
+
+def external_report(kind: str, workers: int = 1) -> dict:
+    cfg = EstimatorConfig(n=GOLDEN_N, seed=EXTERNAL_SEED, workers=workers)
+    estimator = estimate_shapley_winding if kind == "winding" else ESTIMATORS[kind]
+    with external_ishigami() as ext:
+        report = estimator(ext.as_model(), ishigami_space(), cfg)
+    return json.loads(json.dumps(report_bits(report)))
+
+
+def external_convergence() -> list:
+    with external_ishigami() as ext:
+        study = convergence_study(ext.as_model(), ishigami_space(), "shapley", [64, 128],
+                                  3, EXTERNAL_SEED, exact=ishigami_exact())
+    return convergence_csv_lines(study)
+
+
 def hex_rows(matrix) -> list:
     return [[v.hex() for v in row] for row in matrix.tolist()]
 
@@ -87,6 +119,8 @@ def golden_outputs() -> dict:
         "winding_edges": {model: {f"{kind}-{n}": run_report(model, kind, n=n)
                                   for kind in WINDING_KINDS for n in WINDING_EDGE_NS}
                           for model in MODELS},
+        "external": {**{kind: external_report(kind) for kind in EXTERNAL_KINDS},
+                     "convergence": external_convergence()},
     }
 
 
@@ -107,6 +141,106 @@ CLI_CASES = {
         "--format", fmt]
        for model in ["ishigami", "plate-buckling"] for fmt in ["json", "csv"]},
 }
+UNIFORM01 = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+ISHIGAMI = {"model": {"name": "ishigami"}, "n": 300, "seed": 5}
+SOBOL_G3 = {"model": {"name": "sobol-g", "d": 3}, "ns": [64, 128], "trials": 3}
+EXTERNAL = {"command": ["true"], "dim": 2}
+# Case name -> (subcommand, config payload).
+CONFIG_CASES = {
+    # Valid settings.
+    "config-distributions": ("analyze", {**ISHIGAMI, "distributions": [
+        {"kind": "normal", "mean": 0.5, "sd": 1.0}, {"kind": "normal", "mean": 2.0, "cv": 0.25},
+        {"kind": "lognormal", "mean": 1.0, "cv": 0.2}]}),
+    "config-sobol-g-a": ("analyze", {"model": {"name": "sobol-g", "a": [0, 1.0, 4.5, 99]},
+                                     "n": 300, "estimator": "main"}),
+    "config-sobol-g-a-d": ("analyze", {"model": {"name": "sobol-g", "a": [0.5, 2.0], "d": 2},
+                                       "n": 300, "format": "csv"}),
+    "config-constant": ("analyze", {"model": {"name": "constant", "value": -2.5, "dim": 2},
+                                    "n": 300, "estimator": "total"}),
+    "config-ishigami-params": ("analyze", {**ISHIGAMI, "model": {"name": "ishigami",
+                                                                 "a": 5, "b": 0.2}}),
+    "config-ci-z": ("analyze", {**ISHIGAMI, "ci_z": 3}),
+    "config-workers-2": ("analyze", {**ISHIGAMI, "n": 4100, "workers": 2}),
+    "config-cyclic-winding": ("analyze", {**ISHIGAMI, "estimator": "shapley-winding",
+                                          "cyclic": True}),
+    "config-cyclic-false": ("analyze", {**ISHIGAMI, "cyclic": False}),
+    "config-output-null": ("analyze", {**ISHIGAMI, "output": None}),
+    "config-convergence": ("convergence", {**SOBOL_G3, "estimator": "total", "seed": 2,
+                                           "workers": 2, "format": "json"}),
+    "config-convergence-distributions": ("convergence", {
+        **SOBOL_G3, "model": {"name": "constant", "dim": 2}, "distributions": [UNIFORM01] * 2}),
+    "config-exact-sobol-g-a": ("exact", {"model": {"name": "sobol-g", "a": [0, 1, 9]},
+                                         "format": "csv"}),
+    "config-exact-ishigami-params": ("exact", {"model": {"name": "ishigami", "a": 5, "b": 0.2}}),
+    # Wrong types and out-of-range values.
+    **{f"config-bad-{key}-{label}": ("analyze", {**ISHIGAMI, key: value})
+       for key, label, value in [
+           ("n", "str", "300"), ("n", "float", 300.0), ("n", "bool", True), ("n", "1", 1),
+           ("seed", "str", "5"), ("seed", "negative", -1), ("seed", "float", 5.5),
+           ("workers", "0", 0), ("workers", "str", "2"), ("workers", "null", None),
+           ("ci_z", "0", 0), ("ci_z", "negative", -1.0), ("ci_z", "str", "1.96"),
+           ("ci_z", "bool", True), ("ci_z", "null", None),
+           ("cyclic", "str", "yes"), ("cyclic", "int", 1),
+           ("format", "xml", "xml"), ("format", "int", 1),
+           ("estimator", "magic", "magic"), ("estimator", "int", 3),
+           ("distributions", "object", {"kind": "uniform"}),
+           ("distributions", "short", [UNIFORM01]),
+           ("distributions", "kind", [{"kind": "beta"}] * 3),
+           ("distributions", "not-object", [1, 2, 3]),
+           ("distributions", "lo-hi", [{"kind": "uniform", "lo": 1.0, "hi": 0.0}] * 3),
+           ("distributions", "str-bound", [{"kind": "uniform", "lo": "0", "hi": 1.0}] * 3),
+           ("distributions", "unknown-key", [{**UNIFORM01, "high": 2.0}] * 3),
+           ("distributions", "normal-sd", [{"kind": "normal", "mean": 0.0, "sd": -1.0}] * 3),
+           ("distributions", "lognormal-mean",
+            [{"kind": "lognormal", "mean": -1.0, "cv": 0.1}] * 3),
+           ("model", "str", "ishigami"), ("model", "list", ["ishigami"]),
+           ("model", "unknown-name", {"name": "nope"}), ("model", "no-name", {}),
+           ("model", "ishigami-a-str", {"name": "ishigami", "a": "7"}),
+           ("model", "ishigami-b-0", {"name": "ishigami", "b": 0}),
+           ("model", "ishigami-key", {"name": "ishigami", "c": 1.0}),
+           ("model", "sobol-g-d-0", {"name": "sobol-g", "d": 0}),
+           ("model", "sobol-g-d-str", {"name": "sobol-g", "d": "3"}),
+           ("model", "sobol-g-a-str", {"name": "sobol-g", "a": "0,1"}),
+           ("model", "sobol-g-a-bool", {"name": "sobol-g", "a": [1.0, True]}),
+           ("model", "sobol-g-a-negative", {"name": "sobol-g", "a": [1.0, -1.0]}),
+           ("model", "sobol-g-a-empty", {"name": "sobol-g", "a": []}),
+           ("model", "sobol-g-a-d", {"name": "sobol-g", "a": [1.0], "d": 3}),
+           ("model", "constant-dim-0", {"name": "constant", "dim": 0}),
+           ("model", "constant-value-str", {"name": "constant", "value": "1"}),
+           ("model", "plate-key", {"name": "plate-buckling", "dim": 6}),
+           ("model", "external-command-str", {"command": "true", "dim": 2}),
+           ("model", "external-command-empty", {"command": [], "dim": 2}),
+           ("model", "external-command-int", {"command": ["true", 1], "dim": 2}),
+           ("model", "external-dim-0", {**EXTERNAL, "dim": 0}),
+           ("model", "external-dim-str", {**EXTERNAL, "dim": "2"}),
+           ("model", "external-key", {**EXTERNAL, "name": "x"}),
+           ("model", "external-no-distributions", EXTERNAL),
+       ]},
+    "config-bad-external-n": ("analyze", {"model": EXTERNAL, "distributions": [UNIFORM01] * 2,
+                                          "n": 1}),
+    "config-bad-cyclic-shapley": ("analyze", {**ISHIGAMI, "cyclic": True}),
+    **{f"config-bad-convergence-{key}-{label}": ("convergence", {**SOBOL_G3, key: value})
+       for key, label, value in [
+           ("ns", "str", "64,128"), ("ns", "mixed", [64, "128"]), ("ns", "bool", [True, 64]),
+           ("ns", "descending", [128, 64]), ("ns", "empty", []), ("ns", "1", [1, 2]),
+           ("trials", "1", 1), ("trials", "str", "3"),
+           ("estimator", "magic", "magic"), ("seed", "negative", -1), ("workers", "0", 0),
+           ("format", "xml", "xml"),
+       ]},
+    "config-bad-exact-model": ("exact", {"model": {"name": "plate-buckling"}}),
+    "config-bad-exact-model-str": ("exact", {"model": "ishigami"}),
+    "config-bad-exact-param": ("exact", {"model": {"name": "ishigami", "a": -1.0}}),
+    "config-bad-exact-format": ("exact", {"model": {"name": "ishigami"}, "format": "xml"}),
+    # Missing and unknown keys.
+    "config-missing-model": ("analyze", {"n": 300}),
+    "config-missing-n": ("analyze", {"model": {"name": "ishigami"}}),
+    "config-missing-ns": ("convergence", {"model": {"name": "ishigami"}, "trials": 3}),
+    "config-missing-exact-model": ("exact", {}),
+    "config-unknown-key": ("analyze", {**ISHIGAMI, "sedd": 1}),
+    "config-unknown-keys": ("analyze", {**ISHIGAMI, "zeta": 1, "alpha": 2}),
+    "config-unknown-convergence-key": ("convergence", {**SOBOL_G3, "ci_z": 2.0}),
+    "config-unknown-exact-key": ("exact", {"model": {"name": "ishigami"}, "n": 300}),
+}
 _ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*|#elapsed_seconds,[^\n]*\n')
 
 
@@ -117,6 +251,19 @@ def cli_output(argv: list) -> dict:
         code = main(argv)
     return {"code": code, "stdout": _ELAPSED.sub("", out.getvalue()),
             "stderr": err.getvalue()}
+
+
+def config_output(command: str, payload: dict) -> dict:
+    """cli_output of `command --config FILE`, where FILE holds payload as JSON."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(payload))
+        return cli_output([command, "--config", str(path)])
+
+
+def cli_outputs() -> dict:
+    return {**{case: cli_output(argv) for case, argv in CLI_CASES.items()},
+            **{case: config_output(*spec) for case, spec in CONFIG_CASES.items()}}
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +305,28 @@ def test_kernel_matches_its_golden(golden, model):
     assert kernel_values(model) == golden["kernels"][model]
 
 
+@pytest.mark.parametrize("kind, workers", [
+    (kind, workers) for kind in ESTIMATORS for workers in (1, 2)] + [("winding", 1)])
+def test_external_report_matches_its_golden(golden, kind, workers):
+    assert external_report(kind, workers) == golden["external"][kind]
+
+
+def test_external_convergence_matches_its_golden(golden):
+    lines = external_convergence()
+    assert lines[1].startswith("external,shapley,64,1,")
+    assert lines == golden["external"]["convergence"]
+
+
 @pytest.mark.parametrize("case", list(CLI_CASES))
 def test_cli_output_matches_its_golden(golden_cli, case):
     assert cli_output(CLI_CASES[case]) == golden_cli[case]
 
 
+@pytest.mark.parametrize("case", list(CONFIG_CASES))
+def test_cli_config_output_matches_its_golden(golden_cli, case):
+    assert config_output(*CONFIG_CASES[case]) == golden_cli[case]
+
+
 if __name__ == "__main__":
     (HERE / "golden_inproc.json").write_text(json.dumps(golden_outputs(), indent=1) + "\n")
-    (HERE / "golden_cli.json").write_text(json.dumps(
-        {case: cli_output(argv) for case, argv in CLI_CASES.items()}, indent=1) + "\n")
+    (HERE / "golden_cli.json").write_text(json.dumps(cli_outputs(), indent=1) + "\n")
