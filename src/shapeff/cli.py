@@ -148,7 +148,7 @@ CONVERGENCE_SCHEMA = {
 
 
 def _resolve_model(model_cfg):
-    """Build the ModelFunction; return (model, resolved model config, closer)."""
+    """Build the ModelFunction; return (model, resolved model config)."""
     if not isinstance(model_cfg, dict):
         raise ConfigError(f"model must be an object, got {model_cfg!r}")
     if "command" in model_cfg:
@@ -159,8 +159,7 @@ def _resolve_model(model_cfg):
             raise ConfigError(
                 f"model.command must be a non-empty list of strings, got {command!r}")
         dim = _require_int(model_cfg, "dim", 1, "model")
-        adapter = ExternalModel(command, dim)
-        return adapter.as_model(), {"command": command, "dim": dim}, adapter.close
+        return ExternalModel(command, dim), {"command": command, "dim": dim}
 
     name = model_cfg.get("name")
     if name not in BUILTINS:
@@ -169,7 +168,7 @@ def _resolve_model(model_cfg):
     _check_keys(model_cfg, {"name", *builtin.keys}, "model")
     params = builtin.read(model_cfg, builtin.keys)
     try:
-        return builtin.factory(**params), {"name": name, **params}, None
+        return builtin.factory(**params), {"name": name, **params}
     except ParameterError as exc:
         raise ConfigError(f"model: {exc}")
 
@@ -178,7 +177,7 @@ def _resolve_model(model_cfg):
 def _model_and_space(cfg: dict):
     """Yield (model, input space, resolved model config, distribution specs);
     an external model's process is closed on exit."""
-    model, model_resolved, closer = _resolve_model(cfg["model"])
+    model, model_resolved = _resolve_model(cfg["model"])
     try:
         specs = cfg.get("distributions")
         if specs is None:
@@ -192,8 +191,8 @@ def _model_and_space(cfg: dict):
                 f"distributions length {len(specs)} does not match model dimension {model.dim}")
         yield model, InputSpace.from_specs(specs), model_resolved, specs
     finally:
-        if closer is not None:
-            closer()
+        if isinstance(model, ExternalModel):
+            model.close()
 
 
 def _load_config(path: str | None) -> dict:
@@ -231,6 +230,9 @@ def _config(args: argparse.Namespace, allowed: set) -> dict:
     _check_keys(cfg, allowed, "config")
     if "model" not in cfg:
         raise ConfigError("config needs a model (or pass --model)")
+    output = cfg.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output must be a file path, got {output!r}")
     return cfg
 
 
@@ -249,9 +251,12 @@ def _emit(fmt: str, report: dict, csv_lines: list[str], output: str | None) -> N
     text = (json.dumps(report, indent=2) if fmt == "json" else "\n".join(csv_lines)) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write report to {output}: {exc}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -361,7 +366,7 @@ def cmd_exact(args: argparse.Namespace) -> int:
     if name not in _EXACT:
         raise ConfigError(f"exact indices exist only for {' and '.join(_EXACT)}, "
                           f"got {name or model_cfg!r}")
-    _, model_resolved, _ = _resolve_model(model_cfg)
+    _, model_resolved = _resolve_model(model_cfg)
     idx = _EXACT[name](model_resolved)
 
     fmt = cfg.get("format", "json")

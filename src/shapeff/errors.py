@@ -63,6 +63,8 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
 
 
 def _require_int(cfg: dict, key: str, minimum: int, where: str = "config") -> int:
+    if key not in cfg:
+        raise ConfigError(f"{where}.{key} is required")
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")

@@ -234,10 +234,6 @@ def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarr
         raise EvaluationError(
             f"evaluation failed in samples [{start}, {start + points.shape[0]}): {exc}"
         ) from exc
-    if np.may_share_memory(values, points):
-        # A model may return a view of its input, such as a column; the walks
-        # overwrite their points in place, so keep values of their own.
-        values = values.copy()
     if not np.isfinite(values).all():
         i = int(np.argmin(np.isfinite(values)))
         raise EvaluationError(

@@ -75,10 +75,6 @@ class Uniform:
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
 
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class Normal:
@@ -119,10 +115,6 @@ class Normal:
             raise ParameterError("degenerate normal (sd=0) has no density")
         z = (np.asarray(x, dtype=float) - self.mean) / self.sd
         return np.exp(-0.5 * z * z) / (self.sd * math.sqrt(2.0 * math.pi))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (-math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -166,10 +158,6 @@ class LogNormal:
         z = (np.log(x[pos]) - self.mu_ln) / self.sigma_ln
         out[pos] = np.exp(-0.5 * z * z) / (x[pos] * self.sigma_ln * math.sqrt(2.0 * math.pi))
         return out
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, math.inf)
 
 
 MarginalDistribution = Union[Uniform, Normal, LogNormal]

@@ -5,15 +5,17 @@ thread-safe evaluation counter, so the estimators' cost contracts can be
 checked for builtin and user-supplied models alike. Builtin test functions
 carry vectorized implementations; :data:`BUILTINS` holds, for each under its
 config name, the factory, the config keys with their defaults, and the
-default inputs as distribution specs. External simulators are driven over a
-line-based stdin/stdout protocol.
+default inputs as distribution specs. An external simulator, driven over a
+line-based stdin/stdout protocol, is a ModelFunction too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import subprocess
 import threading
+import weakref
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,7 +62,11 @@ class ModelFunction:
         return float(self.evaluate_batch(x[None, :])[0])
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """Evaluate f at every row of an (n, d) array; counts n evaluations."""
+        """Evaluate f at every row of an (n, d) array; counts n evaluations.
+
+        Returns an (n,) float array of its own; EvaluationError if f gives
+        any other shape.
+        """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ParameterError(
@@ -69,6 +75,15 @@ class ModelFunction:
             values = np.asarray(self._func(points), dtype=float)
         else:
             values = np.array([float(self._func(row)) for row in points])
+        if values.shape != points.shape[:1]:
+            raise EvaluationError(
+                f"{self.name} returned shape {values.shape} for a batch of "
+                f"{points.shape[0]} points; expected ({points.shape[0]},)")
+        if np.may_share_memory(values, points):
+            # A model may return a view of its input, such as a column; the
+            # estimators overwrite their points in place, so keep values of
+            # their own.
+            values = values.copy()
         with self._lock:
             self._count += points.shape[0]
         return values
@@ -357,41 +372,38 @@ class _Child:
         self.close()
 
 
-class ExternalModel:
-    """Adapter for a black-box simulator speaking the line protocol.
+class ExternalModel(ModelFunction):
+    """A black-box simulator speaking the line protocol, as a ModelFunction.
 
     Each request is one line of d space-separated decimal floats; the process
     must answer one decimal float per line, in order. EOF on its stdin tells
-    the process to finish. A batch goes out in one pipelined exchange, with up
-    to 512 lines in flight, so the process must answer each line as it reads
-    it. One batch is served at a time, so the wrapped model is safe to
-    call from several threads. A failed batch ends the process; the next call
-    starts a fresh one, whose line numbers start again at 1.
+    the process to finish. The process starts on the first evaluation. A
+    batch goes out in one pipelined exchange, with up to 512 lines in flight,
+    so the process must answer each line as it reads it. One batch is served
+    at a time, so the model is safe to call from several threads. A failed
+    batch ends the process; the next call starts a fresh one, whose line
+    numbers start again at 1.
     """
 
     def __init__(self, command: Sequence[str], dim: int):
-        dim = require_integer("external model dimension", dim)
-        if dim < 1:
-            raise ParameterError(f"external model dimension must be >= 1, got {dim}")
         self.command = list(command)
         if not self.command:
             raise ParameterError("external model command must be non-empty")
-        self.dim = dim
         self._child: _Child | None = None
-        self._lock = threading.Lock()
+        self._serving = threading.Lock()
+        # A bound method would make the model refer to itself, so a model
+        # dropped unclosed would keep its process until a garbage collection.
+        exchange = functools.partial(ExternalModel._exchange, weakref.proxy(self))
+        super().__init__(dim, exchange, name="external", vectorized=True)
 
     def _ensure_started(self) -> _Child:
         if self._child is None:
             self._child = _Child(self.command)
         return self._child
 
-    def evaluate_batch(self, points) -> np.ndarray:
+    def _exchange(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every row of an (n, d) array in one exchange with the process."""
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.dim:
-            raise ParameterError(
-                f"external model expects an (n, {self.dim}) batch, got shape {points.shape}")
-        with self._lock:
+        with self._serving:
             child = self._ensure_started()
             try:
                 return child.exchange(points)
@@ -401,20 +413,15 @@ class ExternalModel:
                 child.kill()
                 raise
 
-    def evaluate(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ParameterError(
-                f"external model expects a vector of length {self.dim}, got shape {x.shape}")
-        return float(self.evaluate_batch(x[None, :])[0])
+    evaluate = ModelFunction.__call__
 
     def close(self) -> None:
         child, self._child = self._child, None
         if child is not None:
             child.close()
 
-    def as_model(self) -> ModelFunction:
-        return ModelFunction(self.dim, self.evaluate_batch, name="external", vectorized=True)
+    def as_model(self) -> "ExternalModel":
+        return self
 
     def __enter__(self) -> "ExternalModel":
         self._ensure_started()
@@ -430,10 +437,11 @@ class ExternalModel:
             pass
 
 
-def external_model(command: Sequence[str], dim: int) -> ModelFunction:
-    """Wrap an external simulator; the subprocess lives as long as the adapter.
+def external_model(command: Sequence[str], dim: int) -> ExternalModel:
+    """An external simulator as a ModelFunction; its process lives as long as
+    the model.
 
-    Use :class:`ExternalModel` directly when you need explicit lifecycle
-    control (it is a context manager).
+    Call its ``close()``, or use it as a context manager, when you need
+    explicit lifecycle control.
     """
-    return ExternalModel(command, dim).as_model()
+    return ExternalModel(command, dim)

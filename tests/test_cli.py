@@ -176,6 +176,58 @@ def test_external_model_flooding_stderr_finishes(tmp_path):
     assert json.loads(result.stdout)["eval_count"] == 3 * 200
 
 
+def run_cli_process(*args):
+    """Run ``python -m shapeff.cli`` in a new process; a bad output setting
+    may close this process's own stdout or stderr."""
+    return subprocess.run([sys.executable, "-m", "shapeff.cli", *args],
+                          env=env_importing_this_shapeff(), capture_output=True,
+                          text=True, timeout=120)
+
+
+UNIT_INTERVAL = [{"kind": "uniform", "lo": 0.0, "hi": 1.0}]
+# A model that fails on its first evaluation shows whether one ran.
+FAILING_MODEL = {"command": [sys.executable, "-c", "import sys; sys.exit(7)"], "dim": 1}
+OUTPUT_CONFIGS = {
+    "analyze": {"model": FAILING_MODEL, "distributions": UNIT_INTERVAL, "n": 16},
+    "convergence": {"model": FAILING_MODEL, "distributions": UNIT_INTERVAL, "ns": [16, 32]},
+    "exact": {"model": {"name": "ishigami"}},
+}
+
+
+@pytest.mark.parametrize("output", [["a"], 2, True, 1.5, {"path": "a"}],
+                         ids=["list", "fd-2", "true", "float", "object"])
+@pytest.mark.parametrize("command", list(OUTPUT_CONFIGS))
+def test_non_string_output_exits_2_before_any_evaluation(tmp_path, output, command):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {**OUTPUT_CONFIGS[command], "output": output})
+    result = run_cli_process(command, "--config", str(cfg))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: output must be a file path, got {output!r}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--model", "ishigami", "--n", "16"],
+    ["convergence", "--model", "ishigami", "--ns", "16,32", "--trials", "2"],
+    ["exact", "--model", "ishigami"]], ids=["analyze", "convergence", "exact"])
+def test_unwritable_output_exits_2(tmp_path, command):
+    target = tmp_path / "missing" / "report.json"
+    result = run_cli_process(*command, "--output", str(target))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"error: cannot write report to {target}: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_external_model_without_dim_exits_2_before_starting_it(tmp_path, capsys):
+    marker = tmp_path / "started"
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"command": [sys.executable, "-c",
+                                           f"open({str(marker)!r}, 'w')"]},
+                     "n": 16, "distributions": UNIT_INTERVAL})
+    assert run(["analyze", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: model.dim is required\n"
+    assert not marker.exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"model": {"name": "ishigami"}, "n": 16, "sedd": 1})

@@ -167,6 +167,23 @@ def test_model_returning_a_view_of_its_input_gets_its_own_values():
     assert report.sigma2_estimate == pytest.approx(report.sigma2_from_pairs, rel=1e-12)
 
 
+@pytest.mark.parametrize("estimator", [
+    estimate_shapley_all, estimate_shapley_winding, estimate_main_effects,
+    estimate_total_effects], ids=["shapley", "winding", "main", "total"])
+@pytest.mark.parametrize("returns, shape", [
+    (lambda x: 1.0, r"\(\)"),
+    (lambda x: x[:, :1], r"\(\d+, 1\)"),
+    (lambda x: x + 0.0, r"\(\d+, 2\)"),
+    (lambda x: x[1:, 0], r"\(\d+,\)"),
+], ids=["scalar", "n-by-1", "n-by-2", "n-minus-1"])
+def test_misshapen_model_output_raises_evaluation_error(estimator, returns, shape):
+    # Each estimator must see exactly one value per point, or an error
+    # naming the model and the shape it returned.
+    f = ModelFunction(2, returns, name="misshapen", vectorized=True)
+    with pytest.raises(EvaluationError, match=f"misshapen returned shape {shape} for a batch"):
+        estimator(f, unit_square(2), EstimatorConfig(n=64, seed=0))
+
+
 def test_ci_brackets_estimate_and_scales_with_z():
     report = estimate_shapley_all(ishigami(), ishigami_space(),
                                   EstimatorConfig(n=1024, seed=2))

@@ -1,6 +1,7 @@
 """Tests for the model wrapper, builtin test functions, and external models."""
 
 import dataclasses
+import gc
 import json
 import math
 import sys
@@ -157,6 +158,11 @@ def test_model_purity_and_shape_checks():
         f.evaluate_batch(np.zeros((4, 2)))
     with pytest.raises(ParameterError):
         ModelFunction(0, lambda x: 0.0)
+    # An external model is checked the same way, before its process starts.
+    with pytest.raises(ParameterError, match=r"external expects an \(n, 3\) batch"):
+        ExternalModel(["true"], 3).evaluate_batch(np.zeros((4, 2)))
+    with pytest.raises(ParameterError, match="model dimension must be >= 1, got 0"):
+        ExternalModel(["true"], 0)
 
 
 def test_nonvectorized_wrapper_batches_by_looping():
@@ -175,8 +181,27 @@ def test_external_model_echoes_first_coordinate():
 def test_external_model_constant_process():
     code = "import sys\nfor _ in sys.stdin:\n    print(2.5, flush=True)\n"
     f = external_model([sys.executable, "-c", code], dim=3)
+    assert isinstance(f, ModelFunction)
+    assert f.as_model() is f
     assert f([1.0, 2.0, 3.0]) == 2.5
-    assert f.eval_count == 1
+    assert f.evaluate([1.0, 2.0, 3.0]) == 2.5
+    assert f.evaluate_batch(np.zeros((4, 3))).tolist() == [2.5] * 4
+    assert f.eval_count == 6
+    f.close()
+
+
+def test_dropped_external_model_ends_its_process():
+    # Dropping the last reference closes the process at once, with no
+    # garbage collection in between.
+    f = external_model([sys.executable, "-c", ECHO_FIRST], dim=2)
+    assert f([0.25, 0.5]) == 0.25
+    proc = f._child.proc
+    gc.disable()
+    try:
+        del f
+        assert proc.returncode == 0
+    finally:
+        gc.enable()
 
 
 def test_external_model_matches_builtin_ishigami():
