@@ -9,7 +9,6 @@ the same expected SSE from the scatter of the trials alone.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -57,6 +56,8 @@ def trial_seed(base_seed: int, n: int, trial: int) -> int:
     Uses a keyed digest rather than Python's hash(), which is salted per
     process and would break reproducibility across runs.
     """
+    # Imported here: `shapeff exact` never derives a trial seed.
+    import hashlib
     digest = hashlib.blake2b(f"{n}:{trial}".encode(), digest_size=8).digest()
     return (int(base_seed) ^ int.from_bytes(digest, "big")) % (1 << 64)
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,6 +215,8 @@ def _run_chunks(task, n: int, workers: int, workspace) -> list:
     if workers == 1 or len(chunks) == 1:
         ws = workspace()
         return [task(c, ws) for c in chunks]
+    # Imported here: it loads logging, which no serial run needs.
+    from concurrent.futures import ThreadPoolExecutor
     local = threading.local()
 
     def run(chunk):

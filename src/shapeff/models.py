@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import subprocess
 import threading
 import weakref
 from typing import Callable, NamedTuple, Sequence
@@ -65,7 +64,7 @@ class ModelFunction:
         """Evaluate f at every row of an (n, d) array; counts n evaluations.
 
         Returns an (n,) float array of its own; EvaluationError if f gives
-        any other shape.
+        any other shape, or if a per-point f gives a value float() rejects.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -74,7 +73,8 @@ class ModelFunction:
         if self._vectorized:
             values = np.asarray(self._func(points), dtype=float)
         else:
-            values = np.array([float(self._func(row)) for row in points])
+            values = np.array([self._number(self._func(row), i)
+                               for i, row in enumerate(points)])
         if values.shape != points.shape[:1]:
             raise EvaluationError(
                 f"{self.name} returned shape {values.shape} for a batch of "
@@ -87,6 +87,17 @@ class ModelFunction:
         with self._lock:
             self._count += points.shape[0]
         return values
+
+    def _number(self, value, i: int) -> float:
+        """A per-point function's value at point i of a batch, as a float."""
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            shape = getattr(value, "shape", None)
+            what = type(value).__name__ + ("" if shape is None else f" of shape {shape}")
+            raise EvaluationError(
+                f"{self.name} returned {what} at point {i} of the batch; "
+                f"expected a number") from exc
 
     def __repr__(self) -> str:
         return f"ModelFunction({self.name!r}, dim={self.dim}, eval_count={self._count})"
@@ -272,6 +283,9 @@ class _Child:
     """
 
     def __init__(self, command: list[str]):
+        # subprocess is imported where it is used, so that a run without an
+        # external model never loads it.
+        import subprocess
         try:
             self.proc = subprocess.Popen(
                 command,
@@ -336,6 +350,7 @@ class _Child:
 
     def exit_note(self) -> str:
         """' (process exited with code c; stderr: ...)' once the process has ended."""
+        import subprocess
         try:
             code = self.proc.wait(timeout=1)
         except subprocess.TimeoutExpired:
@@ -349,6 +364,7 @@ class _Child:
 
     def close(self) -> None:
         """Close the child's stdin and reap it; kill it if it does not exit within 5 s."""
+        import subprocess
         try:
             self.proc.stdin.close()
         except OSError:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import CapacityError, ParameterError
 from .inputs import InputSpace, Uniform
@@ -235,6 +234,8 @@ def _axis_rule(marginal, nodes: int, panels: int, bounds) -> tuple[np.ndarray, n
         raise CapacityError(
             f"{type(marginal).__name__} has unbounded support; "
             "pass truncation bounds to quadrature it")
+    # Imported here: only the ANOVA oracle needs numpy.polynomial.
+    from numpy.polynomial.legendre import leggauss
     t, w = leggauss(nodes)
     edges = np.linspace(lo, hi, panels + 1)
     xs, ws = [], []

@@ -217,6 +217,22 @@ def test_unwritable_output_exits_2(tmp_path, command):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("output", ["missing/report.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_output_exits_2_before_starting_the_model(tmp_path, capsys, output):
+    # The model's process writes a marker as it starts.
+    marker = tmp_path / "started"
+    echo = f"open({str(marker)!r}, 'w').close()\n" + ECHO_FIRST
+    target = tmp_path / output
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"command": [sys.executable, "-c", echo], "dim": 1},
+                     "distributions": UNIT_INTERVAL, "ns": [16, 32], "trials": 2,
+                     "output": str(target)})
+    assert run(["convergence", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write report to {target}: ")
+    assert not marker.exists()
+
+
 def test_external_model_without_dim_exits_2_before_starting_it(tmp_path, capsys):
     marker = tmp_path / "started"
     cfg = tmp_path / "cfg.json"
@@ -535,16 +551,20 @@ def test_console_script_on_path():
 
 
 # Runs shapeff.cli.main once per argument list in a new interpreter, then
-# prints the exit codes, the reports and whether scipy was ever imported.
-SCIPY_PROBE = ("import contextlib, io, json, sys\n"
+# prints the exit codes, the reports, whether scipy was ever imported, every
+# module loaded and the garbage collector's freeze count before and after.
+SCIPY_PROBE = ("import contextlib, gc, io, json, sys\n"
                "import shapeff, shapeff.cli\n"
                "codes, outputs = [], []\n"
+               "frozen = gc.get_freeze_count()\n"
                "for args in json.loads(sys.argv[1]):\n"
                "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
                "        codes.append(shapeff.cli.main(args))\n"
                "    outputs.append(out.getvalue())\n"
                "print(json.dumps({'codes': codes, 'outputs': outputs,\n"
-               "                  'scipy': 'scipy' in sys.modules}))\n")
+               "                  'scipy': 'scipy' in sys.modules,\n"
+               "                  'modules': sorted(sys.modules),\n"
+               "                  'frozen': [frozen, gc.get_freeze_count()]}))\n")
 
 
 def run_in_new_interpreter(argvs):
@@ -577,3 +597,54 @@ def test_normal_inputs_import_scipy_in_a_worker_thread_bitwise():
     assert threaded["scipy"] and serial["scipy"]
     results = [json.loads(probe["outputs"][0])["results"] for probe in (threaded, serial)]
     assert results[0] == results[1]
+
+
+# Modules that no command loads unless it runs the code that needs them:
+# worker threads, external processes, the ANOVA oracle's quadrature and
+# normal quantiles. concurrent.futures loads logging.
+ON_DEMAND = ["subprocess", "concurrent.futures", "logging", "numpy.polynomial", "scipy"]
+
+
+def loaded(probe, names):
+    return [name for name in names if name in probe["modules"]]
+
+
+@pytest.mark.parametrize("argvs", [
+    [],
+    [["analyze", "--model", "ishigami", "--n", "64", "--workers", "1"]],
+    [["exact", "--model", "sobol-g"]],
+    [["convergence", "--model", "ishigami", "--ns", "64,128", "--trials", "2"]],
+], ids=["import", "analyze-ishigami", "exact-sobol-g", "convergence"])
+def test_commands_load_only_the_modules_they_run(argvs):
+    probe = run_in_new_interpreter(argvs)
+    assert loaded(probe, ON_DEMAND) == []
+    if argvs and argvs[0][0] == "exact":
+        # exact neither samples nor derives trial seeds.
+        assert loaded(probe, ["hashlib", "numpy.random"]) == []
+    # A call with an argv leaves the garbage collector alone.
+    assert probe["frozen"][0] == probe["frozen"][1]
+
+
+def test_worker_threads_and_external_models_load_their_modules(tmp_path):
+    # Two workers and two chunks of samples start a thread pool.
+    threaded = run_in_new_interpreter(
+        [["analyze", "--model", "ishigami", "--n", "4097", "--workers", "2"]])
+    assert loaded(threaded, ["concurrent.futures", "subprocess"]) == ["concurrent.futures"]
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"command": [sys.executable, "-c", ECHO_FIRST], "dim": 1},
+                     "distributions": UNIT_INTERVAL, "n": 16})
+    external = run_in_new_interpreter([["analyze", "--config", str(cfg)]])
+    assert loaded(external, ["concurrent.futures", "subprocess"]) == ["subprocess"]
+
+
+def test_main_run_as_the_program_freezes_the_import_time_objects():
+    probe = ("import contextlib, gc, io, sys\n"
+             "import shapeff.cli\n"
+             "sys.argv = ['shapeff', 'exact', '--model', 'ishigami']\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = shapeff.cli.main()\n"
+             "print(code, gc.get_freeze_count() > 0)\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env_importing_this_shapeff(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "True"]

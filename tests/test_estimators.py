@@ -184,6 +184,32 @@ def test_misshapen_model_output_raises_evaluation_error(estimator, returns, shap
         estimator(f, unit_square(2), EstimatorConfig(n=64, seed=0))
 
 
+@pytest.mark.parametrize("value, what", [
+    (np.array([1.0, 2.0]), r"ndarray of shape \(2,\)"),
+    (np.array([1.0]), r"ndarray of shape \(1,\)"),
+    (None, "NoneType"),
+    ("abc", "str"),
+], ids=["2-array", "1-array", "none", "str"])
+def test_per_point_model_returning_a_non_number_raises_evaluation_error(value, what):
+    f = ModelFunction(2, lambda x: value, name="odd")
+    with pytest.raises(EvaluationError, match=r"samples \[0, 8\): odd returned "
+                                              f"{what} at point 0 of the batch; "
+                                              "expected a number"):
+        estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=8, seed=0))
+
+
+def test_per_point_model_errors_and_numbers_pass_through():
+    def fails(x):
+        raise KeyError("inside the model")
+
+    with pytest.raises(KeyError, match="inside the model"):
+        estimate_shapley_all(ModelFunction(2, fails), unit_square(2),
+                             EstimatorConfig(n=8, seed=0))
+    for value in (1, True, np.float32(0.5), np.array(2.0), "3.5"):
+        f = ModelFunction(2, lambda x: value)
+        assert f.evaluate_batch(np.zeros((2, 2))).tolist() == [float(value)] * 2
+
+
 def test_ci_brackets_estimate_and_scales_with_z():
     report = estimate_shapley_all(ishigami(), ishigami_space(),
                                   EstimatorConfig(n=1024, seed=2))
