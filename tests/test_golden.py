@@ -15,12 +15,15 @@ model; the child's command is built from ``sys.executable`` at run time.
 ``golden_cli.json`` holds the exit code, stdout and stderr of a fixed matrix
 of CLI invocations: ``analyze`` for every builtin model, estimator and
 format, ``exact`` for every builtin name and an unknown one, an unknown model
-in ``analyze``, and ``convergence`` on Ishigami and the plate. Its
-``config-`` cases run a subcommand with ``--config`` on a JSON payload
-written to a temporary file: valid settings of every kind, each setting with
-a wrong type or an out-of-range value, missing keys and unknown keys. The run time
-is the one value that differs between runs, so ``elapsed_seconds`` is cut out
-(the JSON key and the CSV line) before the comparison.
+in ``analyze``, ``convergence`` on Ishigami and the plate, an empty
+``--output`` and a non-integer ``--ns``. Its ``config-`` cases run a
+subcommand with ``--config`` on a JSON payload written to a temporary file:
+valid settings of every kind, each setting with a wrong type or an
+out-of-range value, missing keys and unknown keys, a payload that is not an
+object, and an external command that cannot start. The run time is the one
+value that differs between runs, so ``elapsed_seconds`` is cut out (the JSON
+key and the CSV line) before the comparison, and the temporary file's path
+reads as ``CONFIG``. The file holds exactly the listed cases.
 
 Re-record both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -136,6 +139,8 @@ CLI_CASES = {
     **{f"exact-{model}-csv": ["exact", "--model", model, "--format", "csv"]
        for model in ["ishigami", "sobol-g"]},
     "analyze-nope": ["analyze", "--model", "nope", "--n", "300"],
+    "analyze-output-empty": ["analyze", "--model", "ishigami", "--n", "300", "--output", ""],
+    "convergence-ns-not-int": ["convergence", "--model", "ishigami", "--ns", "64,x"],
     **{f"convergence-{model}-{fmt}": [
         "convergence", "--model", model, "--ns", "64,128", "--trials", "3",
         "--format", fmt]
@@ -145,6 +150,8 @@ UNIFORM01 = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
 ISHIGAMI = {"model": {"name": "ishigami"}, "n": 300, "seed": 5}
 SOBOL_G3 = {"model": {"name": "sobol-g", "d": 3}, "ns": [64, 128], "trials": 3}
 EXTERNAL = {"command": ["true"], "dim": 2}
+NO_SUCH_EXTERNAL = {"model": {"command": ["shapeff-no-such-simulator"], "dim": 2},
+                    "distributions": [UNIFORM01] * 2}
 # Case name -> (subcommand, config payload).
 CONFIG_CASES = {
     # Valid settings.
@@ -190,6 +197,7 @@ CONFIG_CASES = {
            ("distributions", "lo-hi", [{"kind": "uniform", "lo": 1.0, "hi": 0.0}] * 3),
            ("distributions", "str-bound", [{"kind": "uniform", "lo": "0", "hi": 1.0}] * 3),
            ("distributions", "unknown-key", [{**UNIFORM01, "high": 2.0}] * 3),
+           ("distributions", "missing-key", [{"kind": "uniform", "lo": 0.0}] * 3),
            ("distributions", "normal-sd", [{"kind": "normal", "mean": 0.0, "sd": -1.0}] * 3),
            ("distributions", "lognormal-mean",
             [{"kind": "lognormal", "mean": -1.0, "cv": 0.1}] * 3),
@@ -219,6 +227,11 @@ CONFIG_CASES = {
     "config-bad-external-n": ("analyze", {"model": EXTERNAL, "distributions": [UNIFORM01] * 2,
                                           "n": 1}),
     "config-bad-cyclic-shapley": ("analyze", {**ISHIGAMI, "cyclic": True}),
+    "config-bad-output-int": ("analyze", {**ISHIGAMI, "output": 5}),
+    "config-bad-array": ("analyze", [ISHIGAMI]),
+    "config-external-cannot-start": ("analyze", {**NO_SUCH_EXTERNAL, "n": 300}),
+    "config-convergence-external-cannot-start": ("convergence", {
+        **NO_SUCH_EXTERNAL, "ns": [64, 128], "trials": 3}),
     **{f"config-bad-convergence-{key}-{label}": ("convergence", {**SOBOL_G3, key: value})
        for key, label, value in [
            ("ns", "str", "64,128"), ("ns", "mixed", [64, "128"]), ("ns", "bool", [True, 64]),
@@ -253,12 +266,15 @@ def cli_output(argv: list) -> dict:
             "stderr": err.getvalue()}
 
 
-def config_output(command: str, payload: dict) -> dict:
-    """cli_output of `command --config FILE`, where FILE holds payload as JSON."""
+def config_output(command: str, payload) -> dict:
+    """cli_output of `command --config FILE`, where FILE holds payload as JSON;
+    FILE's temporary path reads as CONFIG in the output."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(payload))
-        return cli_output([command, "--config", str(path)])
+        output = cli_output([command, "--config", str(path)])
+    return {key: value.replace(str(path), "CONFIG") if isinstance(value, str) else value
+            for key, value in output.items()}
 
 
 def cli_outputs() -> dict:
@@ -315,6 +331,10 @@ def test_external_convergence_matches_its_golden(golden):
     lines = external_convergence()
     assert lines[1].startswith("external,shapley,64,1,")
     assert lines == golden["external"]["convergence"]
+
+
+def test_golden_cli_holds_exactly_the_listed_cases(golden_cli):
+    assert set(golden_cli) == set(CLI_CASES) | set(CONFIG_CASES)
 
 
 @pytest.mark.parametrize("case", list(CLI_CASES))
