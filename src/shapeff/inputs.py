@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -32,22 +32,45 @@ from .errors import (ConfigError, ParameterError, _check_keys, _require_number,
 # transforms of unbounded marginals never produce infinities.
 _U53 = 1 << 53
 _BELOW_ONE = 1.0 - 2.0 ** -53
+# The lowest and highest draws of that grid, at which a marginal checks its
+# transform when it is built.
+_GRID_ENDS = np.array([0.5 / _U53, _BELOW_ONE])
 
 
 def _ndtri(u):
-    """Standard normal quantile of u.
-
-    scipy.special is imported here, on the first normal or lognormal draw,
-    rather than with the package: it takes longer to import than a small run
-    takes to compute, and uniform inputs never need it.
-    """
+    """Standard normal quantile of u, looked up at the grid ends. Elsewhere
+    scipy.special is imported on first use, not with the package: uniform
+    inputs never need it, and it takes longer to import than a small run takes."""
+    if u is _GRID_ENDS:
+        return np.array([-8.292361075813597, 8.209536151601387])
     from scipy.special import ndtri
 
     return ndtri(u)
 
 
+class MarginalDistribution:
+    """A distribution of one input. A subclass defines ``pdf(x)`` and
+    ``_transform(u)``, its quantile function on an array of u in (0, 1),
+    monotone in u, and ends its ``__post_init__`` with ``_check_draws()``."""
+
+    def quantile(self, u):
+        u = np.asarray(u, dtype=float)
+        if np.any(u <= 0.0) or np.any(u >= 1.0):
+            raise ParameterError("quantile argument must lie strictly in (0, 1)")
+        return self._transform(u)
+
+    def _check_draws(self) -> None:
+        """ParameterError unless the draws at both ends of the grid are
+        finite; the transform is monotone, so then every draw is."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = self._transform(_GRID_ENDS)
+        if not np.isfinite(ends).all():
+            raise ParameterError(f"{self} draws non-finite values: {ends[0]} at "
+                                 f"u = 2^-54, {ends[1]} at u = 1 - 2^-53")
+
+
 @dataclass(frozen=True)
-class Uniform:
+class Uniform(MarginalDistribution):
     """Uniform distribution on [lo, hi)."""
 
     lo: float
@@ -58,10 +81,7 @@ class Uniform:
         hi = require_finite("hi", self.hi)
         if not lo < hi:
             raise ParameterError(f"uniform needs lo < hi, got [{lo}, {hi}]")
-
-    def quantile(self, u):
-        _check_unit_open(u)
-        return self._transform(np.asarray(u, dtype=float))
+        self._check_draws()
 
     def _transform(self, u):
         return self.lo + u * (self.hi - self.lo)
@@ -71,13 +91,9 @@ class Uniform:
         inside = (x >= self.lo) & (x <= self.hi)
         return np.where(inside, 1.0 / (self.hi - self.lo), 0.0)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(MarginalDistribution):
     """Normal distribution given by mean and standard deviation.
 
     Configuration files and the physical test case use the coefficient of
@@ -92,6 +108,7 @@ class Normal:
         sd = require_finite("sd", self.sd)
         if sd < 0:
             raise ParameterError(f"normal sd must be >= 0, got {sd}")
+        self._check_draws()
 
     @classmethod
     def from_cv(cls, mean: float, cv: float) -> "Normal":
@@ -102,10 +119,6 @@ class Normal:
         if mean == 0:
             raise ParameterError("normal cv needs a non-zero mean; give sd instead")
         return cls(mean, abs(mean) * cv)
-
-    def quantile(self, u):
-        _check_unit_open(u)
-        return self._transform(np.asarray(u, dtype=float))
 
     def _transform(self, u):
         return self.mean + self.sd * _ndtri(u)
@@ -118,7 +131,7 @@ class Normal:
 
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(MarginalDistribution):
     """Log-normal distribution of the variable itself, given mean and CV.
 
     The underlying normal parameters follow by moment matching:
@@ -135,6 +148,7 @@ class LogNormal:
             raise ParameterError(f"lognormal mean must be > 0, got {mean}")
         if cv <= 0:
             raise ParameterError(f"lognormal cv must be > 0, got {cv}")
+        self._check_draws()
 
     @property
     def sigma_ln(self) -> float:
@@ -143,10 +157,6 @@ class LogNormal:
     @property
     def mu_ln(self) -> float:
         return math.log(self.mean) - 0.5 * math.log1p(self.cv * self.cv)
-
-    def quantile(self, u):
-        _check_unit_open(u)
-        return self._transform(np.asarray(u, dtype=float))
 
     def _transform(self, u):
         return np.exp(self.mu_ln + self.sigma_ln * _ndtri(u))
@@ -159,8 +169,6 @@ class LogNormal:
         out[pos] = np.exp(-0.5 * z * z) / (x[pos] * self.sigma_ln * math.sqrt(2.0 * math.pi))
         return out
 
-
-MarginalDistribution = Union[Uniform, Normal, LogNormal]
 
 # Each kind's keys besides "kind", in the order its constructor takes them;
 # normal takes sd or cv.
@@ -196,12 +204,6 @@ def _marginal_from_spec(spec, where: str) -> MarginalDistribution:
         raise ConfigError(f"{where}: {exc}")
 
 
-def _check_unit_open(u) -> None:
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ParameterError("quantile argument must lie strictly in (0, 1)")
-
-
 def _unit_draws(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
     """A column-major (n, d) matrix of grid uniforms (k + 0.5) / 2^53, checked
     to lie in (0, 1).
@@ -233,6 +235,9 @@ class InputSpace:
         marginals = tuple(marginals)
         if len(marginals) == 0:
             raise ParameterError("input space needs at least one marginal")
+        for i, marginal in enumerate(marginals):
+            if not isinstance(marginal, MarginalDistribution):
+                raise ParameterError(f"marginal {i} is not a MarginalDistribution: {marginal!r}")
         object.__setattr__(self, "marginals", marginals)
 
     @classmethod
@@ -256,14 +261,8 @@ class InputSpace:
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
         u = _unit_draws(gen, n, self.d)
-        if all(type(m) is Uniform for m in self.marginals):
-            # lo + u * (hi - lo) for every column at once.
-            lo = np.array([m.lo for m in self.marginals])
-            u *= np.array([m.hi for m in self.marginals]) - lo
-            u += lo
-        else:
-            for j, marginal in enumerate(self.marginals):
-                u[:, j] = marginal._transform(u[:, j])
+        for j, marginal in enumerate(self.marginals):
+            u[:, j] = marginal._transform(u[:, j])
         return u
 
 

@@ -64,14 +64,19 @@ class ModelFunction:
         """Evaluate f at every row of an (n, d) array; counts n evaluations.
 
         Returns an (n,) float array of its own; EvaluationError if f gives
-        any other shape, or if a per-point f gives a value float() rejects.
+        any other shape or values that are not numbers.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ParameterError(
                 f"{self.name} expects an (n, {self.dim}) batch, got shape {points.shape}")
         if self._vectorized:
-            values = np.asarray(self._func(points), dtype=float)
+            values = self._func(points)
+            try:
+                values = np.asarray(values, dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise EvaluationError(f"{self.name} returned a {type(values).__name__} that "
+                                      f"is not an array of numbers") from exc
         else:
             values = np.array([self._number(self._func(row), i)
                                for i, row in enumerate(points)])
@@ -402,6 +407,9 @@ class ExternalModel(ModelFunction):
     """
 
     def __init__(self, command: Sequence[str], dim: int):
+        if isinstance(command, (str, bytes)):
+            raise ParameterError(f"external model command must be a list of arguments, "
+                                 f"not the string {command!r}")
         self.command = list(command)
         if not self.command:
             raise ParameterError("external model command must be non-empty")

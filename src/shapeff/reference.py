@@ -229,7 +229,7 @@ def _axis_rule(marginal, nodes: int, panels: int, bounds) -> tuple[np.ndarray, n
         if not lo < hi:
             raise ParameterError(f"truncation bounds must satisfy lo < hi, got ({lo}, {hi})")
     elif isinstance(marginal, Uniform):
-        lo, hi = marginal.support
+        lo, hi = marginal.lo, marginal.hi
     else:
         raise CapacityError(
             f"{type(marginal).__name__} has unbounded support; "

@@ -304,6 +304,23 @@ def test_normal_spec_with_cv_needs_a_non_zero_mean(tmp_path, capsys):
     assert "distributions[0]: normal cv needs a non-zero mean" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model, spec", [
+    ({"name": "constant", "dim": 2}, {"kind": "uniform", "lo": -1e308, "hi": 1e308}),
+    ({"name": "ishigami"}, {"kind": "uniform", "lo": -1e308, "hi": 1e308}),
+    ({"name": "constant", "dim": 2}, {"kind": "normal", "mean": 0.0, "sd": 1e308}),
+    ({"name": "constant", "dim": 2}, {"kind": "lognormal", "mean": 1e307, "cv": 10.0}),
+], ids=["uniform-constant", "uniform-ishigami", "normal", "lognormal"])
+def test_distribution_whose_draws_overflow_exits_2(tmp_path, capsys, model, spec):
+    cfg = tmp_path / "cfg.json"
+    uniform = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+    dim = model.get("dim", 3)
+    write_json(cfg, {"model": model, "distributions": [uniform, spec] + [uniform] * (dim - 2),
+                     "n": 16})
+    assert run(["analyze", "--config", str(cfg)]) == 2
+    assert re.search(r"^error: distributions\[1\]: \w+\(.*\) draws non-finite values: ",
+                     capsys.readouterr().err)
+
+
 def test_config_validation_errors_exit_2(tmp_path):
     bad_configs = [
         {"model": {"name": "nope"}, "n": 16},
@@ -597,6 +614,15 @@ def test_normal_inputs_import_scipy_in_a_worker_thread_bitwise():
     assert threaded["scipy"] and serial["scipy"]
     results = [json.loads(probe["outputs"][0])["results"] for probe in (threaded, serial)]
     assert results[0] == results[1]
+
+
+def test_building_normal_inputs_does_not_import_scipy():
+    code = ("import sys, shapeff\n"
+            "shapeff.plate_buckling_space()\n"
+            "print('scipy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env_importing_this_shapeff(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout == "False\n", result.stderr
 
 
 # Modules that no command loads unless it runs the code that needs them:

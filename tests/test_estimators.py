@@ -198,6 +198,28 @@ def test_per_point_model_returning_a_non_number_raises_evaluation_error(value, w
         estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=8, seed=0))
 
 
+@pytest.mark.parametrize("returns, what", [
+    (lambda X: ["abc"] * len(X), "list"),
+    (lambda X: np.array(["abc"] * len(X)), "ndarray"),
+    (lambda X: [object()] * len(X), "list"),
+], ids=["str-list", "str-array", "object-list"])
+def test_vectorized_model_returning_non_numbers_raises_evaluation_error(returns, what):
+    f = ModelFunction(2, returns, name="odd", vectorized=True)
+    with pytest.raises(EvaluationError, match=r"samples \[0, 8\): odd returned a "
+                                              f"{what} that is not an array of numbers"):
+        estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=8, seed=0))
+
+
+def test_vectorized_model_errors_pass_through():
+    def fails(X):
+        raise ValueError("inside the model")
+
+    with pytest.raises(ValueError, match="inside the model") as err:
+        estimate_shapley_all(ModelFunction(2, fails, vectorized=True), unit_square(2),
+                             EstimatorConfig(n=8, seed=0))
+    assert type(err.value) is ValueError
+
+
 def test_per_point_model_errors_and_numbers_pass_through():
     def fails(x):
         raise KeyError("inside the model")

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.special import ndtri
+from scipy.stats import chi2, lognorm
 
 from shapeff import (InputSpace, LogNormal, Normal, ParameterError, RngStream,
                      Uniform, convergence_study, ishigami, ishigami_space)
-from shapeff.inputs import permutation_rows
+from shapeff.inputs import _GRID_ENDS, _ndtri, permutation_rows
 
 
 def test_uniform_quantile_is_identity_on_unit_interval():
@@ -67,6 +68,42 @@ def test_lognormal_rejects_bad_parameters():
         LogNormal(1.0, 0.0)
 
 
+def test_lognormal_pdf_matches_scipy_and_vanishes_off_the_positive_axis():
+    ln = LogNormal(0.525, 0.044)
+    x = np.array([-1.0, 0.0, 0.4, 0.5, 0.525, 0.6, 0.7])
+    expected = lognorm(s=ln.sigma_ln, scale=math.exp(ln.mu_ln)).pdf(x)
+    assert ln.pdf(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert ln.pdf(x)[:2].tolist() == [0.0, 0.0]
+
+
+def test_degenerate_normal_has_no_density():
+    with pytest.raises(ParameterError, match="sd=0"):
+        Normal(0.0, 0.0).pdf(0.0)
+
+
+def test_grid_end_normal_quantiles_are_scipys():
+    assert _GRID_ENDS.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -53]
+    assert _ndtri(_GRID_ENDS).tolist() == ndtri(_GRID_ENDS.copy()).tolist()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Uniform(-1e308, 1e308),
+    lambda: Normal(0.0, 1e308),
+    lambda: Normal.from_cv(1e300, 1e8),
+    lambda: LogNormal(1e307, 10.0),
+    lambda: LogNormal(1.0, 1e200),
+], ids=["uniform", "normal", "normal-cv", "lognormal", "lognormal-nan"])
+def test_marginals_whose_draws_overflow_are_rejected(make):
+    with pytest.raises(ParameterError, match="draws non-finite values"):
+        make()
+
+
+def test_marginals_at_the_edge_of_the_float_range_draw_finite_values():
+    space = InputSpace([Uniform(-8e307, 8e307), Normal(0.0, 2e307), LogNormal(1e300, 10.0)])
+    x = space.sample(4096, RngStream(0).generator())
+    assert np.isfinite(x).all()
+
+
 def test_quantile_rejects_unit_boundary():
     for dist in (Uniform(0, 1), Normal(0, 1), LogNormal(1, 0.1)):
         for u in (0.0, 1.0, -0.2, 1.7):
@@ -111,6 +148,10 @@ def test_streams_reproduce_and_differ():
 def test_input_space_validation():
     with pytest.raises(ParameterError):
         InputSpace([])
+    with pytest.raises(ParameterError, match="marginal 0 is not a MarginalDistribution: 1"):
+        InputSpace([1, 2])
+    with pytest.raises(ParameterError, match="marginal 1 is not a MarginalDistribution"):
+        InputSpace([Uniform(0, 1), {"kind": "uniform", "lo": 0.0, "hi": 1.0}])
     space = InputSpace([Uniform(0, 1)])
     with pytest.raises(ParameterError):
         space.sample(0, RngStream(0).generator())

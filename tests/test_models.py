@@ -165,6 +165,16 @@ def test_model_purity_and_shape_checks():
         ExternalModel(["true"], 0)
 
 
+@pytest.mark.parametrize("command, match", [
+    ("python3", "must be a list of arguments, not the string 'python3'"),
+    (b"python3", "must be a list of arguments, not the string b'python3'"),
+    ([], "must be non-empty"),
+], ids=["str", "bytes", "empty"])
+def test_external_model_command_must_be_a_non_empty_list(command, match):
+    with pytest.raises(ParameterError, match=match):
+        ExternalModel(command, 1)
+
+
 def test_nonvectorized_wrapper_batches_by_looping():
     f = ModelFunction(2, lambda x: float(x[0] - x[1]), name="diff")
     out = f.evaluate_batch(np.array([[3.0, 1.0], [5.0, 9.0]]))
