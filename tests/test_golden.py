@@ -16,11 +16,13 @@ model; the child's command is built from ``sys.executable`` at run time.
 of CLI invocations: ``analyze`` for every builtin model, estimator and
 format, ``exact`` for every builtin name and an unknown one, an unknown model
 in ``analyze``, ``convergence`` on Ishigami and the plate, an empty
-``--output`` and a non-integer ``--ns``. Its ``config-`` cases run a
-subcommand with ``--config`` on a JSON payload written to a temporary file:
-valid settings of every kind, each setting with a wrong type or an
-out-of-range value, missing keys and unknown keys, a payload that is not an
-object, and an external command that cannot start. The run time is the one
+``--output``, a non-integer ``--ns``, ``--cyclic`` with a winding and a
+non-winding estimator, and the run-setting flags of ``convergence``. Its
+``config-`` cases run a subcommand with ``--config`` on a JSON payload
+written to a temporary file: valid settings of every kind, each setting with
+a wrong type or an out-of-range value, missing keys and unknown keys, a
+payload that is not an object, an external command that cannot start, and
+flags given after ``--config`` that override the file. The run time is the one
 value that differs between runs, so ``elapsed_seconds`` is cut out (the JSON
 key and the CSV line) before the comparison, and the temporary file's path
 reads as ``CONFIG``. The file holds exactly the listed cases.
@@ -145,6 +147,14 @@ CLI_CASES = {
         "convergence", "--model", model, "--ns", "64,128", "--trials", "3",
         "--format", fmt]
        for model in ["ishigami", "plate-buckling"] for fmt in ["json", "csv"]},
+    "convergence-flags": ["convergence", "--model", "ishigami", "--ns", "64,128", "--trials", "3",
+                          "--estimator", "total", "--workers", "2", "--seed", "3"],
+    "convergence-trials-1": ["convergence", "--model", "ishigami", "--ns", "64", "--trials", "1"],
+    "analyze-cyclic-flag-winding": ["analyze", "--model", "ishigami", "--estimator",
+                                    "shapley-winding", "--cyclic", "--n", "300", "--seed", "5"],
+    "analyze-cyclic-flag-shapley": ["analyze", "--model", "ishigami", "--estimator", "shapley",
+                                    "--cyclic", "--n", "300", "--seed", "5"],
+    "analyze-workers-0": ["analyze", "--model", "ishigami", "--n", "300", "--workers", "0"],
 }
 UNIFORM01 = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
 ISHIGAMI = {"model": {"name": "ishigami"}, "n": 300, "seed": 5}
@@ -152,7 +162,7 @@ SOBOL_G3 = {"model": {"name": "sobol-g", "d": 3}, "ns": [64, 128], "trials": 3}
 EXTERNAL = {"command": ["true"], "dim": 2}
 NO_SUCH_EXTERNAL = {"model": {"command": ["shapeff-no-such-simulator"], "dim": 2},
                     "distributions": [UNIFORM01] * 2}
-# Case name -> (subcommand, config payload).
+# Case name -> (subcommand, config payload[, flags given after --config]).
 CONFIG_CASES = {
     # Valid settings.
     "config-distributions": ("analyze", {**ISHIGAMI, "distributions": [
@@ -179,6 +189,20 @@ CONFIG_CASES = {
     "config-exact-sobol-g-a": ("exact", {"model": {"name": "sobol-g", "a": [0, 1, 9]},
                                          "format": "csv"}),
     "config-exact-ishigami-params": ("exact", {"model": {"name": "ishigami", "a": 5, "b": 0.2}}),
+    # Flags over a config file.
+    "config-flag-n": ("analyze", ISHIGAMI, ["--n", "500"]),
+    "config-flag-seed": ("analyze", ISHIGAMI, ["--seed", "9"]),
+    "config-flag-estimator": ("analyze", {**ISHIGAMI, "estimator": "main"},
+                              ["--estimator", "total"]),
+    "config-flag-workers": ("analyze", {**ISHIGAMI, "n": 4100, "workers": 1},
+                            ["--workers", "2"]),
+    "config-flag-format": ("analyze", {**ISHIGAMI, "format": "json"}, ["--format", "csv"]),
+    "config-flag-model": ("analyze", {**ISHIGAMI, "model": {"name": "sobol-g", "d": 3}},
+                          ["--model", "ishigami"]),
+    "config-flag-cyclic": ("analyze", {**ISHIGAMI, "estimator": "shapley-winding",
+                                       "cyclic": False}, ["--cyclic"]),
+    "config-convergence-flags": ("convergence", SOBOL_G3,
+                                 ["--ns", "32,64", "--trials", "2", "--format", "json"]),
     # Wrong types and out-of-range values.
     **{f"config-bad-{key}-{label}": ("analyze", {**ISHIGAMI, key: value})
        for key, label, value in [
@@ -253,6 +277,8 @@ CONFIG_CASES = {
     "config-unknown-keys": ("analyze", {**ISHIGAMI, "zeta": 1, "alpha": 2}),
     "config-unknown-convergence-key": ("convergence", {**SOBOL_G3, "ci_z": 2.0}),
     "config-unknown-exact-key": ("exact", {"model": {"name": "ishigami"}, "n": 300}),
+    "config-unknown-exact-distributions": ("exact", {"model": {"name": "ishigami"},
+                                                     "distributions": [UNIFORM01] * 3}),
 }
 _ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*|#elapsed_seconds,[^\n]*\n')
 
@@ -266,13 +292,13 @@ def cli_output(argv: list) -> dict:
             "stderr": err.getvalue()}
 
 
-def config_output(command: str, payload) -> dict:
-    """cli_output of `command --config FILE`, where FILE holds payload as JSON;
-    FILE's temporary path reads as CONFIG in the output."""
+def config_output(command: str, payload, flags: tuple = ()) -> dict:
+    """cli_output of `command --config FILE *flags`, where FILE holds payload
+    as JSON; FILE's temporary path reads as CONFIG in the output."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(payload))
-        output = cli_output([command, "--config", str(path)])
+        output = cli_output([command, "--config", str(path), *flags])
     return {key: value.replace(str(path), "CONFIG") if isinstance(value, str) else value
             for key, value in output.items()}
 
