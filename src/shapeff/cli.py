@@ -35,11 +35,31 @@ from .inputs import InputSpace
 from .models import BUILTINS, ExternalModel
 from .reference import ishigami_exact, sobol_g_exact
 
-_ANALYZE_KEYS = {"model", "distributions", "estimator", "n", "seed", "workers",
-                 "ci_z", "cyclic", "output", "format"}
-_CONVERGENCE_KEYS = {"model", "distributions", "estimator", "ns", "trials",
-                     "seed", "workers", "output", "format"}
-_EXACT_KEYS = {"model", "output", "format"}
+# Each command's run settings and their defaults, in the order its report's
+# resolved config lists them after the model (and the distributions, which
+# exact does not take). Its config keys, flags and checks derive from here.
+_REQUIRED = "required"
+_SETTINGS = {
+    "analyze": {"estimator": "shapley", "n": _REQUIRED, "seed": 0, "workers": 1,
+                "ci_z": 1.96, "cyclic": False, "format": "json"},
+    "convergence": {"estimator": "shapley", "ns": _REQUIRED, "trials": 10, "seed": 0,
+                    "workers": 1, "format": "csv"},
+    "exact": {"format": "json"},
+}
+# What a config that lacks a required key is told it needs.
+_NEEDS = {"model": "a model", "n": "a sample size n", "ns": "a list of sample sizes ns"}
+# The flag of every setting but ci_z, which only a config file sets.
+_FLAGS = {
+    "estimator": {"choices": ESTIMATOR_KINDS, "help": "which effect estimator to run"},
+    "n": {"type": int, "help": "Monte Carlo sample size N"},
+    "ns": {"help": "comma-separated sample sizes"},
+    "trials": {"type": int, "help": "trials per sample size"},
+    "seed": {"type": int, "help": "base RNG seed"},
+    "workers": {"type": int, "help": "estimator worker threads"},
+    "cyclic": {"action": "store_true", "default": None,
+               "help": "winding stairs: close the sequence into a cycle"},
+    "format": {"choices": ["json", "csv"], "help": "report format"},
+}
 
 _EXTERNAL_KEYS = {"command", "dim"}
 
@@ -176,9 +196,10 @@ def _resolve_model(model_cfg):
 
 
 @contextlib.contextmanager
-def _model_and_space(cfg: dict):
-    """Yield (model, input space, resolved model config, distribution specs);
-    an external model's process is closed on exit."""
+def _model_and_space(cfg: dict, settings: dict):
+    """Yield (model, input space, resolved config): the resolved config is
+    the model's, the distribution specs, then the run settings. An external
+    model's process is closed on exit."""
     model, model_resolved = _resolve_model(cfg["model"])
     try:
         specs = cfg.get("distributions")
@@ -191,7 +212,8 @@ def _model_and_space(cfg: dict):
         if len(specs) != model.dim:
             raise ConfigError(
                 f"distributions length {len(specs)} does not match model dimension {model.dim}")
-        yield model, InputSpace.from_specs(specs), model_resolved, specs
+        resolved = {"model": model_resolved, "distributions": specs, **settings}
+        yield model, InputSpace.from_specs(specs), resolved
     finally:
         if isinstance(model, ExternalModel):
             model.close()
@@ -205,39 +227,69 @@ def _load_config(path: str | None) -> dict:
             config = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal too long to convert.
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return config
 
 
-def _config(args: argparse.Namespace, allowed: set) -> dict:
+def _config(args: argparse.Namespace) -> tuple[dict, dict]:
     """The config file with the flags merged over it, checked for unknown
-    keys and for a model."""
+    keys, for required keys and for a writable output; and the command's run
+    settings, checked, with the defaults of those not given."""
+    table = _SETTINGS[args.command]
     cfg = _load_config(args.config)
-    if getattr(args, "model", None) is not None:
-        cfg["model"] = {"name": args.model}
-    for key in ("n", "seed", "trials", "workers", "output", "format", "estimator"):
+    for key in ("model", "output", *table):
         value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    if getattr(args, "ns", None) is not None:
-        try:
-            cfg["ns"] = [int(v) for v in args.ns.split(",")]
-        except ValueError:
-            raise ConfigError(f"--ns must be comma-separated integers, got {args.ns!r}")
-    if getattr(args, "cyclic", False):
-        cfg["cyclic"] = True
+        if value is None:
+            continue
+        if key == "ns":
+            try:
+                value = [int(v) for v in value.split(",")]
+            except ValueError:
+                raise ConfigError(f"--ns must be comma-separated integers, got {value!r}")
+        cfg[key] = {"name": value} if key == "model" else value
+    allowed = {"model", "output", *table}
+    if args.command != "exact":
+        allowed.add("distributions")
     _check_keys(cfg, allowed, "config")
-    if "model" not in cfg:
-        raise ConfigError("config needs a model (or pass --model)")
+    for key in ("model", *(key for key, default in table.items() if default == _REQUIRED)):
+        if key not in cfg:
+            raise ConfigError(f"config needs {_NEEDS[key]} (or pass --{key})")
     output = cfg.get("output")
     if output is not None:
         if not isinstance(output, str):
             raise ConfigError(f"output must be a file path, got {output!r}")
         _check_writable(output)
-    return cfg
+    return cfg, {key: _setting(cfg, key) if key in cfg else default
+                 for key, default in table.items()}
+
+
+def _setting(cfg: dict, key: str):
+    """cfg[key], checked as the run setting `key`."""
+    if key == "n":
+        return _require_int(cfg, "n", 2)
+    if key == "trials":
+        return _require_int(cfg, "trials", 2)
+    if key == "seed":
+        return _require_int(cfg, "seed", 0)
+    if key == "workers":
+        return _require_int(cfg, "workers", 1)
+    if key == "ci_z":
+        return _require_number(cfg, "ci_z")
+    value = cfg[key]
+    if key == "estimator" and value not in ESTIMATOR_KINDS:
+        raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}, got {value!r}")
+    if key == "ns" and not (isinstance(value, list) and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(f"ns must be a list of integers, got {value!r}")
+    if key == "cyclic" and not isinstance(value, bool):
+        raise ConfigError(f"cyclic must be a boolean, got {value!r}")
+    if key == "format" and value not in ("json", "csv"):
+        raise ConfigError(f"format must be json or csv, got {value!r}")
+    return value
 
 
 def _check_writable(path: str) -> None:
@@ -282,39 +334,12 @@ def _emit(fmt: str, report: dict, csv_lines: list[str], output: str | None) -> N
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config(args, _ANALYZE_KEYS)
-    if "n" not in cfg:
-        raise ConfigError("config needs a sample size n (or pass --n)")
-
-    with _model_and_space(cfg) as (model, space, model_resolved, dist_specs):
-        estimator = cfg.get("estimator", "shapley")
-        if estimator not in ESTIMATOR_KINDS:
-            raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}, got {estimator!r}")
-        n = _require_int(cfg, "n", 2)
-        seed = _require_int(cfg, "seed", 0) if "seed" in cfg else 0
-        workers = _require_int(cfg, "workers", 1) if "workers" in cfg else 1
-        ci_z = _require_number(cfg, "ci_z") if "ci_z" in cfg else 1.96
-        cyclic = cfg.get("cyclic", False)
-        if not isinstance(cyclic, bool):
-            raise ConfigError(f"cyclic must be a boolean, got {cyclic!r}")
-        fmt = cfg.get("format", "json")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {fmt!r}")
-
-        resolved = {
-            "model": model_resolved,
-            "distributions": dist_specs,
-            "estimator": estimator,
-            "n": n,
-            "seed": seed,
-            "workers": workers,
-            "ci_z": ci_z,
-            "cyclic": cyclic,
-            "format": fmt,
-        }
-        est_cfg = EstimatorConfig(n=n, seed=seed, workers=workers, ci_z=ci_z)
+    cfg, settings = _config(args)
+    with _model_and_space(cfg, settings) as (model, space, resolved):
+        est_cfg = EstimatorConfig(**{key: settings[key] for key in ("n", "seed", "workers", "ci_z")})
         start = time.perf_counter()
-        rep = run_estimator(estimator, model, space, est_cfg, cyclic=cyclic)
+        rep = run_estimator(settings["estimator"], model, space, est_cfg,
+                            cyclic=settings["cyclic"])
         elapsed = time.perf_counter() - start
         none = (None,) * rep.d
         cells = zip(rep.estimates, rep.variance_of_estimator or none,
@@ -323,48 +348,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                  "ci_low": low, "ci_high": high}
                 for j, (est, var, low, high) in enumerate(cells)]
         totals = {"sigma2_estimate": rep.sigma2_estimate, "eval_count": rep.eval_count,
-                  "seed": seed}
+                  "seed": settings["seed"]}
         report = {"config": resolved, "version": __version__, "results": rows,
                   **totals, "elapsed_seconds": elapsed}
-        _emit(fmt, report, _csv_lines(rows, {**totals, "elapsed_seconds": f"{elapsed:.6f}"}),
+        _emit(settings["format"], report,
+              _csv_lines(rows, {**totals, "elapsed_seconds": f"{elapsed:.6f}"}),
               cfg.get("output"))
         return 0
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    cfg = _config(args, _CONVERGENCE_KEYS)
-    if "ns" not in cfg:
-        raise ConfigError("config needs a list of sample sizes ns (or pass --ns)")
-
-    with _model_and_space(cfg) as (model, space, model_resolved, dist_specs):
-        estimator = cfg.get("estimator", "shapley")
-        ns = cfg["ns"]
-        if not isinstance(ns, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in ns):
-            raise ConfigError(f"ns must be a list of integers, got {ns!r}")
-        trials = _require_int(cfg, "trials", 2) if "trials" in cfg else 10
-        seed = _require_int(cfg, "seed", 0) if "seed" in cfg else 0
-        workers = _require_int(cfg, "workers", 1) if "workers" in cfg else 1
-        fmt = cfg.get("format", "csv")
-        if fmt not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {fmt!r}")
-
-        name = model_resolved.get("name")
-        exact = _EXACT[name](model_resolved) if name in _EXACT else None
-
-        resolved = {
-            "model": model_resolved,
-            "distributions": dist_specs,
-            "estimator": estimator,
-            "ns": ns,
-            "trials": trials,
-            "seed": seed,
-            "workers": workers,
-            "format": fmt,
-        }
+    cfg, settings = _config(args)
+    with _model_and_space(cfg, settings) as (model, space, resolved):
+        name = resolved["model"].get("name")
+        exact = _EXACT[name](resolved["model"]) if name in _EXACT else None
         start = time.perf_counter()
-        study = convergence_study(model, space, estimator, ns, trials, seed,
-                                  exact=exact, workers=workers)
+        study = convergence_study(model, space, settings["estimator"], settings["ns"],
+                                  settings["trials"], settings["seed"], exact=exact,
+                                  workers=settings["workers"])
         elapsed = time.perf_counter() - start
         report = {
             "config": resolved,
@@ -375,12 +376,12 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             "slope": study.fitted_slope,
             "elapsed_seconds": elapsed,
         }
-        _emit(fmt, report, convergence_csv_lines(study), cfg.get("output"))
+        _emit(settings["format"], report, convergence_csv_lines(study), cfg.get("output"))
         return 0
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
-    cfg = _config(args, _EXACT_KEYS)
+    cfg, settings = _config(args)
     model_cfg = cfg["model"]
     if not isinstance(model_cfg, dict):
         raise ConfigError(f"model must be an object, got {model_cfg!r}")
@@ -390,15 +391,11 @@ def cmd_exact(args: argparse.Namespace) -> int:
                           f"got {name or model_cfg!r}")
     _, model_resolved = _resolve_model(model_cfg)
     idx = _EXACT[name](model_resolved)
-
-    fmt = cfg.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {fmt!r}")
     rows = [{"variable": j + 1, "main": idx.main[j], "total": idx.total[j],
              "shapley": idx.shapley[j]} for j in range(idx.d)]
-    report = {"config": {"model": model_resolved, "format": fmt}, "version": __version__,
+    report = {"config": {"model": model_resolved, **settings}, "version": __version__,
               "results": rows, "sigma2": idx.sigma2, "mu": idx.mu}
-    _emit(fmt, report, _csv_lines(rows, {"sigma2": idx.sigma2, "mu": idx.mu}),
+    _emit(settings["format"], report, _csv_lines(rows, {"sigma2": idx.sigma2, "mu": idx.mu}),
           cfg.get("output"))
     return 0
 
@@ -410,28 +407,18 @@ def _build_parser() -> argparse.ArgumentParser:
                     "total effect estimation with convergence tooling.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="estimate effects for one model")
-    convergence = sub.add_parser("convergence", help="run an SSE convergence study")
-    exact = sub.add_parser("exact", help="print closed-form indices for analytic models")
-
-    for p in (analyze, convergence, exact):
+    for name, func, text in [
+            ("analyze", cmd_analyze, "estimate effects for one model"),
+            ("convergence", cmd_convergence, "run an SSE convergence study"),
+            ("exact", cmd_exact, "print closed-form indices for analytic models")]:
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--model", help="builtin model name")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], help="report format")
-    for p in (analyze, convergence):
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--workers", type=int, help="estimator worker threads")
-        p.add_argument("--estimator", choices=list(ESTIMATOR_KINDS),
-                       help="which effect estimator to run")
-    analyze.add_argument("--n", type=int, help="Monte Carlo sample size N")
-    analyze.add_argument("--cyclic", action="store_true",
-                         help="winding stairs: close the sequence into a cycle")
-    analyze.set_defaults(func=cmd_analyze)
-    convergence.add_argument("--ns", help="comma-separated sample sizes")
-    convergence.add_argument("--trials", type=int, help="trials per sample size")
-    convergence.set_defaults(func=cmd_convergence)
-    exact.set_defaults(func=cmd_exact)
+        for key in _SETTINGS[name]:
+            if key in _FLAGS:
+                p.add_argument(f"--{key}", **_FLAGS[key])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -41,11 +41,15 @@ def require_integer(name: str, value) -> int:
 def require_real(name: str, value) -> float:
     """value as a float; ParameterError unless it is a real number.
 
-    A bool, a string or None is not one, although float() takes some of them.
+    A bool, a string or None is not one, although float() takes some of them;
+    nor is an integer too large for a float.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ParameterError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is too large for a float") from None
 
 
 def require_finite(name: str, value) -> float:
@@ -77,4 +81,7 @@ def _require_number(cfg: dict, key: str, where: str = "config") -> float:
     value = cfg[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}: {key} is too large for a float") from None

@@ -28,6 +28,7 @@ sample through a single flat index, perm * count + row.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import threading
@@ -201,20 +202,23 @@ class _Workspace:
         return steps
 
 
-def _chunks(n: int) -> list[tuple[int, int, int]]:
-    """(chunk index, start sample, chunk size) triples covering range(n)."""
-    return [(k, s, min(s + _CHUNK, n) - s)
-            for k, s in enumerate(range(0, n, _CHUNK))]
+def _chunks(n: int):
+    """Yield (chunk index, start sample, chunk size) triples covering range(n)."""
+    for k, s in enumerate(range(0, n, _CHUNK)):
+        yield k, s, min(s + _CHUNK, n) - s
 
 
-def _run_chunks(task, n: int, workers: int, workspace) -> list:
-    """Evaluate task(chunk, ws) for every chunk; results in ascending chunk
-    order. Each thread calls workspace() once, on its first chunk, and passes
-    the result to every chunk it runs."""
-    chunks = _chunks(n)
-    if workers == 1 or len(chunks) == 1:
+def _run_chunks(task, n: int, workers: int, workspace):
+    """Yield task(chunk, ws) for every chunk, in ascending chunk order. Each
+    thread calls workspace() once, on its first chunk, and passes the result
+    to every chunk it runs. At most 2 * workers chunks are in flight, so the
+    results not yet consumed do not grow with n; on a failure the chunks not
+    yet started are cancelled."""
+    if workers == 1 or n <= _CHUNK:
         ws = workspace()
-        return [task(c, ws) for c in chunks]
+        for chunk in _chunks(n):
+            yield task(chunk, ws)
+        return
     # Imported here: it loads logging, which no serial run needs.
     from concurrent.futures import ThreadPoolExecutor
     local = threading.local()
@@ -224,8 +228,18 @@ def _run_chunks(task, n: int, workers: int, workspace) -> list:
             local.ws = workspace()
         return task(chunk, local.ws)
 
+    pending = collections.deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, chunks))
+        try:
+            for chunk in _chunks(n):
+                pending.append(pool.submit(run, chunk))
+                if len(pending) == 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarray:
@@ -249,9 +263,11 @@ def _require_match(f: ModelFunction, space: InputSpace) -> None:
             f"model dimension {f.dim} does not match input space dimension {space.d}")
 
 
-def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int,
-            parts: list) -> Report:
-    """Merge per-chunk moments in chunk order and build the report of `kind`.
+def _report(kind: str, cfg: EstimatorConfig, d: int, parts, f: ModelFunction,
+            before: int) -> Report:
+    """Merge per-chunk moments in chunk order as `parts` yields them and
+    build the report of `kind`; its evaluation count is f's since `before`,
+    read after the merge.
 
     Each part holds a chunk's term moments and, for the Shapley walks, the
     moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
@@ -273,7 +289,7 @@ def _report(kind: str, cfg: EstimatorConfig, d: int, eval_count: int,
     return Report(kind=kind, d=d, n=cfg.n, estimates=tuple(estimates.tolist()),
                   variance_of_estimator=variance, ci_low=low, ci_high=high,
                   sigma2_estimate=sigma2, sigma2_from_pairs=from_pairs,
-                  eval_count=eval_count, seed=cfg.seed)
+                  eval_count=f.eval_count - before, seed=cfg.seed)
 
 
 def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
@@ -297,7 +313,7 @@ def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfi
     before = f.eval_count
     parts = _run_chunks(task, cfg.n, cfg.workers,
                         lambda: _Workspace(space.d, cfg.n, matrices))
-    return _report(kind, cfg, space.d, f.eval_count - before, parts)
+    return _report(kind, cfg, space.d, parts, f, before)
 
 
 def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np.ndarray,
@@ -432,8 +448,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
         return _walk(f, fx, fy, z, y, steps, g, start)
 
-    parts = [task(chunk) for chunk in _chunks(n)]
-    return _report("shapley-winding", cfg, d, f.eval_count - before, parts)
+    return _report("shapley-winding", cfg, d, map(task, _chunks(n)), f, before)
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import threading
 import weakref
 from typing import Callable, NamedTuple, Sequence
@@ -221,7 +222,10 @@ def _sobol_g_keys(cfg: dict, keys: dict) -> dict:
     if not isinstance(a, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in a):
         raise ConfigError(f"model.a must be a list of numbers, got {a!r}")
-    a = [float(v) for v in a]
+    try:
+        a = [float(v) for v in a]
+    except OverflowError:
+        raise ConfigError("model.a holds a number too large for a float") from None
     if d is not None and _require_int(cfg, "d", 1, "model") != len(a):
         raise ConfigError(f"model.d = {d} contradicts len(model.a) = {len(a)}")
     return {"a": a}
@@ -413,6 +417,10 @@ class ExternalModel(ModelFunction):
         self.command = list(command)
         if not self.command:
             raise ParameterError("external model command must be non-empty")
+        for arg in self.command:
+            if not isinstance(arg, (str, bytes, os.PathLike)):
+                raise ParameterError(f"external model command arguments must be str, bytes "
+                                     f"or os.PathLike, got {arg!r}")
         self._child: _Child | None = None
         self._serving = threading.Lock()
         # A bound method would make the model refer to itself, so a model

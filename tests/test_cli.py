@@ -14,6 +14,7 @@ import jsonschema
 import pytest
 
 import shapeff
+from shapeff import cli
 from shapeff.cli import (CONVERGENCE_SCHEMA, EXACT_SCHEMA, REPORT_SCHEMA, main)
 from shapeff.models import BUILTINS
 
@@ -321,6 +322,37 @@ def test_distribution_whose_draws_overflow_exits_2(tmp_path, capsys, model, spec
                      capsys.readouterr().err)
 
 
+ISHIGAMI_N16 = {"model": {"name": "ishigami"}, "n": 16}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("analyze", {**ISHIGAMI_N16, "distributions": [{"kind": "uniform", "lo": 0, "hi": 10 ** 400}]
+                 + [{"kind": "uniform", "lo": 0, "hi": 1}] * 2},
+     "distributions[0]: hi is too large for a float"),
+    ("analyze", {**ISHIGAMI_N16, "ci_z": 10 ** 400}, "config: ci_z is too large for a float"),
+    ("analyze", {**ISHIGAMI_N16, "model": {"name": "ishigami", "a": 10 ** 400}},
+     "model: a is too large for a float"),
+    ("analyze", {**ISHIGAMI_N16, "model": {"name": "sobol-g", "a": [1, 10 ** 400]}},
+     "model.a holds a number too large for a float"),
+    ("analyze", {**ISHIGAMI_N16, "model": {"name": "constant", "value": 10 ** 400}},
+     "model: value is too large for a float"),
+    ("exact", {"model": {"name": "ishigami", "b": 10 ** 400}}, "model: b is too large for a float"),
+], ids=["uniform-hi", "ci-z", "ishigami-a", "sobol-g-a", "constant-value", "exact-ishigami-b"])
+def test_integers_too_large_for_a_float_exit_2(tmp_path, capsys, command, payload, message):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, payload)
+    assert run([command, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integer_literal_too_long_to_read_exits_2(tmp_path, capsys):
+    # Python reads at most 4300 digits of an integer literal.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": {"name": "ishigami"}, "n": ' + "1" * 5000 + "}")
+    assert run(["analyze", "--config", str(cfg)]) == 2
+    assert "is not valid JSON: Exceeds the limit" in capsys.readouterr().err
+
+
 def test_config_validation_errors_exit_2(tmp_path):
     bad_configs = [
         {"model": {"name": "nope"}, "n": 16},
@@ -369,6 +401,30 @@ def test_readme_lists_every_builtin_model_with_its_keys_and_defaults():
         name: {key: None if default is None else str(default)
                for key, default in builtin.keys.items()}
         for name, builtin in BUILTINS.items()}
+
+
+def test_readme_lists_every_run_setting_with_its_flag_and_defaults():
+    readme = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("does not take the setting):\n\n", 1)[1].split("\n\n", 1)[0]
+    header, _, *lines = table.splitlines()
+    commands = [cell.strip().strip("`") for cell in header.strip("|").split("|")][2:]
+    assert commands == list(cli._SETTINGS)
+    documented = {}
+    for line in lines:
+        key, flag, *defaults = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[key.strip("`")] = [flag, *defaults]
+
+    def cell(command, key):
+        if key not in cli._SETTINGS[command]:
+            return "-"
+        default = cli._SETTINGS[command][key]
+        return "required" if default == cli._REQUIRED else f"`{json.dumps(default)}`"
+
+    keys = {key for settings in cli._SETTINGS.values() for key in settings}
+    assert documented == {
+        key: [f"`--{key}`" if key in cli._FLAGS else "none",
+              *(cell(command, key) for command in commands)]
+        for key in keys}
 
 
 @pytest.mark.parametrize("model", [

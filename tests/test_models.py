@@ -169,10 +169,17 @@ def test_model_purity_and_shape_checks():
     ("python3", "must be a list of arguments, not the string 'python3'"),
     (b"python3", "must be a list of arguments, not the string b'python3'"),
     ([], "must be non-empty"),
-], ids=["str", "bytes", "empty"])
+    ([1, 2], r"must be str, bytes or os.PathLike, got 1"),
+    (["python3", None], r"must be str, bytes or os.PathLike, got None"),
+], ids=["str", "bytes", "empty", "int", "none"])
 def test_external_model_command_must_be_a_non_empty_list(command, match):
     with pytest.raises(ParameterError, match=match):
         ExternalModel(command, 1)
+
+
+def test_external_model_command_may_hold_paths_and_bytes():
+    with ExternalModel([Path(sys.executable), b"-c", ECHO_FIRST], 2) as ext:
+        assert ext.evaluate_batch(np.array([[0.25, 9.0]])).tolist() == [0.25]
 
 
 def test_nonvectorized_wrapper_batches_by_looping():
@@ -468,3 +475,24 @@ def test_non_numeric_parameters_raise_parameter_error(make):
     with pytest.raises(ParameterError, match="must be a real number"):
         make()
 
+
+
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Uniform(0, HUGE),
+    lambda: Normal(HUGE, 1.0),
+    lambda: Normal.from_cv(1.0, HUGE),
+    lambda: LogNormal(HUGE, 0.1),
+    lambda: constant_model(HUGE, 2),
+    lambda: ishigami(a=HUGE),
+    lambda: ishigami_exact(b=HUGE),
+    lambda: sobol_g([1.0, HUGE]),
+    lambda: sobol_g_exact([HUGE]),
+    lambda: EstimatorConfig(n=16, seed=0, ci_z=HUGE),
+], ids=["uniform", "normal", "normal-cv", "lognormal", "constant", "ishigami",
+        "ishigami-exact", "sobol-g", "sobol-g-exact", "ci-z"])
+def test_integers_too_large_for_a_float_raise_parameter_error(make):
+    with pytest.raises(ParameterError, match="is too large for a float"):
+        make()
