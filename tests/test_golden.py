@@ -256,6 +256,12 @@ CONFIG_CASES = {
     "config-external-cannot-start": ("analyze", {**NO_SUCH_EXTERNAL, "n": 300}),
     "config-convergence-external-cannot-start": ("convergence", {
         **NO_SUCH_EXTERNAL, "ns": [64, 128], "trials": 3}),
+    **{f"config-{label}-external-cannot-start": ("analyze", {
+        **NO_SUCH_EXTERNAL, "n": 300, "estimator": estimator, **extra})
+       for label, estimator, extra in [
+           ("winding", "shapley-winding", {}),
+           ("winding-cyclic", "shapley-winding", {"cyclic": True}),
+           ("main", "main", {}), ("total", "total", {})]},
     **{f"config-bad-convergence-{key}-{label}": ("convergence", {**SOBOL_G3, key: value})
        for key, label, value in [
            ("ns", "str", "64,128"), ("ns", "mixed", [64, "128"]), ("ns", "bool", [True, 64]),
