@@ -211,23 +211,27 @@ def _chunks(n: int):
 def _run_chunks(task, n: int, workers: int, workspace):
     """Yield task(chunk, ws) for every chunk, in ascending chunk order. Each
     thread calls workspace() once, on its first chunk, and passes the result
-    to every chunk it runs. At most 2 * workers chunks are in flight, so the
-    results not yet consumed do not grow with n; on a failure the chunks not
-    yet started are cancelled."""
-    if workers == 1 or n <= _CHUNK:
-        ws = workspace()
-        for chunk in _chunks(n):
-            yield task(chunk, ws)
-        return
-    # Imported here: it loads logging, which no serial run needs.
-    from concurrent.futures import ThreadPoolExecutor
+    to every chunk it runs. An EvaluationError is raised again naming the
+    chunk's samples. At most 2 * workers chunks are in flight, so the results
+    not yet consumed do not grow with n; on a failure the chunks not yet
+    started are cancelled."""
     local = threading.local()
 
     def run(chunk):
         if not hasattr(local, "ws"):
             local.ws = workspace()
-        return task(chunk, local.ws)
+        try:
+            return task(chunk, local.ws)
+        except EvaluationError as exc:
+            _, start, count = chunk
+            raise EvaluationError(
+                f"evaluation failed in samples [{start}, {start + count}): {exc}") from exc
 
+    if workers == 1 or n <= _CHUNK:
+        yield from map(run, _chunks(n))
+        return
+    # Imported here: it loads logging, which no serial run needs.
+    from concurrent.futures import ThreadPoolExecutor
     pending = collections.deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
@@ -242,39 +246,25 @@ def _run_chunks(task, n: int, workers: int, workspace):
                 future.cancel()
 
 
-def _checked_batch(f: ModelFunction, points: np.ndarray, start: int) -> np.ndarray:
-    try:
-        values = f.evaluate_batch(points)
-    except EvaluationError as exc:
-        raise EvaluationError(
-            f"evaluation failed in samples [{start}, {start + points.shape[0]}): {exc}"
-        ) from exc
-    if not np.isfinite(values).all():
-        i = int(np.argmin(np.isfinite(values)))
-        raise EvaluationError(
-            f"non-finite model output {float(values[i])} at sample {start + i}: "
-            f"x = {points[i].tolist()}")
-    return values
-
-
 def _require_match(f: ModelFunction, space: InputSpace) -> None:
     if f.dim != space.d:
         raise ParameterError(
             f"model dimension {f.dim} does not match input space dimension {space.d}")
 
 
-def _report(kind: str, cfg: EstimatorConfig, d: int, parts, f: ModelFunction,
-            before: int) -> Report:
-    """Merge per-chunk moments in chunk order as `parts` yields them and
-    build the report of `kind`; its evaluation count is f's since `before`,
-    read after the merge.
+def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
+            workers: int, workspace) -> Report:
+    """Run task on every chunk of cfg.n samples through `_run_chunks`, merge
+    the per-chunk moments in chunk order as they arrive and build the report
+    of `kind`; its evaluation count is f's over the run, read after the merge.
 
     Each part holds a chunk's term moments and, for the Shapley walks, the
     moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
     samples overlap, so its report carries no variance or CI.
     """
+    before = f.eval_count
     terms, pairs = _Moments(d), _Moments(1)
-    for term_part, pair_part in parts:
+    for term_part, pair_part in _run_chunks(task, cfg.n, workers, workspace):
         terms.merge(*term_part)
         if pair_part is not None:
             pairs.merge(*pair_part)
@@ -297,27 +287,25 @@ def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfi
     """Run `design` on every chunk of cfg.n samples and report the merged moments.
 
     Chunk k draws from RngStream(seed, k): x, then y, then what the design
-    draws itself. design(f, x, y, gen, ws, start) evaluates the chunk and
-    returns its part for `_report`; ws is the worker's workspace of
-    `matrices` column-major matrices.
+    draws itself. design(f, x, y, gen, ws) evaluates the chunk and returns
+    its part for `_report`; ws is the worker's workspace of `matrices`
+    column-major matrices.
     """
     _require_match(f, space)
 
     def task(chunk, ws):
-        k, start, count = chunk
+        k, _, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
         x = space.sample(count, gen)
         y = space.sample(count, gen)
-        return design(f, x, y, gen, ws, start)
+        return design(f, x, y, gen, ws)
 
-    before = f.eval_count
-    parts = _run_chunks(task, cfg.n, cfg.workers,
-                        lambda: _Workspace(space.d, cfg.n, matrices))
-    return _report(kind, cfg, space.d, parts, f, before)
+    return _report(kind, f, cfg, space.d, task, cfg.workers,
+                   lambda: _Workspace(space.d, cfg.n, matrices))
 
 
 def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np.ndarray,
-          steps: np.ndarray, g: np.ndarray, start: int):
+          steps: np.ndarray, g: np.ndarray):
     """Walk each row of z to the same row of y in place, one coordinate per
     row of steps, crediting each step's increment to the variable it swaps.
 
@@ -330,7 +318,7 @@ def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np
     fprev = fx
     for step, idx in enumerate(steps):
         z_flat[idx] = y_flat[idx]
-        fz = fy if step == last else _checked_batch(f, z, start)
+        fz = fy if step == last else f.evaluate_batch(z)
         g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
         fprev = fz
     pairs = 0.5 * (fx - fy) ** 2
@@ -339,20 +327,20 @@ def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np
 
 
 def _shapley(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
-             ws: _Workspace, start: int):
+             ws: _Workspace):
     """The Shapley design: f(x), f(y), then walk each sample from x to y
     along a random permutation."""
     count, d = x.shape
     steps = ws.walk_steps(permutation_rows(gen, count, d))
     (g,) = ws.matrices(count)
-    fx = _checked_batch(f, x, start)
-    fy = _checked_batch(f, y, start)
+    fx = f.evaluate_batch(x)
+    fy = f.evaluate_batch(y)
     # The walk moves x to y in place; x is not read again.
-    return _walk(f, fx, fy, x, y, steps, g, start)
+    return _walk(f, fx, fy, x, y, steps, g)
 
 
 def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
-                 ws: _Workspace, start: int, *, main: bool):
+                 ws: _Workspace, *, main: bool):
     """The main and total effects' design: for each variable j, evaluate a
     base matrix with its column j taken from the other draw.
 
@@ -362,12 +350,12 @@ def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.
     count, d = x.shape
     base, swap = (y, x) if main else (x, y)
     w, terms = ws.matrices(count)
-    fx = _checked_batch(f, x, start)
-    fy = _checked_batch(f, y, start) if main else None
+    fx = f.evaluate_batch(x)
+    fy = f.evaluate_batch(y) if main else None
     np.copyto(w, base)
     for j in range(d):
         w[:, j] = swap[:, j]
-        fw = _checked_batch(f, w, start)
+        fw = f.evaluate_batch(w)
         terms[:, j] = fx * (fw - fy) if main else 0.5 * (fx - fw) ** 2
         w[:, j] = base[:, j]
     return _chunk_moments(terms, w), None
@@ -414,31 +402,29 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     d = space.d
     n = cfg.n
     point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)
-    ws = _Workspace(d, n, 2)
     first_pt = space.sample(1, point_gen)
     base_pt = first_pt.copy()
-
-    before = f.eval_count
-    first = float(_checked_batch(f, first_pt, 0)[0])
-    carry = first
+    first = carry = None
 
     # One chunk of walks: f at the chunk's new points, then the walks from
-    # each point to the next. Its draws are freed when it returns, before
-    # the next chunk draws its own.
-    def task(chunk):
-        nonlocal carry
+    # each point to the next. Chunk 0 evaluates point 0 first. Its draws are
+    # freed when it returns, before the next chunk draws its own.
+    def task(chunk, ws):
+        nonlocal first, carry
         _, start, count = chunk
+        if start == 0:
+            first = carry = float(f.evaluate_batch(first_pt)[0])
         # y[i] is point start + i + 1.
         if not (cyclic and start + count == n):
             y = space.sample(count, point_gen)
-            fy = _checked_batch(f, y, start)
+            fy = f.evaluate_batch(y)
         else:
             # A cyclic run's last walk ends at point 0, whose value is cached.
             y, fy = first_pt, np.array([first])
             if count > 1:
                 fresh = space.sample(count - 1, point_gen)
                 y = np.asfortranarray(np.vstack([fresh, first_pt]))
-                fy = np.append(_checked_batch(f, fresh, start), first)
+                fy = np.append(f.evaluate_batch(fresh), first)
         z, g = ws.matrices(count)
         z[0] = base_pt[0]
         z[1:] = y[:-1]
@@ -446,9 +432,9 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         carry = float(fy[-1])
         base_pt[0] = y[-1]
         steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
-        return _walk(f, fx, fy, z, y, steps, g, start)
+        return _walk(f, fx, fy, z, y, steps, g)
 
-    return _report("shapley-winding", cfg, d, map(task, _chunks(n)), f, before)
+    return _report("shapley-winding", f, cfg, d, task, 1, lambda: _Workspace(d, n, 2))
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,

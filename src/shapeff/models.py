@@ -64,8 +64,10 @@ class ModelFunction:
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """Evaluate f at every row of an (n, d) array; counts n evaluations.
 
-        Returns an (n,) float array of its own; EvaluationError if f gives
-        any other shape or values that are not numbers.
+        Returns an (n,) array of finite floats of its own; EvaluationError if
+        f gives any other shape, values that are not numbers, or a NaN or
+        infinite value. This is the one place that checks what a model
+        returns, for the estimators, the oracle and every other caller.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
@@ -92,6 +94,11 @@ class ModelFunction:
             values = values.copy()
         with self._lock:
             self._count += points.shape[0]
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))
+            raise EvaluationError(
+                f"{self.name} returned a non-finite value {float(values[i])} at row {i} "
+                f"of the batch: x = {points[i].tolist()}")
         return values
 
     def _number(self, value, i: int) -> float:

@@ -534,7 +534,8 @@ def test_nonfinite_output_names_the_first_bad_sample_of_its_chunk():
         return out
 
     f = ModelFunction(2, bad, name="bad", vectorized=True)
-    with pytest.raises(EvaluationError, match=r"non-finite model output inf at sample 4097: x = \["):
+    with pytest.raises(EvaluationError, match=r"^evaluation failed in samples \[4096, 4100\): "
+                       r"bad returned a non-finite value inf at row 1 of the batch: x = \["):
         estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=4100, seed=0))
 
 
