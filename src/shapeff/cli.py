@@ -321,8 +321,16 @@ def _csv_lines(rows: list[dict], footer: dict) -> list[str]:
 
 
 def _emit(fmt: str, report: dict, csv_lines: list[str], output: str | None) -> None:
-    """Write the report as JSON, or its CSV lines, to `output` or stdout."""
-    text = (json.dumps(report, indent=2) if fmt == "json" else "\n".join(csv_lines)) + "\n"
+    """Write the report as JSON, or its CSV lines, to `output` or stdout.
+
+    The estimators check their reports' numbers; a NaN or infinity that gets
+    past them raises EvaluationError here instead of writing invalid JSON.
+    """
+    try:
+        text = (json.dumps(report, indent=2, allow_nan=False) if fmt == "json"
+                else "\n".join(csv_lines)) + "\n"
+    except ValueError as exc:
+        raise EvaluationError(f"the report holds a number JSON cannot represent: {exc}") from None
     if output is None:
         sys.stdout.write(text)
         return

@@ -252,6 +252,19 @@ def _require_match(f: ModelFunction, space: InputSpace) -> None:
             f"model dimension {f.dim} does not match input space dimension {space.d}")
 
 
+def _finite(kind: str, name: str, values: np.ndarray,
+            variables: bool = True) -> tuple[float, ...]:
+    """A report field's values as a tuple; EvaluationError naming the field
+    and, for a per-variable field, the first variable that is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        of = f" for variable {j + 1}" if variables else ""
+        raise EvaluationError(
+            f"{kind} report: {name} is {float(values[j])}{of}, not a finite number")
+    return tuple(values.tolist())
+
+
 def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
             workers: int, workspace) -> Report:
     """Run task on every chunk of cfg.n samples through `_run_chunks`, merge
@@ -260,23 +273,31 @@ def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
 
     Each part holds a chunk's term moments and, for the Shapley walks, the
     moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
-    samples overlap, so its report carries no variance or CI.
+    samples overlap, so its report carries no variance or CI. Finite model
+    values can still overflow in the merge or the CI, so numpy's warnings
+    are off there and every field is checked instead.
     """
     before = f.eval_count
     terms, pairs = _Moments(d), _Moments(1)
     for term_part, pair_part in _run_chunks(task, cfg.n, workers, workspace):
-        terms.merge(*term_part)
-        if pair_part is not None:
-            pairs.merge(*pair_part)
-    estimates = terms.mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms.merge(*term_part)
+            if pair_part is not None:
+                pairs.merge(*pair_part)
+    estimates = _finite(kind, "estimates", terms.mean)
     variance = low = high = sigma2 = from_pairs = None
     if kind != "shapley-winding":
-        var = terms.m2 / (cfg.n * (cfg.n - 1))
-        half = cfg.ci_z * np.sqrt(var)
-        variance, low, high = (tuple(v.tolist()) for v in (var, estimates - half, estimates + half))
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = terms.m2 / (cfg.n * (cfg.n - 1))
+            half = cfg.ci_z * np.sqrt(var)
+            variance, low, high = (_finite(kind, name, v) for name, v in zip(
+                ("variance_of_estimator", "ci_low", "ci_high"),
+                (var, terms.mean - half, terms.mean + half)))
     if pairs.count:
-        sigma2, from_pairs = math.fsum(estimates.tolist()), float(pairs.mean[0])
-    return Report(kind=kind, d=d, n=cfg.n, estimates=tuple(estimates.tolist()),
+        # The exact sum of finite estimates is finite, or fsum raises.
+        sigma2 = math.fsum(estimates)
+        (from_pairs,) = _finite(kind, "sigma2_from_pairs", pairs.mean, variables=False)
+    return Report(kind=kind, d=d, n=cfg.n, estimates=estimates,
                   variance_of_estimator=variance, ci_low=low, ci_high=high,
                   sigma2_estimate=sigma2, sigma2_from_pairs=from_pairs,
                   eval_count=f.eval_count - before, seed=cfg.seed)

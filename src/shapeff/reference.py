@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, require_finite
 from .inputs import InputSpace, Uniform
 from .models import ModelFunction, _check_ishigami, _sobol_g_weights
 
@@ -67,9 +67,10 @@ class AnovaDecomposition:
                 raise ParameterError("the empty subset carries mu, not a variance")
             if not all(0 <= j < self.d for j in u):
                 raise ParameterError(f"subset {sorted(u)} out of range for d={self.d}")
+            value = require_finite(f"subset variance for {sorted(u)}", value)
             if value < 0:
                 raise ParameterError(f"negative subset variance for {sorted(u)}: {value}")
-            norm[u] = float(value)
+            norm[u] = value
         self.subset_variances = norm
 
     @property

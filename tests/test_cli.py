@@ -449,6 +449,40 @@ def test_non_finite_model_parameters_are_rejected(tmp_path, capsys, model):
         assert "finite" in capsys.readouterr().err
 
 
+def test_confidence_bounds_that_overflow_exit_3_with_no_report(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    write_json(path, {"model": {"name": "ishigami", "a": 1000}, "n": 4, "ci_z": 1e308})
+    assert run(["analyze", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: shapley report: ci_low is -inf for variable 1, not a finite number\n"
+
+
+@pytest.mark.parametrize("estimator", ["shapley", "shapley-winding", "main", "total"])
+def test_estimates_that_overflow_exit_3_with_no_report(tmp_path, estimator):
+    # A new process, so that numpy's overflow warnings print instead of
+    # raising as they do under the test suite's warning filters.
+    path = tmp_path / "cfg.json"
+    write_json(path, {"model": {"name": "ishigami", "a": 1e200}, "n": 64,
+                      "estimator": estimator})
+    result = run_cli_process("analyze", "--config", str(path))
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert f"error: {estimator} report: estimates is " in result.stderr
+
+
+def test_json_report_never_holds_nan_or_infinity(monkeypatch, capsys):
+    nan = (math.nan,)
+    report = shapeff.Report(kind="main", d=1, n=4, estimates=nan, variance_of_estimator=nan,
+                            ci_low=nan, ci_high=nan, sigma2_estimate=None,
+                            sigma2_from_pairs=None, eval_count=12, seed=0)
+    monkeypatch.setattr(cli, "run_estimator", lambda *args, **kwargs: report)
+    assert run(["analyze", "--model", "constant", "--n", "4", "--estimator", "main"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the report holds a number JSON cannot represent")
+
+
 def test_malformed_json_exits_2(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

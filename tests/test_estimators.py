@@ -2,19 +2,22 @@
 
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from shapeff import (EstimatorConfig, EvaluationError, InputSpace,
+from shapeff import (EstimatorConfig, EvaluationError, ExternalModel, InputSpace,
                      ModelFunction, ParameterError, RngStream, Uniform,
-                     constant_model, estimate_main_effects,
+                     anova_oracle, constant_model, estimate_main_effects,
                      estimate_shapley_all, estimate_shapley_winding,
                      estimate_total_effects, ishigami, ishigami_exact,
-                     ishigami_space, plate_buckling,
+                     ishigami_space, orthogonality_check, plate_buckling,
                      plate_buckling_space, sobol_g, sobol_g_space)
+from shapeff.analysis import run_estimator
+from shapeff.estimators import ESTIMATOR_KINDS
 from shapeff.inputs import permutation_rows
 
 
@@ -245,6 +248,25 @@ def test_ci_brackets_estimate_and_scales_with_z():
     for j in range(3):
         assert wide.ci_high[j] - wide.ci_low[j] == pytest.approx(
             (report.ci_high[j] - report.ci_low[j]) * 3.0 / 1.96, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["shapley", "main", "total"])
+def test_confidence_bounds_that_overflow_raise_evaluation_error(kind):
+    # Finite model values and a finite ci_z whose product overflows.
+    cfg = EstimatorConfig(n=4, seed=0, ci_z=1e308)
+    with pytest.raises(EvaluationError, match=(
+            rf"^{kind} report: ci_low is -inf for variable \d, not a finite number$")):
+        run_estimator(kind, ishigami(a=1000.0), ishigami_space(), cfg)
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_estimates_that_overflow_raise_evaluation_error(kind):
+    f = ModelFunction(1, lambda x: x[:, 0] * 1e200, vectorized=True)
+    # The chunks' arithmetic overflows before the report's; with numpy's
+    # warnings off, as a caller may have them, the report still raises.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            EvaluationError, match=rf"^{kind} report: estimates is (-?inf|nan) for variable 1"):
+        run_estimator(kind, f, unit_square(1), EstimatorConfig(n=64, seed=0))
 
 
 def test_additive_model_recovers_coordinate_variances():
@@ -537,6 +559,87 @@ def test_nonfinite_output_names_the_first_bad_sample_of_its_chunk():
     with pytest.raises(EvaluationError, match=r"^evaluation failed in samples \[4096, 4100\): "
                        r"bad returned a non-finite value inf at row 1 of the batch: x = \["):
         estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=4100, seed=0))
+
+
+def non_finite_model(value: float, vectorized: bool = True) -> ModelFunction:
+    """x1 + x2 on [0, 1]^2, except that it returns `value` wherever x1 > 0.5."""
+    if not vectorized:
+        return ModelFunction(2, lambda x: value if x[0] > 0.5 else x[0] + x[1], name="bad")
+
+    def f(x):
+        out = x[:, 0] + x[:, 1]
+        out[x[:, 0] > 0.5] = value
+        return out
+
+    return ModelFunction(2, f, name="bad", vectorized=True)
+
+
+def winding(cyclic: bool):
+    return lambda f, space, cfg: estimate_shapley_winding(f, space, cfg, cyclic=cyclic)
+
+
+# Every public path that calls a model: name -> (call on a model, the prefix
+# its error carries).
+MODEL_CALLERS = {
+    **{name: (lambda f, est=est, workers=workers: est(
+        f, unit_square(2), EstimatorConfig(n=2 * 4096 + 7, seed=0, workers=workers)),
+        r"evaluation failed in samples \[0, 4096\): ")
+       for name, est, workers in [
+           ("shapley", estimate_shapley_all, 1), ("shapley-w2", estimate_shapley_all, 2),
+           ("main", estimate_main_effects, 1), ("main-w2", estimate_main_effects, 2),
+           ("total", estimate_total_effects, 1), ("total-w2", estimate_total_effects, 2),
+           ("winding", winding(False), 1), ("winding-cyclic", winding(True), 1)]},
+    "anova_oracle": (lambda f: anova_oracle(f, unit_square(2), 4), ""),
+    "orthogonality_check": (lambda f: orthogonality_check(f, unit_square(2), 4), ""),
+    "call": (lambda f: f([0.75, 0.25]), ""),
+}
+
+
+@pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "per-point"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("caller", list(MODEL_CALLERS))
+def test_every_path_that_calls_a_model_rejects_a_non_finite_value(caller, value, vectorized):
+    call, prefix = MODEL_CALLERS[caller]
+    f = non_finite_model(value, vectorized)
+    with pytest.raises(EvaluationError, match=(
+            rf"^{prefix}bad returned a non-finite value {value} at row \d+ of the batch: "
+            r"x = \[0\.[5-9]\d*, ")):
+        call(f)
+    # Every value was counted, including the batch that failed.
+    assert f.eval_count > 0
+
+
+def test_non_finite_value_in_the_closing_chunk_of_cyclic_winding():
+    # At N=4100 the closing chunk, samples [4096, 4100), evaluates its 3
+    # fresh points; its last walk ends at the cached point 0.
+    def bad(x):
+        out = np.zeros(x.shape[0])
+        if x.shape[0] == 3:
+            out[1] = math.nan
+        return out
+
+    f = ModelFunction(2, bad, name="bad", vectorized=True)
+    with pytest.raises(EvaluationError, match=r"^evaluation failed in samples \[4096, 4100\): "
+                       r"bad returned a non-finite value nan at row 1 of the batch"):
+        estimate_shapley_winding(f, unit_square(2), EstimatorConfig(n=4100, seed=0), cyclic=True)
+
+
+NON_FINITE_CHILD = ("import sys\n"
+                    "for line in sys.stdin:\n"
+                    "    print(sys.argv[1], flush=True)\n")
+
+
+@pytest.mark.parametrize("reply", ["nan", "inf"])
+def test_external_model_replying_a_non_finite_value_raises(reply):
+    with ExternalModel([sys.executable, "-c", NON_FINITE_CHILD, reply], dim=2) as f:
+        with pytest.raises(EvaluationError, match=(
+                rf"^evaluation failed in samples \[0, 64\): external returned a non-finite "
+                rf"value {reply} at row 0 of the batch")):
+            estimate_shapley_all(f, unit_square(2), EstimatorConfig(n=64, seed=0))
+        # The child answered every line, so it still serves the next batch.
+        with pytest.raises(EvaluationError, match="non-finite"):
+            f([0.5, 0.5])
+        assert f.eval_count == 65
 
 
 def test_evaluation_error_carries_sample_range():

@@ -112,6 +112,12 @@ def test_anova_decomposition_validation():
         AnovaDecomposition(d=2, mu=0.0, subset_variances={frozenset({0}): -0.5})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_anova_decomposition_rejects_non_finite_variances(value):
+    with pytest.raises(ParameterError, match=r"^subset variance for \[0\] must be finite"):
+        AnovaDecomposition(d=1, mu=0.0, subset_variances={frozenset({0}): value})
+
+
 def test_oracle_single_coordinate_on_unit_square():
     f = ModelFunction(2, lambda x: x[:, 0], name="x1", vectorized=True)
     space = InputSpace([Uniform(0, 1)] * 2)
