@@ -189,6 +189,9 @@ CONFIG_CASES = {
     "config-exact-sobol-g-a": ("exact", {"model": {"name": "sobol-g", "a": [0, 1, 9]},
                                          "format": "csv"}),
     "config-exact-ishigami-params": ("exact", {"model": {"name": "ishigami", "a": 5, "b": 0.2}}),
+    "config-exact-sobol-g-d-26": ("exact", {"model": {"name": "sobol-g", "d": 26}}),
+    "config-convergence-sobol-g-d-30": ("convergence", {**SOBOL_G3, "model": {
+        "name": "sobol-g", "d": 30}, "trials": 2}),
     # Flags over a config file.
     "config-flag-n": ("analyze", ISHIGAMI, ["--n", "500"]),
     "config-flag-seed": ("analyze", ISHIGAMI, ["--seed", "9"]),
