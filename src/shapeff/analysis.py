@@ -115,6 +115,8 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
         raise ParameterError(f"sample sizes must be non-empty and ascending, got {ns}")
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
+    for n in ns:  # Every N, and workers, before the first trial runs.
+        EstimatorConfig(n=n, seed=0, workers=workers)
 
     mode = "exact" if exact is not None else "sample-mean"
     sse_per_trial: dict[tuple[int, int], float] = {}

@@ -59,6 +59,9 @@ class EstimatorConfig:
             object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if self.n < 2:
             raise ParameterError(f"sample size must be >= 2, got {self.n}")
+        if self.n > _CHUNK << 32:
+            raise ParameterError(f"sample size must be <= 2^44 (2^32 chunk streams of "
+                                 f"{_CHUNK} samples), got {self.n}")
         if self.workers < 1:
             raise ParameterError(f"worker count must be >= 1, got {self.workers}")
         ci_z = require_finite("ci multiplier", self.ci_z)
@@ -211,17 +214,20 @@ def _chunks(n: int):
 def _run_chunks(task, n: int, workers: int, workspace):
     """Yield task(chunk, ws) for every chunk, in ascending chunk order. Each
     thread calls workspace() once, on its first chunk, and passes the result
-    to every chunk it runs. An EvaluationError is raised again naming the
-    chunk's samples. At most 2 * workers chunks are in flight, so the results
-    not yet consumed do not grow with n; on a failure the chunks not yet
-    started are cancelled."""
+    to every chunk it runs. Tasks run with numpy's overflow and invalid
+    warnings off on every thread (threads do not inherit np.errstate), as
+    `_report` checks what they return. An EvaluationError is raised again
+    naming the chunk's samples. At most 2 * workers chunks are in flight, so
+    the results not yet consumed do not grow with n; on a failure the chunks
+    not yet started are cancelled."""
     local = threading.local()
 
     def run(chunk):
         if not hasattr(local, "ws"):
             local.ws = workspace()
         try:
-            return task(chunk, local.ws)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return task(chunk, local.ws)
         except EvaluationError as exc:
             _, start, count = chunk
             raise EvaluationError(

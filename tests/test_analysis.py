@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shapeff import (EstimatorConfig, ParameterError, constant_model,
+from shapeff import (EstimatorConfig, ModelFunction, ParameterError, constant_model,
                      convergence_csv_lines, convergence_study, ishigami,
                      ishigami_exact, ishigami_space, sobol_g_space, sse_exact,
                      sse_samplemean, trial_seed)
@@ -60,6 +60,15 @@ def test_convergence_study_validates_arguments():
         convergence_study(f, space, "shapley", [32, 64], 1, 0)
     with pytest.raises(ParameterError):
         convergence_study(f, space, "sobol", [32, 64], 5, 0)
+
+
+def test_convergence_study_checks_every_n_before_its_first_trial():
+    def unreachable(x):
+        raise AssertionError("a trial ran")
+    f = ModelFunction(3, unreachable, vectorized=True)
+    with pytest.raises(ParameterError, match=r"^sample size must be <= 2\^44"):
+        convergence_study(f, ishigami_space(), "shapley", [64, 2 ** 44 + 1], 2, 0)
+    assert f.eval_count == 0
 
 
 def test_constant_study_all_zero_sse_no_slope():

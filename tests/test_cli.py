@@ -460,15 +460,29 @@ def test_confidence_bounds_that_overflow_exit_3_with_no_report(tmp_path, capsys)
 
 @pytest.mark.parametrize("estimator", ["shapley", "shapley-winding", "main", "total"])
 def test_estimates_that_overflow_exit_3_with_no_report(tmp_path, estimator):
-    # A new process, so that numpy's overflow warnings print instead of
-    # raising as they do under the test suite's warning filters.
+    # A new process, without the test suite's warning filters, so a numpy
+    # overflow warning would print to stderr ahead of the error.
     path = tmp_path / "cfg.json"
     write_json(path, {"model": {"name": "ishigami", "a": 1e200}, "n": 64,
                       "estimator": estimator})
     result = run_cli_process("analyze", "--config", str(path))
     assert result.returncode == 3
     assert result.stdout == ""
-    assert f"error: {estimator} report: estimates is " in result.stderr
+    assert re.fullmatch(rf"error: {estimator} report: estimates is (-?inf|nan) for variable \d, "
+                        r"not a finite number\n", result.stderr), result.stderr
+
+
+@pytest.mark.parametrize("command, sizes", [("analyze", {"n": 2 ** 44 + 1}),
+                                            ("convergence", {"ns": [16, 2 ** 44 + 1]})])
+def test_sample_size_past_the_chunk_streams_exits_2_before_any_evaluation(
+        tmp_path, capsys, command, sizes):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": FAILING_MODEL, "distributions": UNIT_INTERVAL, **sizes})
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: sample size must be <= 2^44 (2^32 chunk streams "
+                            "of 4096 samples), got 17592186044417\n")
 
 
 def test_json_report_never_holds_nan_or_infinity(monkeypatch, capsys):

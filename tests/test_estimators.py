@@ -58,6 +58,15 @@ def test_config_rejects_non_integral_counts_and_non_finite_ci(field, value, mess
         EstimatorConfig(**{"n": 100, "seed": 1, field: value})
 
 
+def test_sample_size_is_capped_where_the_chunk_streams_end():
+    # Chunk k draws from RngStream(seed, k), and stream ids stop at 2^32.
+    assert EstimatorConfig(n=2 ** 44, seed=0).n == 2 ** 44
+    with pytest.raises(ParameterError, match=(r"^sample size must be <= 2\^44 "
+                                             r"\(2\^32 chunk streams of 4096 samples\), "
+                                             r"got 17592186044417$")):
+        EstimatorConfig(n=2 ** 44 + 1, seed=0)
+
+
 def test_config_stores_numpy_integers_as_int():
     cfg = EstimatorConfig(n=np.int64(100), seed=np.uint64(2 ** 63), workers=np.int32(2))
     assert (cfg.n, cfg.seed, cfg.workers) == (100, 2 ** 63, 2)
@@ -259,14 +268,16 @@ def test_confidence_bounds_that_overflow_raise_evaluation_error(kind):
         run_estimator(kind, ishigami(a=1000.0), ishigami_space(), cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
-def test_estimates_that_overflow_raise_evaluation_error(kind):
+def test_estimates_that_overflow_raise_evaluation_error(kind, workers):
+    # The chunks' arithmetic overflows before the report's, on the worker
+    # threads too (N spans two chunks), and numpy's warnings, which the
+    # test suite turns into errors, must not escape ahead of the report check.
     f = ModelFunction(1, lambda x: x[:, 0] * 1e200, vectorized=True)
-    # The chunks' arithmetic overflows before the report's; with numpy's
-    # warnings off, as a caller may have them, the report still raises.
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            EvaluationError, match=rf"^{kind} report: estimates is (-?inf|nan) for variable 1"):
-        run_estimator(kind, f, unit_square(1), EstimatorConfig(n=64, seed=0))
+    with pytest.raises(EvaluationError,
+                       match=rf"^{kind} report: estimates is (-?inf|nan) for variable 1"):
+        run_estimator(kind, f, unit_square(1), EstimatorConfig(n=4100, seed=0, workers=workers))
 
 
 def test_additive_model_recovers_coordinate_variances():

@@ -1,6 +1,8 @@
 """Tests for exact indices, the Owen split, and the quadrature ANOVA oracle."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,9 +72,25 @@ def test_sobol_g_exact_d10_sigma2():
     assert idx.main[0] == pytest.approx(1 / 3, rel=1e-14)
 
 
-def test_sobol_g_exact_capacity_cap():
-    with pytest.raises(CapacityError):
-        sobol_g_exact([0.0] * 26)
+@pytest.mark.parametrize("d", [26, 100])
+def test_sobol_g_exact_builds_past_the_old_enumeration_cap(d):
+    for a in ([0.0] * d, [float(j) for j in range(d)]):
+        idx = sobol_g_exact(a)
+        assert math.fsum(idx.shapley) == pytest.approx(idx.sigma2, rel=1e-13)
+        for j in range(d):
+            assert idx.main[j] <= idx.shapley[j] <= idx.total[j]
+
+
+def test_sobol_g_exact_shapley_is_within_one_ulp_of_exact_arithmetic():
+    # The exact Shapley sum over subsets, in rationals, on the same c_j.
+    a = [float(j) for j in range(10)]
+    idx = sobol_g_exact(a)
+    c = [Fraction(idx.main[j]) for j in range(10)]
+    for j in range(10):
+        others = c[:j] + c[j + 1:]
+        phi = c[j] * sum(Fraction(math.prod(u, start=Fraction(1)), k + 1)
+                         for k in range(10) for u in itertools.combinations(others, k))
+        assert abs(idx.shapley[j] - float(phi)) <= math.ulp(idx.shapley[j]), j
 
 
 def test_shapley_from_anova_trivial_splits():
@@ -89,6 +107,11 @@ def test_shapley_from_anova_matches_closed_form():
         phi = shapley_from_anova(sobol_g_anova(a))
         assert np.max(np.abs(phi - np.array(exact.shapley))) <= 1e-12 * exact.sigma2
         assert math.fsum(phi.tolist()) == pytest.approx(exact.sigma2, rel=1e-12)
+    rng = np.random.default_rng(18)
+    for _ in range(40):
+        a = rng.uniform(0.0, 20.0, int(rng.integers(1, 13))).tolist()
+        phi = shapley_from_anova(sobol_g_anova(a))
+        assert np.allclose(sobol_g_exact(a).shapley, phi, rtol=1e-13, atol=0.0), a
 
 
 def test_main_total_from_anova_matches_closed_form():
