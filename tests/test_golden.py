@@ -211,6 +211,7 @@ CONFIG_CASES = {
        for key, label, value in [
            ("n", "str", "300"), ("n", "float", 300.0), ("n", "bool", True), ("n", "1", 1),
            ("seed", "str", "5"), ("seed", "negative", -1), ("seed", "float", 5.5),
+           ("seed", "2-64", 2 ** 64),
            ("workers", "0", 0), ("workers", "str", "2"), ("workers", "null", None),
            ("ci_z", "0", 0), ("ci_z", "negative", -1.0), ("ci_z", "str", "1.96"),
            ("ci_z", "bool", True), ("ci_z", "null", None),
@@ -246,6 +247,7 @@ CONFIG_CASES = {
            ("model", "external-command-str", {"command": "true", "dim": 2}),
            ("model", "external-command-empty", {"command": [], "dim": 2}),
            ("model", "external-command-int", {"command": ["true", 1], "dim": 2}),
+           ("model", "external-command-true", {"command": True, "dim": 2}),
            ("model", "external-dim-0", {**EXTERNAL, "dim": 0}),
            ("model", "external-dim-str", {**EXTERNAL, "dim": "2"}),
            ("model", "external-key", {**EXTERNAL, "name": "x"}),
@@ -254,6 +256,7 @@ CONFIG_CASES = {
     "config-bad-external-n": ("analyze", {"model": EXTERNAL, "distributions": [UNIFORM01] * 2,
                                           "n": 1}),
     "config-bad-cyclic-shapley": ("analyze", {**ISHIGAMI, "cyclic": True}),
+    "config-bad-cyclic-zero-total": ("analyze", {**ISHIGAMI, "estimator": "total", "cyclic": 0}),
     "config-bad-output-int": ("analyze", {**ISHIGAMI, "output": 5}),
     "config-bad-array": ("analyze", [ISHIGAMI]),
     "config-external-cannot-start": ("analyze", {**NO_SUCH_EXTERNAL, "n": 300}),
@@ -270,7 +273,8 @@ CONFIG_CASES = {
            ("ns", "str", "64,128"), ("ns", "mixed", [64, "128"]), ("ns", "bool", [True, 64]),
            ("ns", "descending", [128, 64]), ("ns", "empty", []), ("ns", "1", [1, 2]),
            ("trials", "1", 1), ("trials", "str", "3"),
-           ("estimator", "magic", "magic"), ("seed", "negative", -1), ("workers", "0", 0),
+           ("estimator", "magic", "magic"), ("seed", "negative", -1), ("seed", "2-64", 2 ** 64),
+           ("workers", "0", 0),
            ("format", "xml", "xml"),
        ]},
     "config-bad-exact-model": ("exact", {"model": {"name": "plate-buckling"}}),
