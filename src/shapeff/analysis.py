@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, require_integer
+from .errors import EvaluationError, ParameterError, require_bool, require_integer
 from .estimators import (ESTIMATOR_KINDS, EstimatorConfig, Report,
                          estimate_main_effects, estimate_shapley_all,
                          estimate_shapley_winding, estimate_total_effects)
@@ -85,11 +85,11 @@ class ConvergenceStudy:
 def run_estimator(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
                   *, cyclic: bool = False) -> Report:
     """Run the estimator named `kind`, one of ESTIMATOR_KINDS, and return its
-    report. `cyclic` applies to shapley-winding only; ParameterError for
-    another kind."""
+    report. `cyclic` is a bool, and True applies to shapley-winding only;
+    ParameterError for another kind."""
     if kind not in ESTIMATOR_KINDS:
-        raise ParameterError(f"unknown estimator kind {kind!r}; expected one of {ESTIMATOR_KINDS}")
-    if cyclic and kind != "shapley-winding":
+        raise ParameterError(f"estimator must be one of {ESTIMATOR_KINDS}, got {kind!r}")
+    if require_bool("cyclic", cyclic) and kind != "shapley-winding":
         raise ParameterError(f"cyclic applies only to shapley-winding, not to estimator {kind!r}")
     if kind == "shapley-winding":
         return estimate_shapley_winding(f, space, cfg, cyclic=cyclic)
@@ -114,9 +114,9 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError(f"sample sizes must be non-empty and ascending, got {ns}")
     if trials < 2:
-        raise ParameterError(f"need at least 2 trials, got {trials}")
-    for n in ns:  # Every N, and workers, before the first trial runs.
-        EstimatorConfig(n=n, seed=0, workers=workers)
+        raise ParameterError(f"trials must be >= 2, got {trials}")
+    for n in ns:  # Every N, the seed and workers, before the first trial runs.
+        EstimatorConfig(n=n, seed=base_seed, workers=workers)
 
     mode = "exact" if exact is not None else "sample-mean"
     sse_per_trial: dict[tuple[int, int], float] = {}

@@ -24,8 +24,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import (ESTIMATOR_KINDS, convergence_csv_lines, convergence_study,
                        run_estimator)
-from .errors import (CapacityError, ConfigError, EvaluationError, ParameterError,
-                     _check_keys, _require_int, _require_number)
+from .errors import CapacityError, ConfigError, EvaluationError, ParameterError, _check_keys
 # Runs go through analysis.run_estimator. The estimate_* names stay bound here
 # because perfbench's tracer wraps them in every module that imports them.
 from .estimators import (EstimatorConfig, estimate_main_effects,  # noqa: F401
@@ -37,7 +36,7 @@ from .reference import ishigami_exact, sobol_g_exact
 
 # Each command's run settings and their defaults, in the order its report's
 # resolved config lists them after the model (and the distributions, which
-# exact does not take). Its config keys, flags and checks derive from here.
+# exact does not take). Its config keys and flags derive from here.
 _REQUIRED = "required"
 _SETTINGS = {
     "analyze": {"estimator": "shapley", "n": _REQUIRED, "seed": 0, "workers": 1,
@@ -170,26 +169,24 @@ CONVERGENCE_SCHEMA = {
 
 
 def _resolve_model(model_cfg):
-    """Build the ModelFunction; return (model, resolved model config)."""
+    """Build the ModelFunction; return (model, resolved model config). The
+    library checks the values; its ParameterError is raised again as a
+    ConfigError that names the model."""
     if not isinstance(model_cfg, dict):
         raise ConfigError(f"model must be an object, got {model_cfg!r}")
-    if "command" in model_cfg:
-        _check_keys(model_cfg, _EXTERNAL_KEYS, "model")
-        command = model_cfg.get("command")
-        if (not isinstance(command, list) or not command
-                or not all(isinstance(c, str) for c in command)):
-            raise ConfigError(
-                f"model.command must be a non-empty list of strings, got {command!r}")
-        dim = _require_int(model_cfg, "dim", 1, "model")
-        return ExternalModel(command, dim), {"command": command, "dim": dim}
-
-    name = model_cfg.get("name")
-    if name not in BUILTINS:
-        raise ConfigError(f"model.name must be one of {sorted(BUILTINS)}, got {name!r}")
-    builtin = BUILTINS[name]
-    _check_keys(model_cfg, {"name", *builtin.keys}, "model")
-    params = builtin.read(model_cfg, builtin.keys)
     try:
+        if "command" in model_cfg:
+            _check_keys(model_cfg, _EXTERNAL_KEYS, "model")
+            if "dim" not in model_cfg:
+                raise ConfigError("model.dim is required")
+            model = ExternalModel(model_cfg["command"], model_cfg["dim"])
+            return model, {"command": model_cfg["command"], "dim": model.dim}
+        name = model_cfg.get("name")
+        if name not in BUILTINS:
+            raise ConfigError(f"model.name must be one of {sorted(BUILTINS)}, got {name!r}")
+        builtin = BUILTINS[name]
+        _check_keys(model_cfg, {"name", *builtin.keys}, "model")
+        params = builtin.read(model_cfg, builtin.keys)
         return builtin.factory(**params), {"name": name, **params}
     except ParameterError as exc:
         raise ConfigError(f"model: {exc}")
@@ -238,7 +235,7 @@ def _load_config(path: str | None) -> dict:
 def _config(args: argparse.Namespace) -> tuple[dict, dict]:
     """The config file with the flags merged over it, checked for unknown
     keys, for required keys and for a writable output; and the command's run
-    settings, checked, with the defaults of those not given."""
+    settings, with the defaults of those not given."""
     table = _SETTINGS[args.command]
     cfg = _load_config(args.config)
     for key in ("model", "output", *table):
@@ -268,25 +265,12 @@ def _config(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _setting(cfg: dict, key: str):
-    """cfg[key], checked as the run setting `key`."""
-    if key == "n":
-        return _require_int(cfg, "n", 2)
-    if key == "trials":
-        return _require_int(cfg, "trials", 2)
-    if key == "seed":
-        return _require_int(cfg, "seed", 0)
-    if key == "workers":
-        return _require_int(cfg, "workers", 1)
-    if key == "ci_z":
-        return _require_number(cfg, "ci_z")
+    """cfg[key], with the checks only the CLI makes: the report format, and
+    that ns is a list. The library checks every other setting before any
+    evaluation, and main names the config in its errors."""
     value = cfg[key]
-    if key == "estimator" and value not in ESTIMATOR_KINDS:
-        raise ConfigError(f"estimator must be one of {ESTIMATOR_KINDS}, got {value!r}")
-    if key == "ns" and not (isinstance(value, list) and all(
-            isinstance(v, int) and not isinstance(v, bool) for v in value)):
+    if key == "ns" and not isinstance(value, list):
         raise ConfigError(f"ns must be a list of integers, got {value!r}")
-    if key == "cyclic" and not isinstance(value, bool):
-        raise ConfigError(f"cyclic must be a boolean, got {value!r}")
     if key == "format" and value not in ("json", "csv"):
         raise ConfigError(f"format must be json or csv, got {value!r}")
     return value
@@ -343,8 +327,10 @@ def _emit(fmt: str, report: dict, csv_lines: list[str], output: str | None) -> N
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg, settings = _config(args)
+    est_cfg = EstimatorConfig(**{key: settings[key] for key in ("n", "seed", "workers", "ci_z")})
+    # The report echoes ci_z as the float the run used: 3 reads 3.0.
+    settings["ci_z"] = est_cfg.ci_z
     with _model_and_space(cfg, settings) as (model, space, resolved):
-        est_cfg = EstimatorConfig(**{key: settings[key] for key in ("n", "seed", "workers", "ci_z")})
         start = time.perf_counter()
         rep = run_estimator(settings["estimator"], model, space, est_cfg,
                             cyclic=settings["cyclic"])
@@ -390,14 +376,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_exact(args: argparse.Namespace) -> int:
     cfg, settings = _config(args)
-    model_cfg = cfg["model"]
-    if not isinstance(model_cfg, dict):
-        raise ConfigError(f"model must be an object, got {model_cfg!r}")
-    name = model_cfg.get("name")
+    _, model_resolved = _resolve_model(cfg["model"])
+    name = model_resolved.get("name")
     if name not in _EXACT:
         raise ConfigError(f"exact indices exist only for {' and '.join(_EXACT)}, "
-                          f"got {name or model_cfg!r}")
-    _, model_resolved = _resolve_model(model_cfg)
+                          f"got {name or model_resolved!r}")
     idx = _EXACT[name](model_resolved)
     rows = [{"variable": j + 1, "main": idx.main[j], "total": idx.total[j],
              "shapley": idx.shapley[j]} for j in range(idx.d)]
@@ -442,7 +425,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError, ParameterError) as exc:
+    except ParameterError as exc:
+        # The model and the distributions raise theirs as ConfigError naming
+        # them, so what remains is a run setting's, which the library checks.
+        print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    except (ConfigError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the integer and real-number
-checks that raise one, and the checks of config objects read from JSON."""
+"""Exception types shared across the package, the integer, real-number and
+boolean checks that raise one, and the unknown-key check of config objects
+read from JSON."""
 
 import math
 import numbers
@@ -45,7 +46,7 @@ def require_real(name: str, value) -> float:
     nor is an integer too large for a float.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{name} must be a real number, got {value!r}")
+        raise ParameterError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
@@ -60,28 +61,15 @@ def require_finite(name: str, value) -> float:
     return value
 
 
+def require_bool(name: str, value) -> bool:
+    """value; ParameterError unless it is a bool, so that neither 0.0 nor
+    "yes" stands for a flag."""
+    if not isinstance(value, bool):
+        raise ParameterError(f"{name} must be a boolean, got {value!r}")
+    return value
+
+
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _require_int(cfg: dict, key: str, minimum: int, where: str = "config") -> int:
-    if key not in cfg:
-        raise ConfigError(f"{where}.{key} is required")
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}: {key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _require_number(cfg: dict, key: str, where: str = "config") -> float:
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ConfigError(f"{where}: {key} is too large for a float") from None

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, require_finite, require_integer
+from .errors import (EvaluationError, ParameterError, require_bool, require_finite,
+                     require_integer)
 from .inputs import InputSpace, RngStream, permutation_rows
 from .models import ModelFunction
 
@@ -47,7 +48,8 @@ ESTIMATOR_KINDS = ("shapley", "shapley-winding", "main", "total")
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Sample size, seed, worker count, and CI multiplier for one run."""
+    """Sample size, seed, worker count, and CI multiplier for one run, each
+    checked when the config is built; RngStream checks the seed."""
 
     n: int
     seed: int
@@ -55,18 +57,19 @@ class EstimatorConfig:
     ci_z: float = 1.96
 
     def __post_init__(self):
-        for name in ("n", "seed", "workers"):
-            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
+        object.__setattr__(self, "n", require_integer("n", self.n))
+        object.__setattr__(self, "seed", RngStream(self.seed).seed)
+        object.__setattr__(self, "workers", require_integer("workers", self.workers))
         if self.n < 2:
-            raise ParameterError(f"sample size must be >= 2, got {self.n}")
+            raise ParameterError(f"n must be >= 2, got {self.n}")
         if self.n > _CHUNK << 32:
             raise ParameterError(f"sample size must be <= 2^44 (2^32 chunk streams of "
                                  f"{_CHUNK} samples), got {self.n}")
         if self.workers < 1:
-            raise ParameterError(f"worker count must be >= 1, got {self.workers}")
-        ci_z = require_finite("ci multiplier", self.ci_z)
+            raise ParameterError(f"workers must be >= 1, got {self.workers}")
+        ci_z = require_finite("ci_z", self.ci_z)
         if ci_z <= 0:
-            raise ParameterError(f"ci multiplier must be finite and > 0, got {ci_z}")
+            raise ParameterError(f"ci_z must be > 0, got {ci_z}")
         object.__setattr__(self, "ci_z", ci_z)
 
 
@@ -426,6 +429,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     so memory does not grow with N.
     """
     _require_match(f, space)
+    cyclic = require_bool("cyclic", cyclic)
     d = space.d
     n = cfg.n
     point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)

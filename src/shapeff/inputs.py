@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, ParameterError, _check_keys, _require_number,
-                     require_finite, require_integer)
+from .errors import (ConfigError, ParameterError, _check_keys, require_finite,
+                     require_integer, require_real)
 
 # Uniform draws are (k + 0.5) / 2^53 for k uniform in [0, 2^53), except that
 # the top point (2^53 - 0.5) / 2^53 rounds to exactly 1.0 and is drawn as
@@ -195,11 +195,10 @@ def _marginal_from_spec(spec, where: str) -> MarginalDistribution:
     missing = set(keys) - set(spec)
     if missing:
         raise ConfigError(f"{where}: missing key(s): {', '.join(sorted(missing))}")
-    values = [_require_number(spec, key, where) for key in keys]
     make = {"uniform": Uniform, "lognormal": LogNormal,
             "normal": Normal if "sd" in spec else Normal.from_cv}[kind]
     try:
-        return make(*values)
+        return make(*(require_real(key, spec[key]) for key in keys))
     except ParameterError as exc:
         raise ConfigError(f"{where}: {exc}")
 
@@ -270,21 +269,28 @@ class InputSpace:
 class RngStream:
     """A reproducible random stream identified by (seed, stream id).
 
-    A single stream must not be shared across threads; hand each worker its
-    own stream id instead.
+    The seed is an integer in [0, 2^64) and the stream id one in [0, 2^32);
+    this constructor is where the package checks every seed. A single stream
+    must not be shared across threads; hand each worker its own stream id
+    instead.
     """
 
     seed: int
     stream: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", require_integer("seed", self.seed))
+        seed = require_integer("seed", self.seed)
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
+        if seed >= 1 << 64:
+            raise ParameterError(f"seed must be < 2^64, got {seed}")
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stream", require_integer("stream id", self.stream))
         if not 0 <= self.stream < (1 << 32):
             raise ParameterError(f"stream id must be in [0, 2^32), got {self.stream}")
 
     def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed % (1 << 64), spawn_key=(self.stream,))
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
 
 

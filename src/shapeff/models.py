@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, EvaluationError, ParameterError, _require_int,
-                     _require_number, require_finite, require_integer, require_real)
+from .errors import (ConfigError, EvaluationError, ParameterError, require_finite,
+                     require_integer, require_real)
 from .inputs import InputSpace
 
 
@@ -36,9 +36,9 @@ class ModelFunction:
 
     def __init__(self, dim: int, func: Callable, *, name: str = "model",
                  vectorized: bool = False):
-        dim = require_integer("model dimension", dim)
+        dim = require_integer("dim", dim)
         if dim < 1:
-            raise ParameterError(f"model dimension must be >= 1, got {dim}")
+            raise ParameterError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self.name = name
         self._func = func
@@ -156,17 +156,13 @@ def sobol_g(a: Sequence[float]) -> ModelFunction:
     scale = 1.0 + a
 
     def f(X):
-        # One working matrix, updated in place; multiplying its columns left to
-        # right gives the same bits as np.prod(..., axis=1), in less time.
+        # One working matrix, updated in place.
         t = 4.0 * X
         t -= 2.0
         np.abs(t, out=t)
         t += a
         t /= scale
-        out = t[:, 0].copy()
-        for j in range(1, t.shape[1]):
-            out *= t[:, j]
-        return out
+        return np.prod(t, axis=1)
 
     return ModelFunction(a.size, f, name="sobol-g", vectorized=True)
 
@@ -212,28 +208,28 @@ def constant_model(value: float, dim: int) -> ModelFunction:
 
 
 def _numeric_keys(cfg: dict, keys: dict) -> dict:
-    """Each key of a model config as a number, an integer >= 1 where its
-    default is an integer, or its default where the config omits it."""
+    """Each key of a model config as an integer where its default is one and
+    as a float otherwise, or its default where the config omits it. The
+    factory checks the values."""
     return {key: default if key not in cfg
-            else _require_int(cfg, key, 1, "model") if isinstance(default, int)
-            else _require_number(cfg, key, "model")
+            else require_integer(key, cfg[key]) if isinstance(default, int)
+            else require_real(key, cfg[key])
             for key, default in keys.items()}
 
 
 def _sobol_g_keys(cfg: dict, keys: dict) -> dict:
     """The weights from a model config's `a` list, or a = 0, 1, ..., d-1."""
     a, d = cfg.get("a"), cfg.get("d")
+    if d is not None:
+        d = require_integer("d", d)
+        if d < 1:
+            raise ParameterError(f"d must be >= 1, got {d}")
     if a is None:
-        d = _require_int(cfg, "d", 1, "model") if d is not None else keys["d"]
-        return {"a": [float(j) for j in range(d)]}
-    if not isinstance(a, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in a):
+        return {"a": [float(j) for j in range(keys["d"] if d is None else d)]}
+    if not isinstance(a, list):
         raise ConfigError(f"model.a must be a list of numbers, got {a!r}")
-    try:
-        a = [float(v) for v in a]
-    except OverflowError:
-        raise ConfigError("model.a holds a number too large for a float") from None
-    if d is not None and _require_int(cfg, "d", 1, "model") != len(a):
+    a = _sobol_g_weights(a).tolist()
+    if d is not None and d != len(a):
         raise ConfigError(f"model.d = {d} contradicts len(model.a) = {len(a)}")
     return {"a": a}
 
@@ -407,6 +403,8 @@ class _Child:
 class ExternalModel(ModelFunction):
     """A black-box simulator speaking the line protocol, as a ModelFunction.
 
+    ``command`` is the program and its arguments, a non-empty list or tuple
+    of str, bytes or os.PathLike; anything else raises ParameterError.
     Each request is one line of d space-separated decimal floats; the process
     must answer one decimal float per line, in order. EOF on its stdin tells
     the process to finish. The process starts on the first evaluation. A
@@ -418,9 +416,10 @@ class ExternalModel(ModelFunction):
     """
 
     def __init__(self, command: Sequence[str], dim: int):
-        if isinstance(command, (str, bytes)):
+        if not isinstance(command, (list, tuple)):
+            what = "the string " if isinstance(command, (str, bytes)) else ""
             raise ParameterError(f"external model command must be a list of arguments, "
-                                 f"not the string {command!r}")
+                                 f"not {what}{command!r}")
         self.command = list(command)
         if not self.command:
             raise ParameterError("external model command must be non-empty")

@@ -71,6 +71,16 @@ def test_convergence_study_checks_every_n_before_its_first_trial():
     assert f.eval_count == 0
 
 
+@pytest.mark.parametrize("base_seed", [-1, 2 ** 64])
+def test_convergence_study_checks_its_seed_before_its_first_trial(base_seed):
+    def unreachable(x):
+        raise AssertionError("a trial ran")
+    f = ModelFunction(3, unreachable, vectorized=True)
+    with pytest.raises(ParameterError, match=rf"^seed must be (>= 0|< 2\^64), got {base_seed}$"):
+        convergence_study(f, ishigami_space(), "shapley", [16, 32], 2, base_seed=base_seed)
+    assert f.eval_count == 0
+
+
 def test_constant_study_all_zero_sse_no_slope():
     f = constant_model(3.0, 2)
     study = convergence_study(f, sobol_g_space(2), "shapley", [16, 32], 3, 0)
@@ -120,7 +130,7 @@ def test_run_estimator_reports_its_kind(kind):
 
 @pytest.mark.parametrize("kind", ["Shapley", "winding", "pick-freeze", ""])
 def test_run_estimator_rejects_other_kinds(kind):
-    with pytest.raises(ParameterError, match="unknown estimator kind"):
+    with pytest.raises(ParameterError, match=r"^estimator must be one of \('shapley', "):
         run_estimator(kind, ishigami(), ishigami_space(), EstimatorConfig(n=64, seed=3))
 
 

@@ -333,7 +333,7 @@ ISHIGAMI_N16 = {"model": {"name": "ishigami"}, "n": 16}
     ("analyze", {**ISHIGAMI_N16, "model": {"name": "ishigami", "a": 10 ** 400}},
      "model: a is too large for a float"),
     ("analyze", {**ISHIGAMI_N16, "model": {"name": "sobol-g", "a": [1, 10 ** 400]}},
-     "model.a holds a number too large for a float"),
+     "model: sobol_g weight is too large for a float"),
     ("analyze", {**ISHIGAMI_N16, "model": {"name": "constant", "value": 10 ** 400}},
      "model: value is too large for a float"),
     ("exact", {"model": {"name": "ishigami", "b": 10 ** 400}}, "model: b is too large for a float"),
@@ -481,8 +481,28 @@ def test_sample_size_past_the_chunk_streams_exits_2_before_any_evaluation(
     assert run([command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("error: sample size must be <= 2^44 (2^32 chunk streams "
+    assert captured.err == ("error: config: sample size must be <= 2^44 (2^32 chunk streams "
                             "of 4096 samples), got 17592186044417\n")
+
+
+# A bad value of each run setting that the library checks, not the CLI.
+LIBRARY_CHECKED = [("n", 1), ("ns", [1, 16]), ("ns", [32, 16]), ("workers", 0), ("ci_z", 0),
+                   ("trials", 1), ("seed", -1), ("seed", 2 ** 64), ("estimator", "magic"),
+                   ("cyclic", "yes")]
+
+
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id=f"{command}-{key}-{json.dumps(value)}")
+    for command in ("analyze", "convergence")
+    for key, value in LIBRARY_CHECKED if key in cli._SETTINGS[command]])
+def test_settings_the_library_checks_exit_2_before_any_evaluation(
+        tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {**OUTPUT_CONFIGS[command], key: value})
+    assert run([command, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config: ")
 
 
 def test_json_report_never_holds_nan_or_infinity(monkeypatch, capsys):
@@ -648,7 +668,7 @@ def test_console_entry_point_installed():
 
     # A config error raised inside main (not by argparse): its return value
     # must become the process exit status, 2 for config errors.
-    bad = run_console_wrapper(entry_point, ["exact", "--model", "nope"])
+    bad = run_console_wrapper(entry_point, ["exact", "--model", "plate-buckling"])
     assert bad.returncode == 2, bad.stderr
     assert "error: exact indices exist only for " in bad.stderr
     assert bad.stdout == ""

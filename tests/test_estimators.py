@@ -48,11 +48,11 @@ def test_config_validation():
     ("seed", False, "seed must be an integer"), ("seed", np.float64(3.0), "seed must be an integer"),
     ("workers", True, "workers must be an integer"), ("workers", np.True_, "workers must be an integer"),
     ("workers", 2.0, "workers must be an integer"),
-    ("ci_z", math.inf, "ci multiplier must be finite"),
-    ("ci_z", math.nan, "ci multiplier must be finite"),
-    ("ci_z", "x", "ci multiplier must be a real number"),
-    ("ci_z", None, "ci multiplier must be a real number"),
-    ("ci_z", True, "ci multiplier must be a real number")])
+    ("ci_z", math.inf, "ci_z must be finite"),
+    ("ci_z", math.nan, "ci_z must be finite"),
+    ("ci_z", "x", "ci_z must be a number"),
+    ("ci_z", None, "ci_z must be a number"),
+    ("ci_z", True, "ci_z must be a number")])
 def test_config_rejects_non_integral_counts_and_non_finite_ci(field, value, message):
     with pytest.raises(ParameterError, match=message):
         EstimatorConfig(**{"n": 100, "seed": 1, field: value})
@@ -65,6 +65,26 @@ def test_sample_size_is_capped_where_the_chunk_streams_end():
                                              r"\(2\^32 chunk streams of 4096 samples\), "
                                              r"got 17592186044417$")):
         EstimatorConfig(n=2 ** 44 + 1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_config_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ParameterError, match=rf"^seed must be (>= 0|< 2\^64), got {seed}$"):
+        EstimatorConfig(n=10, seed=seed)
+    assert EstimatorConfig(n=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+@pytest.mark.parametrize("cyclic", ["yes", 0.0, 1], ids=["str", "float", "int"])
+@pytest.mark.parametrize("run", [
+    *(lambda f, space, cfg, cyclic, kind=kind: run_estimator(kind, f, space, cfg, cyclic=cyclic)
+      for kind in ESTIMATOR_KINDS),
+    lambda f, space, cfg, cyclic: estimate_shapley_winding(f, space, cfg, cyclic=cyclic),
+], ids=[*(f"run-{kind}" for kind in ESTIMATOR_KINDS), "winding"])
+def test_cyclic_must_be_a_bool(run, cyclic):
+    f = ishigami()
+    with pytest.raises(ParameterError, match=f"^cyclic must be a boolean, got {cyclic!r}$"):
+        run(f, ishigami_space(), EstimatorConfig(n=8, seed=0), cyclic)
+    assert f.eval_count == 0
 
 
 def test_config_stores_numpy_integers_as_int():

@@ -181,6 +181,22 @@ def test_counts_and_seeds_must_be_integers(call):
         call()
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, -(2 ** 64)])
+def test_seeds_outside_64_bits_are_rejected(seed):
+    with pytest.raises(ParameterError, match=rf"^seed must be (>= 0|< 2\^64), got {seed}$"):
+        RngStream(seed)
+
+
+@pytest.mark.parametrize("seed, uniforms", [
+    (0, ["0x1.38b4f1e36b684p-2", "0x1.837986ebe1e40p-6", "0x1.3c6fb1f109380p-1"]),
+    (2 ** 64 - 1, ["0x1.0479db6b56438p-2", "0x1.e06de5e31351cp-3", "0x1.20cbd84b8090cp-2"]),
+], ids=["0", "2^64-1"])
+def test_seeds_at_both_ends_of_the_range_draw_as_before(seed, uniforms):
+    # Recorded while the generator still reduced every seed modulo 2^64.
+    gen = RngStream(seed, stream=7).generator()
+    assert [v.hex() for v in gen.random(3).tolist()] == uniforms
+
+
 def test_numpy_integers_pass_as_int():
     rng = RngStream(np.int64(5), stream=np.uint32(3))
     assert (rng.seed, rng.stream) == (5, 3)

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -71,6 +72,19 @@ def test_sobol_g_nonnegative_and_validated():
         sobol_g([])
     with pytest.raises(ParameterError):
         sobol_g([-0.5])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sobol_g_kernel_is_bitwise_the_column_product_loop(order):
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 3, 10, 31):
+        a = np.arange(d, dtype=float)
+        x = np.asarray(rng.random((4097, d)), order=order)
+        t = (np.abs(4.0 * x - 2.0) + a) / (1.0 + a)
+        product = t[:, 0].copy()
+        for j in range(1, d):
+            product *= t[:, j]
+        assert sobol_g(a).evaluate_batch(x).tobytes() == product.tobytes(), d
 
 
 def test_plate_buckling_at_published_means():
@@ -161,7 +175,7 @@ def test_model_purity_and_shape_checks():
     # An external model is checked the same way, before its process starts.
     with pytest.raises(ParameterError, match=r"external expects an \(n, 3\) batch"):
         ExternalModel(["true"], 3).evaluate_batch(np.zeros((4, 2)))
-    with pytest.raises(ParameterError, match="model dimension must be >= 1, got 0"):
+    with pytest.raises(ParameterError, match="dim must be >= 1, got 0"):
         ExternalModel(["true"], 0)
 
 
@@ -175,6 +189,20 @@ def test_model_purity_and_shape_checks():
 def test_external_model_command_must_be_a_non_empty_list(command, match):
     with pytest.raises(ParameterError, match=match):
         ExternalModel(command, 1)
+
+
+@pytest.mark.parametrize("command", [True, None, 5, 3.5, {"a": 1}],
+                         ids=["true", "none", "int", "float", "dict"])
+def test_external_model_command_must_be_a_list_or_a_tuple(command):
+    with pytest.raises(ParameterError, match=re.escape(
+            f"external model command must be a list of arguments, not {command!r}")):
+        ExternalModel(command, 3)
+
+
+@pytest.mark.parametrize("sequence", [list, tuple])
+def test_external_model_command_may_be_a_list_or_a_tuple(sequence):
+    with ExternalModel(sequence([sys.executable, "-c", ECHO_FIRST]), 2) as ext:
+        assert ext.evaluate_batch(np.array([[0.5, 9.0]])).tolist() == [0.5]
 
 
 def test_external_model_command_may_hold_paths_and_bytes():
@@ -472,7 +500,7 @@ def test_model_dimensions_must_be_integers(make):
         "ishigami-exact-str", "sobol-g-str", "sobol-g-bool", "sobol-g-none",
         "sobol-g-exact-str"])
 def test_non_numeric_parameters_raise_parameter_error(make):
-    with pytest.raises(ParameterError, match="must be a real number"):
+    with pytest.raises(ParameterError, match="must be a number"):
         make()
 
 
