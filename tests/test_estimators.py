@@ -52,7 +52,9 @@ def test_config_validation():
     ("ci_z", math.nan, "ci_z must be finite"),
     ("ci_z", "x", "ci_z must be a number"),
     ("ci_z", None, "ci_z must be a number"),
-    ("ci_z", True, "ci_z must be a number")])
+    ("ci_z", True, "ci_z must be a number"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", 2 ** 64, r"seed must be < 2\^64, got 18446744073709551616")])
 def test_config_rejects_non_integral_counts_and_non_finite_ci(field, value, message):
     with pytest.raises(ParameterError, match=message):
         EstimatorConfig(**{"n": 100, "seed": 1, field: value})
@@ -65,13 +67,6 @@ def test_sample_size_is_capped_where_the_chunk_streams_end():
                                              r"\(2\^32 chunk streams of 4096 samples\), "
                                              r"got 17592186044417$")):
         EstimatorConfig(n=2 ** 44 + 1, seed=0)
-
-
-@pytest.mark.parametrize("seed", [-1, 2 ** 64])
-def test_config_rejects_seeds_outside_64_bits(seed):
-    with pytest.raises(ParameterError, match=rf"^seed must be (>= 0|< 2\^64), got {seed}$"):
-        EstimatorConfig(n=10, seed=seed)
-    assert EstimatorConfig(n=10, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 @pytest.mark.parametrize("cyclic", ["yes", 0.0, 1], ids=["str", "float", "int"])

@@ -185,28 +185,18 @@ def test_model_purity_and_shape_checks():
     ([], "must be non-empty"),
     ([1, 2], r"must be str, bytes or os.PathLike, got 1"),
     (["python3", None], r"must be str, bytes or os.PathLike, got None"),
-], ids=["str", "bytes", "empty", "int", "none"])
+    *((command, "^external model command must be a list of arguments, not "
+       + re.escape(repr(command)) + "$") for command in (True, None, 5, 3.5, {"a": 1})),
+], ids=["str", "bytes", "empty", "int", "none", "true", "none-command", "int-command",
+        "float-command", "dict-command"])
 def test_external_model_command_must_be_a_non_empty_list(command, match):
     with pytest.raises(ParameterError, match=match):
         ExternalModel(command, 1)
 
 
-@pytest.mark.parametrize("command", [True, None, 5, 3.5, {"a": 1}],
-                         ids=["true", "none", "int", "float", "dict"])
-def test_external_model_command_must_be_a_list_or_a_tuple(command):
-    with pytest.raises(ParameterError, match=re.escape(
-            f"external model command must be a list of arguments, not {command!r}")):
-        ExternalModel(command, 3)
-
-
 @pytest.mark.parametrize("sequence", [list, tuple])
-def test_external_model_command_may_be_a_list_or_a_tuple(sequence):
-    with ExternalModel(sequence([sys.executable, "-c", ECHO_FIRST]), 2) as ext:
-        assert ext.evaluate_batch(np.array([[0.5, 9.0]])).tolist() == [0.5]
-
-
-def test_external_model_command_may_hold_paths_and_bytes():
-    with ExternalModel([Path(sys.executable), b"-c", ECHO_FIRST], 2) as ext:
+def test_external_model_command_may_hold_paths_and_bytes(sequence):
+    with ExternalModel(sequence([Path(sys.executable), b"-c", ECHO_FIRST]), 2) as ext:
         assert ext.evaluate_batch(np.array([[0.25, 9.0]])).tolist() == [0.25]
 
 
