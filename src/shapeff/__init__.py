@@ -7,7 +7,7 @@ estimators, closed-form references for the analytic benchmarks, a brute-force
 ANOVA oracle, and convergence-study tooling.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .analysis import (ConvergenceStudy, convergence_csv_lines,
                        convergence_study, sse_exact, sse_samplemean,
@@ -21,11 +21,10 @@ from .inputs import InputSpace, LogNormal, Normal, RngStream, Uniform
 from .models import (ExternalModel, ModelFunction, constant_model,
                      external_model, ishigami, ishigami_space, plate_buckling,
                      plate_buckling_space, sobol_g, sobol_g_space)
-from .reference import (AnovaDecomposition, OrthogonalityReport,
-                        SensitivityIndices, anova_oracle, indices_from_anova,
-                        ishigami_anova, ishigami_exact, main_total_from_anova,
-                        orthogonality_check, shapley_from_anova, sobol_g_anova,
-                        sobol_g_exact)
+from .reference import (AnovaDecomposition, SensitivityIndices, anova_oracle,
+                        indices_from_anova, ishigami_anova, ishigami_exact,
+                        main_total_from_anova, shapley_from_anova,
+                        sobol_g_anova, sobol_g_exact)
 
 __all__ = [
     "__version__",
@@ -40,7 +39,6 @@ __all__ = [
     "LogNormal",
     "ModelFunction",
     "Normal",
-    "OrthogonalityReport",
     "ParameterError",
     "Report",
     "RngStream",
@@ -62,7 +60,6 @@ __all__ = [
     "ishigami_exact",
     "ishigami_space",
     "main_total_from_anova",
-    "orthogonality_check",
     "plate_buckling",
     "plate_buckling_space",
     "shapley_from_anova",

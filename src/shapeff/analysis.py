@@ -117,6 +117,8 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
         raise ParameterError(f"trials must be >= 2, got {trials}")
     for n in ns:  # Every N, the seed and workers, before the first trial runs.
         EstimatorConfig(n=n, seed=base_seed, workers=workers)
+    if exact is not None and exact.d != space.d:
+        raise ParameterError(f"exact indices are for d={exact.d}, the input space has d={space.d}")
 
     mode = "exact" if exact is not None else "sample-mean"
     sse_per_trial: dict[tuple[int, int], float] = {}

@@ -24,7 +24,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import (ESTIMATOR_KINDS, convergence_csv_lines, convergence_study,
                        run_estimator)
-from .errors import CapacityError, ConfigError, EvaluationError, ParameterError, _check_keys
+from .errors import ConfigError, EvaluationError, ParameterError, _check_keys
 # Runs go through analysis.run_estimator. The estimate_* names stay bound here
 # because perfbench's tracer wraps them in every module that imports them.
 from .estimators import (EstimatorConfig, estimate_main_effects,  # noqa: F401
@@ -430,7 +430,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # them, so what remains is a run setting's, which the library checks.
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, CapacityError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EvaluationError as exc:

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ParameterError, require_finite
+from .errors import CapacityError, ParameterError, require_finite, require_integer
 from .inputs import InputSpace, Uniform
 from .models import ModelFunction, _check_ishigami, _sobol_g_weights
 
@@ -240,114 +240,49 @@ def _axis_rule(marginal, nodes: int, panels: int, bounds) -> tuple[np.ndarray, n
     return x, weight / total
 
 
-def _integrate_out(values: np.ndarray, axes_to_drop, weights: list[np.ndarray]) -> np.ndarray:
-    out = values
-    for axis in sorted(axes_to_drop, reverse=True):
-        out = np.tensordot(out, weights[axis], axes=([axis], [0]))
-    return out
-
-
-def _expand(values: np.ndarray, from_axes: tuple[int, ...], to_axes: tuple[int, ...]) -> np.ndarray:
-    out = values
-    for pos, axis in enumerate(to_axes):
-        if axis not in from_axes:
-            out = np.expand_dims(out, pos)
-    return out
-
-
-def _anova_components(f: ModelFunction, space: InputSpace, nodes: int,
-                      panels: int, truncation) -> tuple[dict, list[np.ndarray], float]:
-    """All non-empty ANOVA components f_u on the tensor grid, plus weights and mu."""
-    d = space.d
-    if d > 4:
-        raise CapacityError(f"tensor-grid oracle is capped at d=4, got d={d}")
-    if nodes < 1 or panels < 1:
-        raise ParameterError("nodes and panels must both be >= 1")
-    if truncation is not None and len(truncation) != d:
-        raise ParameterError("truncation must give one (lo, hi) or None per axis")
-
-    axes_nodes, axes_weights = [], []
-    for j, marginal in enumerate(space.marginals):
-        bounds = truncation[j] if truncation is not None else None
-        x, w = _axis_rule(marginal, nodes, panels, bounds)
-        axes_nodes.append(x)
-        axes_weights.append(w)
-
-    grids = np.meshgrid(*axes_nodes, indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    values = f.evaluate_batch(points).reshape(grids[0].shape)
-
-    mu = float(_integrate_out(values, range(d), axes_weights))
-    components: dict[tuple[int, ...], np.ndarray] = {}
-    subsets = sorted(
-        (tuple(u) for r in range(1, d + 1) for u in itertools.combinations(range(d), r)),
-        key=len)
-    for u in subsets:
-        proj = _integrate_out(values, [j for j in range(d) if j not in u], axes_weights)
-        part = proj - mu
-        for v, f_v in components.items():
-            if set(v) < set(u):
-                part = part - _expand(f_v, v, u)
-        components[u] = part
-    return components, axes_weights, mu
-
-
 def anova_oracle(f: ModelFunction, space: InputSpace, nodes: int, *,
                  panels: int = 1, truncation=None) -> AnovaDecomposition:
     """Brute-force ANOVA decomposition by tensor-grid quadrature (d <= 4).
 
-    Recursively peels each component f_u off the conditional expectation of f
-    on the u-grid and integrates its square. `panels` selects a composite rule
-    per axis, which matters for integrands with kinks: aligning a panel edge
-    with the kink restores spectral accuracy. `truncation` supplies (lo, hi)
-    bounds per axis (None entries allowed) for unbounded marginals.
+    With E_j the quadrature mean over axis j, each component is one
+    projection, f_u = prod_{j in u} (I - E_j) prod_{j not in u} E_j f (Kuo,
+    Sloan, Wasilkowski and Wozniakowski, Math. Comp. 2010), and sigma_u^2 is
+    the mean of f_u^2 over the axes of u. On the grid's product measure the
+    components are zero-mean and orthogonal by construction. `panels`
+    selects a composite rule per axis, which matters for integrands with
+    kinks: aligning a panel edge with the kink restores spectral accuracy.
+    `truncation` supplies (lo, hi) bounds per axis (None entries allowed)
+    for unbounded marginals.
     """
-    components, axes_weights, mu = _anova_components(f, space, nodes, panels, truncation)
-    variances = {}
-    for u, f_u in components.items():
-        w = axes_weights[u[0]]
-        for axis in u[1:]:
-            w = np.multiply.outer(w, axes_weights[axis])
-        variances[frozenset(u)] = float(np.sum(f_u * f_u * w))
-    return AnovaDecomposition(d=space.d, mu=mu, subset_variances=variances)
-
-
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    """Worst-case violations of the two ANOVA structure properties.
-
-    max_zero_mean: largest |integral of f_u over any single own coordinate|.
-    max_cross_product: largest |<f_u, f_v>| over distinct component pairs.
-    """
-
-    d: int
-    mu: float
-    max_zero_mean: float
-    max_cross_product: float
-
-
-def orthogonality_check(f: ModelFunction, space: InputSpace, nodes: int, *,
-                        panels: int = 1, truncation=None) -> OrthogonalityReport:
-    """Verify zero conditional means and pairwise orthogonality of components."""
-    components, axes_weights, mu = _anova_components(f, space, nodes, panels, truncation)
     d = space.d
+    if d > 4:
+        raise CapacityError(f"tensor-grid oracle is capped at d=4, got d={d}")
+    nodes = require_integer("nodes", nodes)
+    panels = require_integer("panels", panels)
+    if nodes < 1 or panels < 1:
+        raise ParameterError("nodes and panels must both be >= 1")
+    if truncation is not None and not (isinstance(truncation, (list, tuple))
+                                       and len(truncation) == d):
+        raise ParameterError("truncation must give one (lo, hi) or None per axis")
 
-    max_zero_mean = 0.0
-    for u, f_u in components.items():
-        for pos, axis in enumerate(u):
-            reduced = np.tensordot(f_u, axes_weights[axis], axes=([pos], [0]))
-            max_zero_mean = max(max_zero_mean, float(np.max(np.abs(reduced))))
+    rules = [_axis_rule(marginal, nodes, panels, None if truncation is None else truncation[j])
+             for j, marginal in enumerate(space.marginals)]
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    points = np.stack([g.ravel() for g in grids], axis=1)
+    values = f.evaluate_batch(points).reshape(grids[0].shape)
 
-    max_cross = 0.0
-    keys = list(components)
-    for i, u in enumerate(keys):
-        for v in keys[i + 1:]:
-            union = tuple(sorted(set(u) | set(v)))
-            prod = _expand(components[u], u, union) * _expand(components[v], v, union)
-            w = axes_weights[union[0]]
-            for axis in union[1:]:
-                w = np.multiply.outer(w, axes_weights[axis])
-            max_cross = max(max_cross, abs(float(np.sum(prod * w))))
+    def mean(g: np.ndarray, axes) -> np.ndarray:
+        # E_j for each j in axes, keeping every axis so that results broadcast.
+        # The last axis goes first, which keeps mu bitwise as in 0.3.1.
+        for j in reversed(axes):
+            g = np.expand_dims(np.tensordot(g, rules[j][1], axes=(j, 0)), j)
+        return g
 
-    return OrthogonalityReport(d=d, mu=mu, max_zero_mean=max_zero_mean,
-                               max_cross_product=max_cross)
+    variances = {}
+    for r in range(1, d + 1):
+        for u in itertools.combinations(range(d), r):
+            f_u = mean(values, [j for j in range(d) if j not in u])
+            for j in u:
+                f_u = f_u - mean(f_u, [j])
+            variances[frozenset(u)] = mean(f_u * f_u, u).item()
+    return AnovaDecomposition(d=d, mu=mean(values, range(d)).item(), subset_variances=variances)

@@ -5,8 +5,8 @@ import pytest
 
 from shapeff import (EstimatorConfig, ModelFunction, ParameterError, constant_model,
                      convergence_csv_lines, convergence_study, ishigami,
-                     ishigami_exact, ishigami_space, sobol_g_space, sse_exact,
-                     sse_samplemean, trial_seed)
+                     ishigami_exact, ishigami_space, sobol_g, sobol_g_space,
+                     sse_exact, sse_samplemean, trial_seed)
 from shapeff.analysis import ESTIMATOR_KINDS, run_estimator
 
 
@@ -78,6 +78,13 @@ def test_convergence_study_checks_its_seed_before_its_first_trial(base_seed):
     f = ModelFunction(3, unreachable, vectorized=True)
     with pytest.raises(ParameterError, match=rf"^seed must be (>= 0|< 2\^64), got {base_seed}$"):
         convergence_study(f, ishigami_space(), "shapley", [16, 32], 2, base_seed=base_seed)
+    assert f.eval_count == 0
+
+
+def test_convergence_study_checks_its_exact_indices_before_its_first_trial():
+    f = sobol_g([0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ParameterError, match=r"^exact indices are for d=3, the input space has d=4$"):
+        convergence_study(f, sobol_g_space(4), "shapley", [256, 512], 5, 0, exact=ishigami_exact())
     assert f.eval_count == 0
 
 

@@ -14,8 +14,8 @@ from shapeff import (EstimatorConfig, EvaluationError, ExternalModel, InputSpace
                      anova_oracle, constant_model, estimate_main_effects,
                      estimate_shapley_all, estimate_shapley_winding,
                      estimate_total_effects, ishigami, ishigami_exact,
-                     ishigami_space, orthogonality_check, plate_buckling,
-                     plate_buckling_space, sobol_g, sobol_g_space)
+                     ishigami_space, plate_buckling, plate_buckling_space,
+                     sobol_g, sobol_g_space)
 from shapeff.analysis import run_estimator
 from shapeff.estimators import ESTIMATOR_KINDS
 from shapeff.inputs import permutation_rows
@@ -616,7 +616,6 @@ MODEL_CALLERS = {
            ("total", estimate_total_effects, 1), ("total-w2", estimate_total_effects, 2),
            ("winding", winding(False), 1), ("winding-cyclic", winding(True), 1)]},
     "anova_oracle": (lambda f: anova_oracle(f, unit_square(2), 4), ""),
-    "orthogonality_check": (lambda f: orthogonality_check(f, unit_square(2), 4), ""),
     "call": (lambda f: f([0.75, 0.25]), ""),
 }
 

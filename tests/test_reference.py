@@ -11,9 +11,8 @@ from shapeff import (AnovaDecomposition, CapacityError, InputSpace,
                      ModelFunction, Normal, ParameterError, Uniform,
                      anova_oracle, indices_from_anova, ishigami,
                      ishigami_anova, ishigami_exact, ishigami_space,
-                     main_total_from_anova, orthogonality_check,
-                     shapley_from_anova, sobol_g, sobol_g_anova, sobol_g_exact,
-                     sobol_g_space)
+                     main_total_from_anova, shapley_from_anova, sobol_g,
+                     sobol_g_anova, sobol_g_exact, sobol_g_space)
 
 
 def test_ishigami_exact_values():
@@ -212,24 +211,63 @@ def test_oracle_dimension_cap():
         anova_oracle(f, space, 8)
 
 
-def test_orthogonality_constant_model_is_exactly_flat():
-    f = ModelFunction(2, lambda x: np.full(x.shape[0], 5.0), name="const", vectorized=True)
-    space = InputSpace([Uniform(0, 1)] * 2)
-    report = orthogonality_check(f, space, 16)
-    assert report.max_zero_mean < 1e-13
-    assert report.max_cross_product < 1e-13
-    assert report.mu == pytest.approx(5.0, abs=1e-13)
+def test_oracle_is_exact_for_a_bilinear_model_at_two_nodes():
+    # Two Gauss-Legendre nodes integrate the squared components, cubic at most
+    # per axis, exactly.
+    f = ModelFunction(2, lambda x: x[:, 0] + x[:, 1] + x[:, 0] * x[:, 1], name="bilinear",
+                      vectorized=True)
+    anova = anova_oracle(f, InputSpace([Uniform(-1, 1)] * 2), 2)
+    v = anova.subset_variances
+    assert abs(v[frozenset({0})] - 1 / 3) <= 1e-15
+    assert abs(v[frozenset({1})] - 1 / 3) <= 1e-15
+    assert abs(v[frozenset({0, 1})] - 1 / 9) <= 1e-15
+    assert abs(anova.mu) <= 1e-15
 
 
-def test_orthogonality_additive_components():
-    f = ModelFunction(2, lambda x: x[:, 0] + x[:, 1], name="sum", vectorized=True)
-    space = InputSpace([Uniform(0, 1)] * 2)
-    report = orthogonality_check(f, space, 64)
-    assert report.max_cross_product < 1e-10
-    assert report.max_zero_mean < 1e-10
+def test_oracle_reproduces_sobol_g_at_d4():
+    # Two panels split each g factor at its kink into linear pieces, which
+    # two nodes per panel integrate exactly, squared or not.
+    a = [0.0, 1.0, 2.0, 3.0]
+    anova = anova_oracle(sobol_g(a), sobol_g_space(4), 2, panels=2)
+    closed = sobol_g_anova(a)
+    assert set(anova.subset_variances) == set(closed.subset_variances)
+    for u, want in closed.subset_variances.items():
+        assert abs(anova.subset_variances[u] - want) <= 1e-15, sorted(u)
+    assert abs(anova.mu - 1.0) <= 1e-15
 
 
-def test_orthogonality_ishigami():
-    report = orthogonality_check(ishigami(), ishigami_space(), 48)
-    assert report.max_zero_mean < 1e-6
-    assert report.max_cross_product < 1e-6
+def test_oracle_subset_variances_sum_to_the_grid_variance():
+    from numpy.polynomial.legendre import leggauss
+    t, w = leggauss(8)
+    x = np.pi * t
+    w = w / w.sum()
+    grid = np.stack([g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")], axis=1)
+    weights = np.einsum("i,j,k->ijk", w, w, w).ravel()
+    values = ishigami().evaluate_batch(grid)
+    mu = math.fsum((weights * values).tolist())
+    grid_variance = math.fsum((weights * (values - mu) ** 2).tolist())
+
+    anova = anova_oracle(ishigami(), ishigami_space(), 8)
+    assert anova.mu == pytest.approx(mu, rel=1e-13)
+    assert anova.sigma2 == pytest.approx(grid_variance, rel=1e-13)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"nodes": 2.5}, {"nodes": True}, {"nodes": "4"}, {"nodes": 0},
+    {"panels": 1.5}, {"panels": False}, {"panels": 0},
+    {"truncation": 5}, {"truncation": "ab"}, {"truncation": [None]},
+    {"truncation": [None, None, None]},
+], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_oracle_checks_its_arguments_before_evaluating(kwargs):
+    f = ModelFunction(2, lambda x: x[:, 0], name="x1", vectorized=True)
+    args = {"nodes": 4, **kwargs}
+    nodes = args.pop("nodes")
+    with pytest.raises(ParameterError, match=r"^(nodes|panels|truncation) "):
+        anova_oracle(f, InputSpace([Uniform(0, 1)] * 2), nodes, **args)
+    assert f.eval_count == 0
+
+
+def test_oracle_takes_numpy_integer_counts():
+    f = ModelFunction(1, lambda x: x[:, 0], name="x1", vectorized=True)
+    anova = anova_oracle(f, InputSpace([Uniform(0, 1)]), np.int64(4), panels=np.int32(2))
+    assert anova.subset_variances[frozenset({0})] == pytest.approx(1 / 12, rel=1e-14)
