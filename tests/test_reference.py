@@ -212,8 +212,8 @@ def test_oracle_dimension_cap():
 
 
 def test_oracle_is_exact_for_a_bilinear_model_at_two_nodes():
-    # Two Gauss-Legendre nodes integrate the squared components, cubic at most
-    # per axis, exactly.
+    # Two Gauss-Legendre nodes are exact up to degree 3 per axis, and the
+    # squared components are quadratic.
     f = ModelFunction(2, lambda x: x[:, 0] + x[:, 1] + x[:, 0] * x[:, 1], name="bilinear",
                       vectorized=True)
     anova = anova_oracle(f, InputSpace([Uniform(-1, 1)] * 2), 2)
