@@ -7,7 +7,7 @@ estimators, closed-form references for the analytic benchmarks, a brute-force
 ANOVA oracle, and convergence-study tooling.
 """
 
-__version__ = "0.3.2"
+__version__ = "0.4.0"
 
 from .analysis import (ConvergenceStudy, convergence_csv_lines,
                        convergence_study, sse_exact, sse_samplemean,
@@ -18,9 +18,9 @@ from .estimators import (EstimatorConfig, Report, estimate_main_effects,
                          estimate_shapley_all, estimate_shapley_winding,
                          estimate_total_effects)
 from .inputs import InputSpace, LogNormal, Normal, RngStream, Uniform
-from .models import (ExternalModel, ModelFunction, constant_model,
-                     external_model, ishigami, ishigami_space, plate_buckling,
-                     plate_buckling_space, sobol_g, sobol_g_space)
+from .models import (ExternalModel, ModelFunction, constant_model, ishigami,
+                     ishigami_space, plate_buckling, plate_buckling_space,
+                     sobol_g, sobol_g_space)
 from .reference import (AnovaDecomposition, SensitivityIndices, anova_oracle,
                         indices_from_anova, ishigami_anova, ishigami_exact,
                         main_total_from_anova, shapley_from_anova,
@@ -53,7 +53,6 @@ __all__ = [
     "estimate_shapley_all",
     "estimate_shapley_winding",
     "estimate_total_effects",
-    "external_model",
     "indices_from_anova",
     "ishigami",
     "ishigami_anova",

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, require_bool, require_integer
+from .errors import EvaluationError, ParameterError, require_integer
 from .estimators import (ESTIMATOR_KINDS, EstimatorConfig, Report,
                          estimate_main_effects, estimate_shapley_all,
                          estimate_shapley_winding, estimate_total_effects)
@@ -82,21 +82,16 @@ class ConvergenceStudy:
     fitted_slope: float | None
 
 
-def run_estimator(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
-                  *, cyclic: bool = False) -> Report:
+def run_estimator(kind: str, f: ModelFunction, space: InputSpace,
+                  cfg: EstimatorConfig) -> Report:
     """Run the estimator named `kind`, one of ESTIMATOR_KINDS, and return its
-    report. `cyclic` is a bool, and True applies to shapley-winding only;
-    ParameterError for another kind."""
+    report."""
     if kind not in ESTIMATOR_KINDS:
         raise ParameterError(f"estimator must be one of {ESTIMATOR_KINDS}, got {kind!r}")
-    if require_bool("cyclic", cyclic) and kind != "shapley-winding":
-        raise ParameterError(f"cyclic applies only to shapley-winding, not to estimator {kind!r}")
-    if kind == "shapley-winding":
-        return estimate_shapley_winding(f, space, cfg, cyclic=cyclic)
     # Looked up per call, so a caller that rebinds this module's estimate_*
     # names (the benchmark's tracer) sees every run.
-    return {"shapley": estimate_shapley_all, "main": estimate_main_effects,
-            "total": estimate_total_effects}[kind](f, space, cfg)
+    return {"shapley": estimate_shapley_all, "shapley-winding": estimate_shapley_winding,
+            "main": estimate_main_effects, "total": estimate_total_effects}[kind](f, space, cfg)
 
 
 def convergence_study(f: ModelFunction, space: InputSpace, kind: str,

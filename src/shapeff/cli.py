@@ -40,7 +40,7 @@ from .reference import ishigami_exact, sobol_g_exact
 _REQUIRED = "required"
 _SETTINGS = {
     "analyze": {"estimator": "shapley", "n": _REQUIRED, "seed": 0, "workers": 1,
-                "ci_z": 1.96, "cyclic": False, "format": "json"},
+                "ci_z": 1.96, "format": "json"},
     "convergence": {"estimator": "shapley", "ns": _REQUIRED, "trials": 10, "seed": 0,
                     "workers": 1, "format": "csv"},
     "exact": {"format": "json"},
@@ -55,8 +55,6 @@ _FLAGS = {
     "trials": {"type": int, "help": "trials per sample size"},
     "seed": {"type": int, "help": "base RNG seed"},
     "workers": {"type": int, "help": "estimator worker threads"},
-    "cyclic": {"action": "store_true", "default": None,
-               "help": "winding stairs: close the sequence into a cycle"},
     "format": {"choices": ["json", "csv"], "help": "report format"},
 }
 
@@ -332,8 +330,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     settings["ci_z"] = est_cfg.ci_z
     with _model_and_space(cfg, settings) as (model, space, resolved):
         start = time.perf_counter()
-        rep = run_estimator(settings["estimator"], model, space, est_cfg,
-                            cyclic=settings["cyclic"])
+        rep = run_estimator(settings["estimator"], model, space, est_cfg)
         elapsed = time.perf_counter() - start
         none = (None,) * rep.d
         cells = zip(rep.estimates, rep.variance_of_estimator or none,

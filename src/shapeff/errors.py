@@ -1,6 +1,6 @@
-"""Exception types shared across the package, the integer, real-number and
-boolean checks that raise one, and the unknown-key check of config objects
-read from JSON."""
+"""Exception types shared across the package, the integer and real-number
+checks that raise one, and the unknown-key check of config objects read from
+JSON."""
 
 import math
 import numbers
@@ -58,14 +58,6 @@ def require_finite(name: str, value) -> float:
     value = require_real(name, value)
     if not math.isfinite(value):
         raise ParameterError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def require_bool(name: str, value) -> bool:
-    """value; ParameterError unless it is a bool, so that neither 0.0 nor
-    "yes" stands for a flag."""
-    if not isinstance(value, bool):
-        raise ParameterError(f"{name} must be a boolean, got {value!r}")
     return value
 
 

@@ -36,8 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (EvaluationError, ParameterError, require_bool, require_finite,
-                     require_integer)
+from .errors import EvaluationError, ParameterError, require_finite, require_integer
 from .inputs import InputSpace, RngStream, permutation_rows
 from .models import ModelFunction
 
@@ -274,11 +273,26 @@ def _finite(kind: str, name: str, values: np.ndarray,
     return tuple(values.tolist())
 
 
+class _ChunkModel:
+    """f as one chunk sees it: evaluate_batch passes each batch on to f and
+    tallies its points, so a run counts its own evaluations even while other
+    runs share f and its lifetime counter."""
+
+    def __init__(self, f: ModelFunction):
+        self._f = f
+        self.points = 0
+
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        self.points += len(points)
+        return self._f.evaluate_batch(points)
+
+
 def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
             workers: int, workspace) -> Report:
-    """Run task on every chunk of cfg.n samples through `_run_chunks`, merge
-    the per-chunk moments in chunk order as they arrive and build the report
-    of `kind`; its evaluation count is f's over the run, read after the merge.
+    """Run task(model, chunk, ws) on every chunk of cfg.n samples through
+    `_run_chunks`, merge the per-chunk moments in chunk order as they arrive
+    and build the report of `kind`. Each task is given f as a `_ChunkModel`,
+    and the report's evaluation count is the sum of their tallies.
 
     Each part holds a chunk's term moments and, for the Shapley walks, the
     moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
@@ -286,9 +300,15 @@ def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
     values can still overflow in the merge or the CI, so numpy's warnings
     are off there and every field is checked instead.
     """
-    before = f.eval_count
+    def counted(chunk, ws):
+        model = _ChunkModel(f)
+        parts = task(model, chunk, ws)
+        return model.points, parts
+
+    evals = 0
     terms, pairs = _Moments(d), _Moments(1)
-    for term_part, pair_part in _run_chunks(task, cfg.n, workers, workspace):
+    for points, (term_part, pair_part) in _run_chunks(counted, cfg.n, workers, workspace):
+        evals += points
         with np.errstate(over="ignore", invalid="ignore"):
             terms.merge(*term_part)
             if pair_part is not None:
@@ -309,7 +329,7 @@ def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
     return Report(kind=kind, d=d, n=cfg.n, estimates=estimates,
                   variance_of_estimator=variance, ci_low=low, ci_high=high,
                   sigma2_estimate=sigma2, sigma2_from_pairs=from_pairs,
-                  eval_count=f.eval_count - before, seed=cfg.seed)
+                  eval_count=evals, seed=cfg.seed)
 
 
 def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
@@ -317,18 +337,18 @@ def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfi
     """Run `design` on every chunk of cfg.n samples and report the merged moments.
 
     Chunk k draws from RngStream(seed, k): x, then y, then what the design
-    draws itself. design(f, x, y, gen, ws) evaluates the chunk and returns
-    its part for `_report`; ws is the worker's workspace of `matrices`
-    column-major matrices.
+    draws itself. design(model, x, y, gen, ws) evaluates the chunk on the
+    `_ChunkModel` it is given and returns its part for `_report`; ws is the
+    worker's workspace of `matrices` column-major matrices.
     """
     _require_match(f, space)
 
-    def task(chunk, ws):
+    def task(model, chunk, ws):
         k, _, count = chunk
         gen = RngStream(cfg.seed, stream=k).generator()
         x = space.sample(count, gen)
         y = space.sample(count, gen)
-        return design(f, x, y, gen, ws)
+        return design(model, x, y, gen, ws)
 
     return _report(kind, f, cfg, space.d, task, cfg.workers,
                    lambda: _Workspace(space.d, cfg.n, matrices))
@@ -401,61 +421,49 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     return _sampled("shapley", f, space, cfg, 1, _shapley)
 
 
-def _winding_streams(seed: int, n: int, d: int,
-                     cyclic: bool) -> tuple[np.random.Generator, np.random.Generator]:
+def _winding_streams(seed: int, n: int,
+                     d: int) -> tuple[np.random.Generator, np.random.Generator]:
     """Generators for winding's points and for its permutations.
 
-    The run's draws are its n + 1 points (n when cyclic), then its n
-    permutations, all from stream 0. Each uniform consumes one 64-bit output,
-    so a second stream-0 generator advanced past the points' draws yields the
-    permutations, and both can be drawn chunk by chunk.
+    The run's draws are its n + 1 points, then its n permutations, all from
+    stream 0. Each uniform consumes one 64-bit output, so a second stream-0
+    generator advanced past the points' draws yields the permutations, and
+    both can be drawn chunk by chunk.
     """
     point_gen = RngStream(seed, stream=0).generator()
     perm_gen = RngStream(seed, stream=0).generator()
-    perm_gen.bit_generator.advance((n if cyclic else n + 1) * d)
+    perm_gen.bit_generator.advance((n + 1) * d)
     return point_gen, perm_gen
 
 
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
-                             cfg: EstimatorConfig, *, cyclic: bool = False) -> Report:
+                             cfg: EstimatorConfig) -> Report:
     """Winding-stairs Shapley estimator: pair consecutive points of one sequence.
 
     Reusing each walk's final value as the next pair's base value cuts the
-    cost to d*N + 1 evaluations, or d*N when `cyclic` closes the sequence by
-    pairing the last point with the first (the run is then not extensible in
-    N). The pairs overlap, so no unbiased variance estimate exists and the
-    variance and CI fields are None. The run is single-stream and sequential;
-    cfg.workers is ignored. Points and permutations are drawn chunk by chunk,
-    so memory does not grow with N.
+    cost to d*N + 1 evaluations. The pairs overlap, so no unbiased variance
+    estimate exists and the variance and CI fields are None. The run is
+    single-stream and sequential; cfg.workers is ignored. Points and
+    permutations are drawn chunk by chunk, so memory does not grow with N.
     """
     _require_match(f, space)
-    cyclic = require_bool("cyclic", cyclic)
     d = space.d
     n = cfg.n
-    point_gen, perm_gen = _winding_streams(cfg.seed, n, d, cyclic)
-    first_pt = space.sample(1, point_gen)
-    base_pt = first_pt.copy()
-    first = carry = None
+    point_gen, perm_gen = _winding_streams(cfg.seed, n, d)
+    base_pt = space.sample(1, point_gen)
+    carry = None
 
     # One chunk of walks: f at the chunk's new points, then the walks from
     # each point to the next. Chunk 0 evaluates point 0 first. Its draws are
     # freed when it returns, before the next chunk draws its own.
-    def task(chunk, ws):
-        nonlocal first, carry
+    def task(model, chunk, ws):
+        nonlocal carry
         _, start, count = chunk
         if start == 0:
-            first = carry = float(f.evaluate_batch(first_pt)[0])
+            carry = float(model.evaluate_batch(base_pt)[0])
         # y[i] is point start + i + 1.
-        if not (cyclic and start + count == n):
-            y = space.sample(count, point_gen)
-            fy = f.evaluate_batch(y)
-        else:
-            # A cyclic run's last walk ends at point 0, whose value is cached.
-            y, fy = first_pt, np.array([first])
-            if count > 1:
-                fresh = space.sample(count - 1, point_gen)
-                y = np.asfortranarray(np.vstack([fresh, first_pt]))
-                fy = np.append(f.evaluate_batch(fresh), first)
+        y = space.sample(count, point_gen)
+        fy = model.evaluate_batch(y)
         z, g = ws.matrices(count)
         z[0] = base_pt[0]
         z[1:] = y[:-1]
@@ -463,7 +471,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         carry = float(fy[-1])
         base_pt[0] = y[-1]
         steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
-        return _walk(f, fx, fy, z, y, steps, g)
+        return _walk(model, fx, fy, z, y, steps, g)
 
     return _report("shapley-winding", f, cfg, d, task, 1, lambda: _Workspace(d, n, 2))
 

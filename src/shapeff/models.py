@@ -473,13 +473,3 @@ class ExternalModel(ModelFunction):
             self.close()
         except Exception:
             pass
-
-
-def external_model(command: Sequence[str], dim: int) -> ExternalModel:
-    """An external simulator as a ModelFunction; its process lives as long as
-    the model.
-
-    Call its ``close()``, or use it as a context manager, when you need
-    explicit lifecycle control.
-    """
-    return ExternalModel(command, dim)

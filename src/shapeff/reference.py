@@ -214,7 +214,9 @@ def _axis_rule(marginal, nodes: int, panels: int, bounds) -> tuple[np.ndarray, n
     marginal density, renormalized to sum to one.
     """
     if bounds is not None:
-        lo, hi = float(bounds[0]), float(bounds[1])
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
+            raise ParameterError(f"truncation bounds must be a (lo, hi) pair, got {bounds!r}")
+        lo, hi = (require_finite("truncation bound", b) for b in bounds)
         if not lo < hi:
             raise ParameterError(f"truncation bounds must satisfy lo < hi, got ({lo}, {hi})")
     elif isinstance(marginal, Uniform):

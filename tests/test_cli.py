@@ -370,21 +370,17 @@ def test_config_validation_errors_exit_2(tmp_path):
         assert run(["analyze", "--config", str(cfg)]) == 2, payload
 
 
-@pytest.mark.parametrize("estimator", ["shapley", "main", "total"])
-def test_cyclic_is_rejected_unless_the_estimator_is_winding(tmp_path, capsys, estimator):
-    args = ["analyze", "--model", "ishigami", "--n", "64", "--estimator", estimator]
-    assert run(args + ["--cyclic"]) == 2
-    assert f"not to estimator '{estimator}'" in capsys.readouterr().err
-    path = tmp_path / "cyclic.json"
-    write_json(path, {"model": {"name": "ishigami"}, "n": 64, "estimator": estimator,
-                      "cyclic": True})
-    assert run(["analyze", "--config", str(path)]) == 2
-    write_json(path, {"model": {"name": "ishigami"}, "n": 64, "estimator": estimator,
-                      "cyclic": False, "output": str(tmp_path / "report.json")})
-    assert run(["analyze", "--config", str(path)]) == 0
-    assert read_json(tmp_path / "report.json")["config"]["cyclic"] is False
-    assert run(["analyze", "--model", "ishigami", "--n", "64", "--cyclic",
-                "--estimator", "shapley-winding"]) == 0
+@pytest.mark.parametrize("estimator", ["shapley", "shapley-winding", "main", "total"])
+def test_the_cyclic_flag_exits_2_before_any_evaluation(monkeypatch, capsys, estimator):
+    # 0.4.0 removed cyclic winding stairs, so argparse refuses the flag.
+    monkeypatch.setattr(cli, "run_estimator", None)
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", "--model", "ishigami", "--n", "64", "--estimator", estimator,
+             "--cyclic"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --cyclic\n")
 
 
 def test_readme_lists_every_builtin_model_with_its_keys_and_defaults():
@@ -487,8 +483,7 @@ def test_sample_size_past_the_chunk_streams_exits_2_before_any_evaluation(
 
 # A bad value of each run setting that the library checks, not the CLI.
 LIBRARY_CHECKED = [("n", 1), ("ns", [1, 16]), ("ns", [32, 16]), ("workers", 0), ("ci_z", 0),
-                   ("trials", 1), ("seed", -1), ("seed", 2 ** 64), ("estimator", "magic"),
-                   ("cyclic", "yes")]
+                   ("trials", 1), ("seed", -1), ("seed", 2 ** 64), ("estimator", "magic")]
 
 
 @pytest.mark.parametrize("command, key, value", [

@@ -33,6 +33,10 @@ def unit_square(d: int) -> InputSpace:
     return InputSpace([Uniform(0, 1)] * d)
 
 
+ESTIMATORS = {"shapley": estimate_shapley_all, "main": estimate_main_effects,
+              "total": estimate_total_effects, "winding": estimate_shapley_winding}
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         EstimatorConfig(n=1, seed=0)
@@ -69,19 +73,6 @@ def test_sample_size_is_capped_where_the_chunk_streams_end():
         EstimatorConfig(n=2 ** 44 + 1, seed=0)
 
 
-@pytest.mark.parametrize("cyclic", ["yes", 0.0, 1], ids=["str", "float", "int"])
-@pytest.mark.parametrize("run", [
-    *(lambda f, space, cfg, cyclic, kind=kind: run_estimator(kind, f, space, cfg, cyclic=cyclic)
-      for kind in ESTIMATOR_KINDS),
-    lambda f, space, cfg, cyclic: estimate_shapley_winding(f, space, cfg, cyclic=cyclic),
-], ids=[*(f"run-{kind}" for kind in ESTIMATOR_KINDS), "winding"])
-def test_cyclic_must_be_a_bool(run, cyclic):
-    f = ishigami()
-    with pytest.raises(ParameterError, match=f"^cyclic must be a boolean, got {cyclic!r}$"):
-        run(f, ishigami_space(), EstimatorConfig(n=8, seed=0), cyclic)
-    assert f.eval_count == 0
-
-
 def test_config_stores_numpy_integers_as_int():
     cfg = EstimatorConfig(n=np.int64(100), seed=np.uint64(2 ** 63), workers=np.int32(2))
     assert (cfg.n, cfg.seed, cfg.workers) == (100, 2 ** 63, 2)
@@ -114,10 +105,6 @@ def test_cost_contract_winding():
             f.reset_count()
             report = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=1))
             assert report.eval_count == space.d * n + 1
-            f.reset_count()
-            report = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=1),
-                                              cyclic=True)
-            assert report.eval_count == space.d * n
 
 
 def test_cost_contract_effects():
@@ -128,6 +115,28 @@ def test_cost_contract_effects():
         assert estimate_main_effects(f, space, EstimatorConfig(n=n, seed=1)).eval_count == 5 * n
         f.reset_count()
         assert estimate_total_effects(f, space, EstimatorConfig(n=n, seed=1)).eval_count == 4 * n
+
+
+@pytest.mark.parametrize("kind, contract", [("shapley", lambda d, n: (d + 1) * n),
+                                            ("shapley-winding", lambda d, n: d * n + 1)],
+                         ids=["shapley", "shapley-winding"])
+def test_concurrent_runs_on_one_model_each_count_their_own_evaluations(kind, contract):
+    # Each batch sleeps, so the two runs' batches interleave; a report that
+    # read the model's shared counter would count the other run's too.
+    from concurrent.futures import ThreadPoolExecutor
+
+    def slow(x):
+        time.sleep(0.002)
+        return x.sum(axis=1)
+
+    f = ModelFunction(3, slow, vectorized=True)
+    n = 4 * 4096 + 3
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(run_estimator, kind, f, unit_square(3),
+                            EstimatorConfig(n=n, seed=seed, workers=2)) for seed in (1, 2)]
+        reports = [run.result() for run in runs]
+    assert [rep.eval_count for rep in reports] == [contract(3, n)] * 2
+    assert f.eval_count == 2 * contract(3, n)
 
 
 def test_telescoping_identity_all_builtins():
@@ -409,36 +418,32 @@ def test_winding_chunk_carry_is_seamless():
     # Crossing the internal chunk boundary must not disturb the pairing.
     f = ishigami()
     space = ishigami_space()
-    for n, cyclic in [(4096, False), (4096, True), (2 * 4096 + 5, False), (2 * 4096 + 5, True)]:
+    for n in (4096, 2 * 4096 + 5):
         f.reset_count()
-        report = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=11),
-                                          cyclic=cyclic)
-        assert report.eval_count == 3 * n + (0 if cyclic else 1)
+        report = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=11))
+        assert report.eval_count == 3 * n + 1
         rel = abs(report.sigma2_estimate - report.sigma2_from_pairs)
         assert rel <= 1e-10 * abs(report.sigma2_from_pairs)
 
 
-@pytest.mark.parametrize("cyclic", [False, True])
-def test_winding_draws_permutations_from_the_jumped_stream(cyclic):
+def test_winding_draws_permutations_from_the_jumped_stream():
     # Whole-run draws on one generator: every point, then every permutation.
     from shapeff.estimators import _winding_streams
 
     space = ishigami_space()
     n, d, seed = 3 * 4096 + 5, space.d, 17
     gen = RngStream(seed).generator()
-    points = space.sample(n if cyclic else n + 1, gen)
+    points = space.sample(n + 1, gen)
     perms = permutation_rows(gen, n, d)
 
-    point_gen, perm_gen = _winding_streams(seed, n, d, cyclic)
+    point_gen, perm_gen = _winding_streams(seed, n, d)
     sizes = [1, *[min(4096, n - s) for s in range(0, n, 4096)]]
-    if cyclic:
-        sizes[-1] -= 1
     assert np.array_equal(np.vstack([space.sample(c, point_gen) for c in sizes]), points)
     chunked = [permutation_rows(perm_gen, min(4096, n - s), d) for s in range(0, n, 4096)]
     assert np.array_equal(np.vstack(chunked), perms)
 
 
-@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding", "winding-cyclic"])
+@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding"])
 def test_memory_does_not_grow_with_n(kind):
     # tracemalloc sees numpy's buffers. Chunk buffers are reused, so the peak
     # at 32 chunks stays within 1 MiB of the peak at 4 chunks.
@@ -447,11 +452,7 @@ def test_memory_does_not_grow_with_n(kind):
         cfg = EstimatorConfig(n=chunks * 4096, seed=5)
         tracemalloc.start()
         try:
-            if kind.startswith("winding"):
-                estimate_shapley_winding(f, space, cfg, cyclic=kind == "winding-cyclic")
-            else:
-                {"shapley": estimate_shapley_all, "main": estimate_main_effects,
-                 "total": estimate_total_effects}[kind](f, space, cfg)
+            ESTIMATORS[kind](f, space, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,7 +521,7 @@ def test_each_worker_thread_allocates_one_workspace(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding", "winding-cyclic"])
+@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding"])
 def test_models_are_passed_column_major_batches(kind, workers):
     layouts = []
 
@@ -529,14 +530,9 @@ def test_models_are_passed_column_major_batches(kind, workers):
         return np.sin(X).sum(axis=1)
 
     model = ModelFunction(3, f, vectorized=True)
-    # A cyclic run's last chunk holds one walk at N=4097 and four at N=4100.
+    # The last chunk holds one sample at N=4097 and four at N=4100.
     for n in (4097, 4100):
-        cfg = EstimatorConfig(n=n, seed=8, workers=workers)
-        if kind.startswith("winding"):
-            estimate_shapley_winding(model, unit_square(3), cfg, cyclic=kind == "winding-cyclic")
-        else:
-            {"shapley": estimate_shapley_all, "main": estimate_main_effects,
-             "total": estimate_total_effects}[kind](model, unit_square(3), cfg)
+        ESTIMATORS[kind](model, unit_square(3), EstimatorConfig(n=n, seed=8, workers=workers))
     assert any(shape == (4096, 3) for shape, _ in layouts)
     assert all(column_major for _, column_major in layouts)
 
@@ -600,10 +596,6 @@ def non_finite_model(value: float, vectorized: bool = True) -> ModelFunction:
     return ModelFunction(2, f, name="bad", vectorized=True)
 
 
-def winding(cyclic: bool):
-    return lambda f, space, cfg: estimate_shapley_winding(f, space, cfg, cyclic=cyclic)
-
-
 # Every public path that calls a model: name -> (call on a model, the prefix
 # its error carries).
 MODEL_CALLERS = {
@@ -614,7 +606,7 @@ MODEL_CALLERS = {
            ("shapley", estimate_shapley_all, 1), ("shapley-w2", estimate_shapley_all, 2),
            ("main", estimate_main_effects, 1), ("main-w2", estimate_main_effects, 2),
            ("total", estimate_total_effects, 1), ("total-w2", estimate_total_effects, 2),
-           ("winding", winding(False), 1), ("winding-cyclic", winding(True), 1)]},
+           ("winding", estimate_shapley_winding, 1)]},
     "anova_oracle": (lambda f: anova_oracle(f, unit_square(2), 4), ""),
     "call": (lambda f: f([0.75, 0.25]), ""),
 }
@@ -632,21 +624,6 @@ def test_every_path_that_calls_a_model_rejects_a_non_finite_value(caller, value,
         call(f)
     # Every value was counted, including the batch that failed.
     assert f.eval_count > 0
-
-
-def test_non_finite_value_in_the_closing_chunk_of_cyclic_winding():
-    # At N=4100 the closing chunk, samples [4096, 4100), evaluates its 3
-    # fresh points; its last walk ends at the cached point 0.
-    def bad(x):
-        out = np.zeros(x.shape[0])
-        if x.shape[0] == 3:
-            out[1] = math.nan
-        return out
-
-    f = ModelFunction(2, bad, name="bad", vectorized=True)
-    with pytest.raises(EvaluationError, match=r"^evaluation failed in samples \[4096, 4100\): "
-                       r"bad returned a non-finite value nan at row 1 of the batch"):
-        estimate_shapley_winding(f, unit_square(2), EstimatorConfig(n=4100, seed=0), cyclic=True)
 
 
 NON_FINITE_CHILD = ("import sys\n"

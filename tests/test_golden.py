@@ -2,9 +2,9 @@
 
 ``golden_inproc.json`` holds, as ``float.hex``, the reports of every estimator
 on Sobol' g (d=10, a = 0..9) and on the plate at N = 4100 (one full chunk and a
-short tail chunk), the winding reports, cyclic and not, at the edge sizes
-N = 2 and N = 4097 (whose last chunk holds a single walk), an Ishigami-space
-sample, and the Sobol' g and plate kernels on a fixed 4100-row batch. Any change to the sampling grid, the
+short tail chunk), the winding reports at the edge sizes N = 2 and N = 4097
+(whose last chunk holds a single walk), an Ishigami-space sample, and the
+Sobol' g and plate kernels on a fixed 4100-row batch. Any change to the sampling grid, the
 quantile transforms, the permutation walks, the moment reduction or the
 kernels' arithmetic shows here as a changed bit; a change that means to alter
 outputs must re-record the file and bump ``__version__``. Under ``external``
@@ -16,11 +16,11 @@ model; the child's command is built from ``sys.executable`` at run time.
 of CLI invocations: ``analyze`` for every builtin model, estimator and
 format, ``exact`` for every builtin name and an unknown one, an unknown model
 in ``analyze``, ``convergence`` on Ishigami and the plate, an empty
-``--output``, a non-integer ``--ns``, ``--cyclic`` with a winding and a
-non-winding estimator, and the run-setting flags of ``convergence``. Its
-``config-`` cases run a subcommand with ``--config`` on a JSON payload
-written to a temporary file: valid settings of every kind, each setting with
-a wrong type or an out-of-range value, missing keys and unknown keys, a
+``--output``, a non-integer ``--ns``, and the run-setting flags of
+``convergence``. Its ``config-`` cases run a subcommand with ``--config`` on
+a JSON payload written to a temporary file: valid settings of every kind,
+each setting with a wrong type or an out-of-range value, missing keys and
+unknown keys (among them the ``cyclic`` key of configs before 0.4.0), a
 payload that is not an object, an external command that cannot start, and
 flags given after ``--config`` that override the file. The run time is the one
 value that differs between runs, so ``elapsed_seconds`` is cut out (the JSON
@@ -62,18 +62,15 @@ ESTIMATORS = {
 }
 
 
-WINDING_KINDS = ["winding", "winding-cyclic"]
+WINDING_KINDS = ["winding"]
 WINDING_EDGE_NS = [2, 4097]
 
 
 def run_report(model: str, kind: str, workers: int = 1, n: int = GOLDEN_N) -> dict:
     make_f, make_space = MODELS[model]
     cfg = EstimatorConfig(n=n, seed=SEED, workers=workers)
-    if kind.startswith("winding"):
-        report = estimate_shapley_winding(make_f(), make_space(), cfg,
-                                          cyclic=kind == "winding-cyclic")
-    else:
-        report = ESTIMATORS[kind](make_f(), make_space(), cfg)
+    estimator = estimate_shapley_winding if kind == "winding" else ESTIMATORS[kind]
+    report = estimator(make_f(), make_space(), cfg)
     return json.loads(json.dumps(report_bits(report)))
 
 
@@ -150,10 +147,6 @@ CLI_CASES = {
     "convergence-flags": ["convergence", "--model", "ishigami", "--ns", "64,128", "--trials", "3",
                           "--estimator", "total", "--workers", "2", "--seed", "3"],
     "convergence-trials-1": ["convergence", "--model", "ishigami", "--ns", "64", "--trials", "1"],
-    "analyze-cyclic-flag-winding": ["analyze", "--model", "ishigami", "--estimator",
-                                    "shapley-winding", "--cyclic", "--n", "300", "--seed", "5"],
-    "analyze-cyclic-flag-shapley": ["analyze", "--model", "ishigami", "--estimator", "shapley",
-                                    "--cyclic", "--n", "300", "--seed", "5"],
     "analyze-workers-0": ["analyze", "--model", "ishigami", "--n", "300", "--workers", "0"],
 }
 UNIFORM01 = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
@@ -178,9 +171,6 @@ CONFIG_CASES = {
                                                                  "a": 5, "b": 0.2}}),
     "config-ci-z": ("analyze", {**ISHIGAMI, "ci_z": 3}),
     "config-workers-2": ("analyze", {**ISHIGAMI, "n": 4100, "workers": 2}),
-    "config-cyclic-winding": ("analyze", {**ISHIGAMI, "estimator": "shapley-winding",
-                                          "cyclic": True}),
-    "config-cyclic-false": ("analyze", {**ISHIGAMI, "cyclic": False}),
     "config-output-null": ("analyze", {**ISHIGAMI, "output": None}),
     "config-convergence": ("convergence", {**SOBOL_G3, "estimator": "total", "seed": 2,
                                            "workers": 2, "format": "json"}),
@@ -202,8 +192,6 @@ CONFIG_CASES = {
     "config-flag-format": ("analyze", {**ISHIGAMI, "format": "json"}, ["--format", "csv"]),
     "config-flag-model": ("analyze", {**ISHIGAMI, "model": {"name": "sobol-g", "d": 3}},
                           ["--model", "ishigami"]),
-    "config-flag-cyclic": ("analyze", {**ISHIGAMI, "estimator": "shapley-winding",
-                                       "cyclic": False}, ["--cyclic"]),
     "config-convergence-flags": ("convergence", SOBOL_G3,
                                  ["--ns", "32,64", "--trials", "2", "--format", "json"]),
     # Wrong types and out-of-range values.
@@ -215,7 +203,6 @@ CONFIG_CASES = {
            ("workers", "0", 0), ("workers", "str", "2"), ("workers", "null", None),
            ("ci_z", "0", 0), ("ci_z", "negative", -1.0), ("ci_z", "str", "1.96"),
            ("ci_z", "bool", True), ("ci_z", "null", None),
-           ("cyclic", "str", "yes"), ("cyclic", "int", 1),
            ("format", "xml", "xml"), ("format", "int", 1),
            ("estimator", "magic", "magic"), ("estimator", "int", 3),
            ("distributions", "object", {"kind": "uniform"}),
@@ -255,8 +242,6 @@ CONFIG_CASES = {
        ]},
     "config-bad-external-n": ("analyze", {"model": EXTERNAL, "distributions": [UNIFORM01] * 2,
                                           "n": 1}),
-    "config-bad-cyclic-shapley": ("analyze", {**ISHIGAMI, "cyclic": True}),
-    "config-bad-cyclic-zero-total": ("analyze", {**ISHIGAMI, "estimator": "total", "cyclic": 0}),
     "config-bad-output-int": ("analyze", {**ISHIGAMI, "output": 5}),
     "config-bad-array": ("analyze", [ISHIGAMI]),
     "config-external-cannot-start": ("analyze", {**NO_SUCH_EXTERNAL, "n": 300}),
@@ -292,6 +277,14 @@ CONFIG_CASES = {
     "config-unknown-exact-key": ("exact", {"model": {"name": "ishigami"}, "n": 300}),
     "config-unknown-exact-distributions": ("exact", {"model": {"name": "ishigami"},
                                                      "distributions": [UNIFORM01] * 3}),
+    # The cyclic cases of 0.3.x, valid or not then: 0.4.0 removed the key.
+    "config-cyclic-winding": ("analyze", {**ISHIGAMI, "estimator": "shapley-winding",
+                                          "cyclic": True}),
+    "config-cyclic-false": ("analyze", {**ISHIGAMI, "cyclic": False}),
+    "config-bad-cyclic-str": ("analyze", {**ISHIGAMI, "cyclic": "yes"}),
+    "config-bad-cyclic-int": ("analyze", {**ISHIGAMI, "cyclic": 1}),
+    "config-bad-cyclic-shapley": ("analyze", {**ISHIGAMI, "cyclic": True}),
+    "config-bad-cyclic-zero-total": ("analyze", {**ISHIGAMI, "estimator": "total", "cyclic": 0}),
 }
 _ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*|#elapsed_seconds,[^\n]*\n')
 

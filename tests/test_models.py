@@ -17,7 +17,7 @@ from shapeff import (EstimatorConfig, EvaluationError, ExternalModel,
                      RngStream, Uniform, constant_model,
                      estimate_main_effects, estimate_shapley_all,
                      estimate_shapley_winding, estimate_total_effects,
-                     external_model, ishigami, ishigami_exact, ishigami_space,
+                     ishigami, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, sobol_g,
                      sobol_g_exact, sobol_g_space)
 
@@ -215,7 +215,7 @@ def test_external_model_echoes_first_coordinate():
 
 def test_external_model_constant_process():
     code = "import sys\nfor _ in sys.stdin:\n    print(2.5, flush=True)\n"
-    f = external_model([sys.executable, "-c", code], dim=3)
+    f = ExternalModel([sys.executable, "-c", code], dim=3)
     assert isinstance(f, ModelFunction)
     assert f.as_model() is f
     assert f([1.0, 2.0, 3.0]) == 2.5
@@ -228,7 +228,7 @@ def test_external_model_constant_process():
 def test_dropped_external_model_ends_its_process():
     # Dropping the last reference closes the process at once, with no
     # garbage collection in between.
-    f = external_model([sys.executable, "-c", ECHO_FIRST], dim=2)
+    f = ExternalModel([sys.executable, "-c", ECHO_FIRST], dim=2)
     assert f([0.25, 0.5]) == 0.25
     proc = f._child.proc
     gc.disable()
@@ -240,7 +240,7 @@ def test_dropped_external_model_ends_its_process():
 
 
 def test_external_model_matches_builtin_ishigami():
-    f = external_model([sys.executable, "-c", ISHIGAMI_CHILD], dim=3)
+    f = ExternalModel([sys.executable, "-c", ISHIGAMI_CHILD], dim=3)
     assert f([math.pi / 2, math.pi / 2, 1.0]) == pytest.approx(8.1, rel=1e-12)
     assert f([0.4, -1.2, 2.2]) == pytest.approx(ishigami()([0.4, -1.2, 2.2]), rel=1e-12)
 

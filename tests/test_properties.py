@@ -24,14 +24,11 @@ KINDS = {
     "main": (estimate_main_effects, lambda d, n: (d + 2) * n),
     "total": (estimate_total_effects, lambda d, n: (d + 1) * n),
     "winding": (estimate_shapley_winding, lambda d, n: d * n + 1),
-    "winding-cyclic": (estimate_shapley_winding, lambda d, n: d * n),
 }
 
 
 def run(kind, f, space, cfg):
     estimator, _ = KINDS[kind]
-    if kind.startswith("winding"):
-        return estimator(f, space, cfg, cyclic=kind == "winding-cyclic")
     return estimator(f, space, cfg)
 
 
@@ -39,7 +36,7 @@ def run(kind, f, space, cfg):
 @given(kind=st.sampled_from(list(KINDS)), d=st.integers(1, 4), n=st.integers(2, 9000),
        workers=st.integers(1, 2), seed=st.integers(0, 2 ** 64 - 1))
 @example(kind="shapley", d=3, n=4097, workers=2, seed=0)
-@example(kind="winding-cyclic", d=2, n=2, workers=1, seed=0)
+@example(kind="winding", d=2, n=2, workers=1, seed=0)
 def test_eval_count_meets_the_cost_contract(kind, d, n, workers, seed):
     f = ModelFunction(d, lambda X: X.sum(axis=1), vectorized=True)
     space = InputSpace([Uniform(0.0, 1.0)] * d)
@@ -65,7 +62,7 @@ def random_models(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(model=random_models(), kind=st.sampled_from(["shapley", "winding", "winding-cyclic"]),
+@given(model=random_models(), kind=st.sampled_from(["shapley", "winding"]),
        n=st.integers(2, 600), workers=st.integers(1, 2), seed=st.integers(0, 2 ** 64 - 1))
 def test_each_walk_credits_every_variable_once(model, kind, n, workers, seed):
     # Per sample, the d increments of a walk telescope to 0.5 * (f(x) - f(y))^2
@@ -88,7 +85,7 @@ def test_each_walk_credits_every_variable_once(model, kind, n, workers, seed):
 @example(kind="main", d=2, n=4097, seed=2)
 @example(kind="total", d=4, n=3 * 4096 + 1, seed=3)
 @example(kind="winding", d=3, n=4097, seed=4)
-@example(kind="winding-cyclic", d=2, n=3 * 4096 + 1, seed=5)
+@example(kind="winding", d=2, n=3 * 4096 + 1, seed=5)
 def test_reports_are_bitwise_equal_at_any_worker_count(kind, d, n, seed):
     # Each worker thread reuses one set of chunk buffers, and which chunks share
     # a buffer depends on the worker count; a chunk that read rows left by an
@@ -133,8 +130,7 @@ def test_merged_chunk_moments_match_an_exact_two_pass_sum(d, wide, sizes, shift,
 @st.composite
 def analyze_configs(draw):
     """An analyze config: a builtin model, optionally its own input marginals,
-    and any estimator, sample size, seed, worker count and CI multiplier, with
-    cyclic drawn for winding only."""
+    and any estimator, sample size, seed, worker count and CI multiplier."""
     name = draw(st.sampled_from(["ishigami", "sobol-g", "plate-buckling", "constant"]))
     positive = st.floats(0.05, 10.0)
     if name == "ishigami":
@@ -149,11 +145,9 @@ def analyze_configs(draw):
     else:
         model, dim = {"name": name}, 6
     estimator = draw(st.sampled_from(["shapley", "shapley-winding", "main", "total"]))
-    # cyclic: true is rejected for every estimator but winding.
     config = {"model": model, "estimator": estimator,
               "n": draw(st.integers(2, 5000)), "seed": draw(st.integers(0, 2 ** 64 - 1)),
-              "workers": draw(st.integers(1, 3)), "ci_z": draw(st.floats(0.5, 4.0)),
-              "cyclic": estimator == "shapley-winding" and draw(st.booleans())}
+              "workers": draw(st.integers(1, 3)), "ci_z": draw(st.floats(0.5, 4.0))}
     # The plate needs positive widths, thicknesses and moduli: its own marginals.
     if name != "plate-buckling" and draw(st.booleans()):
         marginal = st.one_of(

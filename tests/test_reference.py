@@ -257,6 +257,9 @@ def test_oracle_subset_variances_sum_to_the_grid_variance():
     {"panels": 1.5}, {"panels": False}, {"panels": 0},
     {"truncation": 5}, {"truncation": "ab"}, {"truncation": [None]},
     {"truncation": [None, None, None]},
+    {"truncation": [(-math.inf, math.inf), None]}, {"truncation": [(0.0, math.inf), None]},
+    {"truncation": [("a", 1), None]}, {"truncation": [5, None]},
+    {"truncation": [(0, 1, 2), None]},
 ], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_oracle_checks_its_arguments_before_evaluating(kwargs):
     f = ModelFunction(2, lambda x: x[:, 0], name="x1", vectorized=True)
