@@ -16,16 +16,20 @@ model; the child's command is built from ``sys.executable`` at run time.
 of CLI invocations: ``analyze`` for every builtin model, estimator and
 format, ``exact`` for every builtin name and an unknown one, an unknown model
 in ``analyze``, ``convergence`` on Ishigami and the plate, an empty
-``--output``, a non-integer ``--ns``, and the run-setting flags of
-``convergence``. Its ``config-`` cases run a subcommand with ``--config`` on
-a JSON payload written to a temporary file: valid settings of every kind,
+``--output``, a non-integer ``--ns``, the ``--cyclic`` flag that 0.4.0
+removed, and the run-setting flags of ``convergence``. Its ``config-`` cases
+run a subcommand with ``--config`` on a JSON payload written to a temporary
+file: valid settings of every kind,
 each setting with a wrong type or an out-of-range value, missing keys and
 unknown keys (among them the ``cyclic`` key of configs before 0.4.0), a
 payload that is not an object, an external command that cannot start, and
 flags given after ``--config`` that override the file. The run time is the one
 value that differs between runs, so ``elapsed_seconds`` is cut out (the JSON
 key and the CSV line) before the comparison, and the temporary file's path
-reads as ``CONFIG``. The file holds exactly the listed cases.
+reads as ``CONFIG``. An argument that argparse refuses ends the run with
+``SystemExit``, whose code is recorded; the terminal width is fixed at 80
+columns so that argparse's usage text wraps the same everywhere. The file
+holds exactly the listed cases.
 
 Re-record both files with ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -33,10 +37,12 @@ Re-record both files with ``PYTHONPATH=src python tests/test_golden.py``.
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -148,6 +154,11 @@ CLI_CASES = {
                           "--estimator", "total", "--workers", "2", "--seed", "3"],
     "convergence-trials-1": ["convergence", "--model", "ishigami", "--ns", "64", "--trials", "1"],
     "analyze-workers-0": ["analyze", "--model", "ishigami", "--n", "300", "--workers", "0"],
+    # 0.4.0 removed the --cyclic flag: argparse refuses it for every estimator.
+    "analyze-cyclic-flag-winding": ["analyze", "--model", "ishigami", "--estimator",
+                                    "shapley-winding", "--cyclic", "--n", "300", "--seed", "5"],
+    "analyze-cyclic-flag-shapley": ["analyze", "--model", "ishigami", "--estimator", "shapley",
+                                    "--cyclic", "--n", "300", "--seed", "5"],
 }
 UNIFORM01 = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
 ISHIGAMI = {"model": {"name": "ishigami"}, "n": 300, "seed": 5}
@@ -192,6 +203,8 @@ CONFIG_CASES = {
     "config-flag-format": ("analyze", {**ISHIGAMI, "format": "json"}, ["--format", "csv"]),
     "config-flag-model": ("analyze", {**ISHIGAMI, "model": {"name": "sobol-g", "d": 3}},
                           ["--model", "ishigami"]),
+    "config-flag-cyclic": ("analyze", {**ISHIGAMI, "estimator": "shapley-winding",
+                                       "cyclic": False}, ["--cyclic"]),
     "config-convergence-flags": ("convergence", SOBOL_G3,
                                  ["--ns", "32,64", "--trials", "2", "--format", "json"]),
     # Wrong types and out-of-range values.
@@ -292,8 +305,12 @@ _ELAPSED = re.compile(r',\n  "elapsed_seconds": [^\n]*|#elapsed_seconds,[^\n]*\n
 def cli_output(argv: list) -> dict:
     """Exit code, stdout and stderr of one CLI run, with elapsed_seconds cut."""
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()) as err:
-        code = main(argv)
+            contextlib.redirect_stderr(io.StringIO()) as err, \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"code": code, "stdout": _ELAPSED.sub("", out.getvalue()),
             "stderr": err.getvalue()}
 
