@@ -20,10 +20,10 @@ reports are bitwise identical for any worker count. Each worker thread
 allocates one chunk-sized workspace and reuses it for every chunk it runs,
 so memory per call does not grow with N.
 
-Every chunk matrix is column-major: the sampled points, the walks' points,
-the main and total effects' work matrix and the per-sample terms. Models
-read contiguous columns, and a walk step moves one coordinate of every
-sample through a single flat index, perm * count + row.
+Every chunk matrix is column-major: the sampled points, winding's walk
+points and the per-sample terms. Models read contiguous columns, and a walk
+step moves one coordinate of every sample through a single flat index,
+perm * count + row.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.nda
 
 class _Workspace:
     """One worker thread's chunk buffers, reused for every chunk the thread
-    runs: `matrices` column-major float matrices of min(n, 4096) rows by d
-    and, for the walks, the step index buffer.
+    runs: `matrices` column-major float matrices of min(n, 4096) rows by d,
+    one for the per-sample terms and, for winding, one for the walk points.
 
     A chunk of count samples uses the first count * d floats of each buffer
     and writes every element it reads, so a short tail chunk never sees
@@ -185,26 +185,12 @@ class _Workspace:
         self._d = d
         self._count = matrices
         self._buffers = None
-        self._steps = None
 
     def matrices(self, count: int) -> list[np.ndarray]:
         """The column-major (count, d) float matrices."""
         if self._buffers is None:
             self._buffers = [np.empty(self._size) for _ in range(self._count)]
         return [_columns(b, count, self._d) for b in self._buffers]
-
-    def walk_steps(self, perms: np.ndarray) -> np.ndarray:
-        """Row `step` holds, for every sample, the flat index into its
-        column-major (count, d) matrices of the coordinate its walk swaps at
-        that step: perm * count + row."""
-        if self._steps is None:
-            self._steps = np.empty(self._size, dtype=np.intp)
-            self._rows = np.arange(self._size // self._d, dtype=np.intp)
-        count, d = perms.shape
-        steps = self._steps[:d * count].reshape(d, count)
-        np.multiply(perms.T, count, out=steps)
-        steps += self._rows[:count]
-        return steps
 
 
 def _chunks(n: int):
@@ -213,20 +199,20 @@ def _chunks(n: int):
         yield k, s, min(s + _CHUNK, n) - s
 
 
-def _run_chunks(task, n: int, workers: int, workspace):
+def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
     """Yield task(chunk, ws) for every chunk, in ascending chunk order. Each
-    thread calls workspace() once, on its first chunk, and passes the result
-    to every chunk it runs. Tasks run with numpy's overflow and invalid
-    warnings off on every thread (threads do not inherit np.errstate), as
-    `_report` checks what they return. An EvaluationError is raised again
-    naming the chunk's samples. At most 2 * workers chunks are in flight, so
-    the results not yet consumed do not grow with n; on a failure the chunks
-    not yet started are cancelled."""
+    thread makes one `_Workspace(d, n, matrices)`, on its first chunk, and
+    passes it to every chunk it runs. Tasks run with numpy's overflow and
+    invalid warnings off on every thread (threads do not inherit
+    np.errstate), as `_report` checks what they return. An EvaluationError is
+    raised again naming the chunk's samples. At most 2 * workers chunks are
+    in flight, so the results not yet consumed do not grow with n; on a
+    failure the chunks not yet started are cancelled."""
     local = threading.local()
 
     def run(chunk):
         if not hasattr(local, "ws"):
-            local.ws = workspace()
+            local.ws = _Workspace(d, n, matrices)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 return task(chunk, local.ws)
@@ -288,11 +274,12 @@ class _ChunkModel:
 
 
 def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
-            workers: int, workspace) -> Report:
+            workers: int, matrices: int) -> Report:
     """Run task(model, chunk, ws) on every chunk of cfg.n samples through
-    `_run_chunks`, merge the per-chunk moments in chunk order as they arrive
-    and build the report of `kind`. Each task is given f as a `_ChunkModel`,
-    and the report's evaluation count is the sum of their tallies.
+    `_run_chunks`, with workspaces of `matrices` matrices, merge the
+    per-chunk moments in chunk order as they arrive and build the report of
+    `kind`. Each task is given f as a `_ChunkModel`, and the report's
+    evaluation count is the sum of their tallies.
 
     Each part holds a chunk's term moments and, for the Shapley walks, the
     moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
@@ -307,7 +294,7 @@ def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
 
     evals = 0
     terms, pairs = _Moments(d), _Moments(1)
-    for points, (term_part, pair_part) in _run_chunks(counted, cfg.n, workers, workspace):
+    for points, (term_part, pair_part) in _run_chunks(counted, cfg.n, workers, d, matrices):
         evals += points
         with np.errstate(over="ignore", invalid="ignore"):
             terms.merge(*term_part)
@@ -333,13 +320,13 @@ def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
 
 
 def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
-             matrices: int, design) -> Report:
+             design) -> Report:
     """Run `design` on every chunk of cfg.n samples and report the merged moments.
 
     Chunk k draws from RngStream(seed, k): x, then y, then what the design
     draws itself. design(model, x, y, gen, ws) evaluates the chunk on the
     `_ChunkModel` it is given and returns its part for `_report`; ws is the
-    worker's workspace of `matrices` column-major matrices.
+    worker's workspace of one column-major matrix, for the terms.
     """
     _require_match(f, space)
 
@@ -350,25 +337,32 @@ def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfi
         y = space.sample(count, gen)
         return design(model, x, y, gen, ws)
 
-    return _report(kind, f, cfg, space.d, task, cfg.workers,
-                   lambda: _Workspace(space.d, cfg.n, matrices))
+    return _report(kind, f, cfg, space.d, task, cfg.workers, 1)
 
 
 def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np.ndarray,
-          steps: np.ndarray, g: np.ndarray):
-    """Walk each row of z to the same row of y in place, one coordinate per
-    row of steps, crediting each step's increment to the variable it swaps.
+          perms: np.ndarray, g: np.ndarray):
+    """Walk each row of z towards the same row of y in place, swapping at
+    step s the coordinate perms[:, s], and credit each step's increment to
+    the variable it swaps.
 
     fx and fy are f at the walks' two ends. Each step but the last evaluates
-    f at the walks' new points; the last step ends at y and takes fy. Returns
-    the chunk's part for `_report`; g receives the increments.
+    f at the walks' new points; the last step ends at y and takes fy, so z
+    is not moved there. Returns the chunk's part for `_report`; g receives
+    the increments.
     """
     z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
-    last = len(steps) - 1
+    count, d = perms.shape
+    rows = np.arange(count)
     fprev = fx
-    for step, idx in enumerate(steps):
-        z_flat[idx] = y_flat[idx]
-        fz = fy if step == last else f.evaluate_batch(z)
+    for step in range(d):
+        idx = perms[:, step] * count
+        idx += rows
+        if step == d - 1:
+            fz = fy
+        else:
+            z_flat[idx] = y_flat[idx]
+            fz = f.evaluate_batch(z)
         g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
         fprev = fz
     pairs = 0.5 * (fx - fy) ** 2
@@ -381,34 +375,36 @@ def _shapley(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Gene
     """The Shapley design: f(x), f(y), then walk each sample from x to y
     along a random permutation."""
     count, d = x.shape
-    steps = ws.walk_steps(permutation_rows(gen, count, d))
+    perms = permutation_rows(gen, count, d)
     (g,) = ws.matrices(count)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y)
-    # The walk moves x to y in place; x is not read again.
-    return _walk(f, fx, fy, x, y, steps, g)
+    # The walk moves x towards y in place; x is not read again.
+    return _walk(f, fx, fy, x, y, perms, g)
 
 
 def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
                  ws: _Workspace, *, main: bool):
     """The main and total effects' design: for each variable j, evaluate a
-    base matrix with its column j taken from the other draw.
+    base draw with its column j taken from the other draw, then put the
+    column back.
 
     Main's base is y and its term f(x) * (f(x_j, y_-j) - f(y)); total's base
-    is x and its term 0.5 * (f(x) - f(y_j, x_-j))^2.
+    is x and its term 0.5 * (f(x) - f(y_j, x_-j))^2. Column j of terms holds
+    base's column j while the swapped base is evaluated.
     """
     count, d = x.shape
     base, swap = (y, x) if main else (x, y)
-    w, terms = ws.matrices(count)
+    (terms,) = ws.matrices(count)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y) if main else None
-    np.copyto(w, base)
     for j in range(d):
-        w[:, j] = swap[:, j]
-        fw = f.evaluate_batch(w)
+        terms[:, j] = base[:, j]
+        base[:, j] = swap[:, j]
+        fw = f.evaluate_batch(base)
+        base[:, j] = terms[:, j]
         terms[:, j] = fx * (fw - fy) if main else 0.5 * (fx - fw) ** 2
-        w[:, j] = base[:, j]
-    return _chunk_moments(terms, w), None
+    return _chunk_moments(terms, base), None
 
 
 def estimate_shapley_all(f: ModelFunction, space: InputSpace,
@@ -418,7 +414,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
     per-variable variance estimates and ci_z-sigma confidence intervals.
     """
-    return _sampled("shapley", f, space, cfg, 1, _shapley)
+    return _sampled("shapley", f, space, cfg, _shapley)
 
 
 def _winding_streams(seed: int, n: int,
@@ -470,10 +466,9 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         fx = np.concatenate(([carry], fy[:-1]))
         carry = float(fy[-1])
         base_pt[0] = y[-1]
-        steps = ws.walk_steps(permutation_rows(perm_gen, count, d))
-        return _walk(model, fx, fy, z, y, steps, g)
+        return _walk(model, fx, fy, z, y, permutation_rows(perm_gen, count, d), g)
 
-    return _report("shapley-winding", f, cfg, d, task, 1, lambda: _Workspace(d, n, 2))
+    return _report("shapley-winding", f, cfg, d, task, 1, 2)
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,
@@ -484,7 +479,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     estimator one sample mean, so the same per-term variance estimate applies.
     Costs (d+2)N evaluations.
     """
-    return _sampled("main", f, space, cfg, 2, functools.partial(_pick_freeze, main=True))
+    return _sampled("main", f, space, cfg, functools.partial(_pick_freeze, main=True))
 
 
 def estimate_total_effects(f: ModelFunction, space: InputSpace,
@@ -493,4 +488,4 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
 
     Costs (d+1)N evaluations; estimates are non-negative by construction.
     """
-    return _sampled("total", f, space, cfg, 2, functools.partial(_pick_freeze, main=False))
+    return _sampled("total", f, space, cfg, functools.partial(_pick_freeze, main=False))

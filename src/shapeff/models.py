@@ -282,9 +282,10 @@ _STDERR_TAIL = 4096
 
 
 def _request_lines(points: np.ndarray) -> bytes:
-    """One line per row, each value as format(v, ".17g"), space-separated."""
+    """One line per row, each value as format(v, ".17g"), space-separated;
+    one % over the row-major values formats the whole slice."""
     row = " ".join(["%.17g"] * points.shape[1]) + "\n"
-    return "".join(row % tuple(values) for values in points.tolist()).encode("ascii")
+    return ((row * len(points)) % tuple(points.ravel().tolist())).encode("ascii")
 
 
 class _Child:

@@ -443,6 +443,74 @@ def test_winding_draws_permutations_from_the_jumped_stream():
     assert np.array_equal(np.vstack(chunked), perms)
 
 
+def recording_model(d: int) -> tuple[ModelFunction, list[np.ndarray]]:
+    """A vectorized model that keeps a copy of every batch it is passed."""
+    batches = []
+
+    def func(x):
+        batches.append(x.copy())
+        return np.sin(x).sum(axis=1)
+
+    return ModelFunction(d, func, vectorized=True), batches
+
+
+def walk_points(x: np.ndarray, y: np.ndarray, perms: np.ndarray) -> list[np.ndarray]:
+    """x with the first s coordinates of each row's permutation taken from y,
+    for s = 1..d-1: the points a walk evaluates between its two ends."""
+    count, d = x.shape
+    swapped = np.zeros((count, d), dtype=bool)
+    points = []
+    for s in range(d - 1):
+        swapped[np.arange(count), perms[:, s]] = True
+        points.append(np.where(swapped, y, x))
+    return points
+
+
+def bitwise(batches: list[np.ndarray]) -> list[tuple]:
+    return [(b.shape, b.tobytes()) for b in batches]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, d", [(5, 3), (4097, 2)])
+def test_shapley_walks_visit_x_y_then_x_taking_y_along_the_permutation(n, d, workers):
+    model, batches = recording_model(d)
+    space = InputSpace([Uniform(-1.0, 2.0)] * d)
+    seed = 23
+    estimate_shapley_all(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
+    # The chunks differ in size, so a chunk's batches are those of its size,
+    # in the order its thread passed them.
+    sizes = [min(4096, n - s) for s in range(0, n, 4096)]
+    by_size = {count: [b for b in batches if len(b) == count] for count in sizes}
+    assert sum(map(len, by_size.values())) == len(batches)
+    for k, count in enumerate(sizes):
+        gen = RngStream(seed, stream=k).generator()
+        x = space.sample(count, gen)
+        y = space.sample(count, gen)
+        perms = permutation_rows(gen, count, d)
+        assert bitwise(by_size[count]) == bitwise([x, y, *walk_points(x, y, perms)])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n, d", [(5, 3), (4097, 2)])
+def test_winding_walks_visit_consecutive_points_along_the_jumped_permutations(n, d, workers):
+    model, batches = recording_model(d)
+    space = InputSpace([Uniform(-1.0, 2.0)] * d)
+    seed = 29
+    estimate_shapley_winding(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
+    # Stream 0 draws points 0..n, then n permutations. A chunk evaluates its
+    # new points, then walks each of its points to the next; chunk 0
+    # evaluates point 0 first.
+    gen = RngStream(seed).generator()
+    points = space.sample(n + 1, gen)
+    perms = permutation_rows(gen, n, d)
+    expected = [points[:1]]
+    for start in range(0, n, 4096):
+        end = min(start + 4096, n)
+        expected.append(points[start + 1:end + 1])
+        expected += walk_points(points[start:end], points[start + 1:end + 1], perms[start:end])
+    assert bitwise(batches) == bitwise(expected)
+
+
 @pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding"])
 def test_memory_does_not_grow_with_n(kind):
     # tracemalloc sees numpy's buffers. Chunk buffers are reused, so the peak

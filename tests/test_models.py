@@ -283,23 +283,25 @@ def run_with_timeout(call, seconds=60):
 
 def test_external_model_request_text_is_the_line_protocol(tmp_path):
     # The process sees format(v, ".17g") per value, one line per point, in
-    # order, across slices and across batches.
-    log = tmp_path / "requests.txt"
-    code = ("import sys\n"
-            f"with open({str(log)!r}, 'w') as log:\n"
-            "    for line in sys.stdin:\n"
-            "        log.write(line)\n"
-            "        print(0.0, flush=True)\n")
-    special = np.array([[0.0, -0.0], [0.1, 1e-310], [5e-324, 1.7976931348623157e308],
-                        [-math.pi, 1.0 / 3.0]])
-    points = np.vstack([special, RngStream(9).generator().normal(size=(1000, 2))])
-    with ExternalModel([sys.executable, "-c", code], dim=2) as ext:
-        assert ext.evaluate_batch(points).tolist() == [0.0] * len(points)
-        ext.evaluate(points[0])
-    expected = ["".join(" ".join(format(v, ".17g") for v in row) + "\n"
-                        for row in points)]
-    expected.append(" ".join(format(v, ".17g") for v in points[0]) + "\n")
-    assert log.read_text() == "".join(expected)
+    # order, across slices and across batches, for models of 1 to 3 inputs.
+    # Every special value appears in every column.
+    for dim in (1, 2, 3):
+        log = tmp_path / f"requests-{dim}.txt"
+        code = ("import sys\n"
+                f"with open({str(log)!r}, 'w') as log:\n"
+                "    for line in sys.stdin:\n"
+                "        log.write(line)\n"
+                "        print(0.0, flush=True)\n")
+        special = np.resize([0.0, -0.0, 0.1, 1e-310, 5e-324, 1.7976931348623157e308,
+                             -math.pi, 1.0 / 3.0], (8, dim))
+        points = np.vstack([special, RngStream(9).generator().normal(size=(1000, dim))])
+        with ExternalModel([sys.executable, "-c", code], dim=dim) as ext:
+            assert ext.evaluate_batch(points).tolist() == [0.0] * len(points)
+            ext.evaluate(points[0])
+        expected = ["".join(" ".join(format(v, ".17g") for v in row) + "\n"
+                            for row in points)]
+        expected.append(" ".join(format(v, ".17g") for v in points[0]) + "\n")
+        assert log.read_text() == "".join(expected)
 
 
 def test_external_model_failed_batch_leaves_nothing_behind():
