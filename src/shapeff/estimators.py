@@ -417,56 +417,42 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     return _sampled("shapley", f, space, cfg, _shapley)
 
 
-def _winding_streams(seed: int, n: int,
-                     d: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Generators for winding's points and for its permutations.
-
-    The run's draws are its n + 1 points, then its n permutations, all from
-    stream 0. Each uniform consumes one 64-bit output, so a second stream-0
-    generator advanced past the points' draws yields the permutations, and
-    both can be drawn chunk by chunk.
-    """
-    point_gen = RngStream(seed, stream=0).generator()
-    perm_gen = RngStream(seed, stream=0).generator()
-    perm_gen.bit_generator.advance((n + 1) * d)
-    return point_gen, perm_gen
-
-
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
                              cfg: EstimatorConfig) -> Report:
     """Winding-stairs Shapley estimator: pair consecutive points of one sequence.
 
     Reusing each walk's final value as the next pair's base value cuts the
     cost to d*N + 1 evaluations. The pairs overlap, so no unbiased variance
-    estimate exists and the variance and CI fields are None. The run is
-    single-stream and sequential; cfg.workers is ignored. Points and
-    permutations are drawn chunk by chunk, so memory does not grow with N.
+    estimate exists and the variance and CI fields are None. The chunks run
+    in order, each walking on from the last point of the one before, so
+    cfg.workers is ignored. Chunk k draws from RngStream(seed, k): point 0
+    (chunk 0 only), then its points, then its permutations.
     """
     _require_match(f, space)
     d = space.d
-    n = cfg.n
-    point_gen, perm_gen = _winding_streams(cfg.seed, n, d)
-    base_pt = space.sample(1, point_gen)
     carry = None
 
     # One chunk of walks: f at the chunk's new points, then the walks from
-    # each point to the next. Chunk 0 evaluates point 0 first. Its draws are
-    # freed when it returns, before the next chunk draws its own.
+    # each point to the next. Chunk 0 draws and evaluates point 0 first. The
+    # carried point is a copy, so the chunk's draws are freed when it
+    # returns, before the next chunk draws its own.
     def task(model, chunk, ws):
         nonlocal carry
-        _, start, count = chunk
-        if start == 0:
-            carry = float(model.evaluate_batch(base_pt)[0])
-        # y[i] is point start + i + 1.
-        y = space.sample(count, point_gen)
+        k, start, count = chunk
+        gen = RngStream(cfg.seed, stream=k).generator()
+        if k == 0:
+            point = space.sample(1, gen)
+            carry = point[0], float(model.evaluate_batch(point)[0])
+        base_pt, base_f = carry
+        # Walk i runs from point start + i to y[i], point start + i + 1.
+        y = space.sample(count, gen)
         fy = model.evaluate_batch(y)
         z, g = ws.matrices(count)
-        z[0] = base_pt[0]
+        z[0] = base_pt
         z[1:] = y[:-1]
-        fx = np.concatenate(([carry], fy[:-1]))
-        carry = float(fy[-1])
-        base_pt[0] = y[-1]
-        return _walk(model, fx, fy, z, y, permutation_rows(perm_gen, count, d), g)
+        fx = np.concatenate(([base_f], fy[:-1]))
+        carry = y[-1].copy(), float(fy[-1])
+        return _walk(model, fx, fy, z, y, permutation_rows(gen, count, d), g)
 
     return _report("shapley-winding", f, cfg, d, task, 1, 2)
 

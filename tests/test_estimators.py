@@ -409,9 +409,10 @@ def test_winding_has_no_variance_estimate():
 def test_winding_ignores_worker_count():
     f = ishigami()
     space = ishigami_space()
-    a = estimate_shapley_winding(f, space, EstimatorConfig(n=300, seed=7, workers=1))
-    b = estimate_shapley_winding(f, space, EstimatorConfig(n=300, seed=7, workers=4))
-    assert a.estimates == b.estimates
+    for n in (300, 2 * 4096 + 5):
+        a = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=7, workers=1))
+        b = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=7, workers=4))
+        assert a.estimates == b.estimates
 
 
 def test_winding_chunk_carry_is_seamless():
@@ -426,21 +427,27 @@ def test_winding_chunk_carry_is_seamless():
         assert rel <= 1e-10 * abs(report.sigma2_from_pairs)
 
 
-def test_winding_draws_permutations_from_the_jumped_stream():
-    # Whole-run draws on one generator: every point, then every permutation.
-    from shapeff.estimators import _winding_streams
+def test_winding_draws_chunk_k_from_stream_k(monkeypatch):
+    from shapeff import estimators
 
+    # Chunk k draws its permutations from RngStream(seed, k) right after its
+    # points: point 0 and 4096 points in chunk 0, then 4096, 4096 and 5.
     space = ishigami_space()
     n, d, seed = 3 * 4096 + 5, space.d, 17
-    gen = RngStream(seed).generator()
-    points = space.sample(n + 1, gen)
-    perms = permutation_rows(gen, n, d)
+    states = []
 
-    point_gen, perm_gen = _winding_streams(seed, n, d)
-    sizes = [1, *[min(4096, n - s) for s in range(0, n, 4096)]]
-    assert np.array_equal(np.vstack([space.sample(c, point_gen) for c in sizes]), points)
-    chunked = [permutation_rows(perm_gen, min(4096, n - s), d) for s in range(0, n, 4096)]
-    assert np.array_equal(np.vstack(chunked), perms)
+    def recording(gen, count, width):
+        states.append(gen.bit_generator.state)
+        return permutation_rows(gen, count, width)
+
+    monkeypatch.setattr(estimators, "permutation_rows", recording)
+    estimate_shapley_winding(ishigami(), space, EstimatorConfig(n=n, seed=seed))
+    expected = []
+    for k, start in enumerate(range(0, n, 4096)):
+        gen = RngStream(seed, stream=k).generator()
+        space.sample((k == 0) + min(4096, n - start), gen)
+        expected.append(gen.bit_generator.state)
+    assert states == expected
 
 
 def recording_model(d: int) -> tuple[ModelFunction, list[np.ndarray]]:
@@ -492,23 +499,42 @@ def test_shapley_walks_visit_x_y_then_x_taking_y_along_the_permutation(n, d, wor
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n, d", [(5, 3), (4097, 2)])
-def test_winding_walks_visit_consecutive_points_along_the_jumped_permutations(n, d, workers):
+def test_winding_walks_consecutive_points_along_chunk_permutations(n, d, workers):
     model, batches = recording_model(d)
     space = InputSpace([Uniform(-1.0, 2.0)] * d)
     seed = 29
     estimate_shapley_winding(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
-    # Stream 0 draws points 0..n, then n permutations. A chunk evaluates its
-    # new points, then walks each of its points to the next; chunk 0
+    # Chunk k draws from stream k: point 0 (chunk 0 only), its points, then
+    # its permutations. It evaluates its new points, then walks each point
+    # to the next, starting from the last point of the chunk before; chunk 0
     # evaluates point 0 first.
-    gen = RngStream(seed).generator()
-    points = space.sample(n + 1, gen)
-    perms = permutation_rows(gen, n, d)
-    expected = [points[:1]]
-    for start in range(0, n, 4096):
-        end = min(start + 4096, n)
-        expected.append(points[start + 1:end + 1])
-        expected += walk_points(points[start:end], points[start + 1:end + 1], perms[start:end])
+    expected = []
+    for k, start in enumerate(range(0, n, 4096)):
+        count = min(4096, n - start)
+        gen = RngStream(seed, stream=k).generator()
+        if k == 0:
+            last = space.sample(1, gen)
+            expected.append(last)
+        points = space.sample(count, gen)
+        perms = permutation_rows(gen, count, d)
+        expected += [points, *walk_points(np.vstack([last, points[:-1]]), points, perms)]
+        last = points[-1:]
     assert bitwise(batches) == bitwise(expected)
+
+
+@pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+def test_a_longer_run_starts_with_the_model_calls_of_a_shorter_one(kind):
+    # Chunk k draws only from RngStream(seed, k), so the run at N = 3 * 4096
+    # first passes the model exactly the batches of the run at N = 2 * 4096.
+    space = InputSpace([Uniform(-1.0, 2.0)] * 2)
+    calls = []
+    for n in (2 * 4096, 3 * 4096):
+        model, batches = recording_model(2)
+        run_estimator(kind, model, space, EstimatorConfig(n=n, seed=31))
+        calls.append(bitwise(batches))
+    short, long = calls
+    assert long[:len(short)] == short
+    assert len(long) > len(short)
 
 
 @pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding"])
