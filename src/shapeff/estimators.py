@@ -444,15 +444,18 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
             point = space.sample(1, gen)
             carry = point[0], float(model.evaluate_batch(point)[0])
         base_pt, base_f = carry
-        # Walk i runs from point start + i to y[i], point start + i + 1.
+        # Walk i runs from point start + i to y[i], point start + i + 1. The
+        # permutations are drawn before the workspace is made, as in
+        # `_shapley`, so on a thread's first chunk they too lie below it.
         y = space.sample(count, gen)
+        perms = permutation_rows(gen, count, d)
         fy = model.evaluate_batch(y)
         z, g = ws.matrices(count)
         z[0] = base_pt
         z[1:] = y[:-1]
         fx = np.concatenate(([base_f], fy[:-1]))
         carry = y[-1].copy(), float(fy[-1])
-        return _walk(model, fx, fy, z, y, permutation_rows(gen, count, d), g)
+        return _walk(model, fx, fy, z, y, perms, g)
 
     return _report("shapley-winding", f, cfg, d, task, 1, 2)
 

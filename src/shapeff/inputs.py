@@ -6,8 +6,14 @@ reproduce the same sequence bitwise; distinct stream ids yield statistically
 independent streams, which the estimators use to parallelize over fixed-size
 sample chunks without losing determinism.
 
-Sampling is inverse-transform throughout: one matrix of uniforms is drawn
-and each column is overwritten with its marginal's quantiles.
+Each marginal is a map of one standard variate: a uniform on (0, 1) for
+:class:`Uniform`, a standard normal for :class:`Normal` and
+:class:`LogNormal`. :meth:`InputSpace.sample` draws the uniform columns
+first, then the normal ones from numpy's ziggurat
+(``Generator.standard_normal``), and maps each column in place, so no run
+needs an inverse normal CDF. :meth:`MarginalDistribution.quantile` maps a
+uniform through the same map, by way of ``scipy.special.ndtri`` for the
+normal family.
 
 A marginal can also be given as a distribution spec, the JSON object that
 configs use: ``{"kind": "uniform", "lo": ..., "hi": ...}``, ``{"kind":
@@ -28,45 +34,53 @@ from .errors import (ConfigError, ParameterError, _check_keys, require_finite,
 
 # Uniform draws are (k + 0.5) / 2^53 for k uniform in [0, 2^53), except that
 # the top point (2^53 - 0.5) / 2^53 rounds to exactly 1.0 and is drawn as
-# 1 - 2^-53 instead. Every draw is strictly inside (0, 1), so quantile
-# transforms of unbounded marginals never produce infinities.
+# 1 - 2^-53 instead. Every draw is strictly inside (0, 1).
 _U53 = 1 << 53
 _BELOW_ONE = 1.0 - 2.0 ** -53
-# The lowest and highest draws of that grid, at which a marginal checks its
-# transform when it is built.
+# The lowest and highest draws of that grid, at which a uniform marginal
+# checks its map when it is built.
 _GRID_ENDS = np.array([0.5 / _U53, _BELOW_ONE])
-
-
-def _ndtri(u):
-    """Standard normal quantile of u, looked up at the grid ends. Elsewhere
-    scipy.special is imported on first use, not with the package: uniform
-    inputs never need it, and it takes longer to import than a small run takes."""
-    if u is _GRID_ENDS:
-        return np.array([-8.292361075813597, 8.209536151601387])
-    from scipy.special import ndtri
-
-    return ndtri(u)
+# The reach of numpy's ziggurat (Marsaglia and Tsang 2000): a draw below the
+# base strip's edge r is returned as is, and a tail draw is r - ln(1 - U) / r
+# for a 53-bit U <= 1 - 2^-53, so |z| <= r + 53 ln 2 / r, about 13.71. A
+# normal-family marginal checks its map at both ends when it is built.
+_ZIGGURAT_R = 3.6541528853610088
+_Z_REACH = _ZIGGURAT_R + 53.0 * math.log(2.0) / _ZIGGURAT_R
+_Z_ENDS = np.array([-_Z_REACH, _Z_REACH])
 
 
 class MarginalDistribution:
-    """A distribution of one input. A subclass defines ``pdf(x)`` and
-    ``_transform(u)``, its quantile function on an array of u in (0, 1),
-    monotone in u, and ends its ``__post_init__`` with ``_check_draws()``."""
+    """A distribution of one input, as a map of one standard variate.
+
+    A subclass defines ``pdf(x)`` and ``_map(v)``, monotone in v, which takes
+    a uniform on (0, 1), or a standard normal where the class sets
+    ``_normal = True``. Its ``__post_init__`` ends with ``_check_draws()``.
+    """
+
+    _normal = False
 
     def quantile(self, u):
+        """The marginal's quantile of u, each value strictly in (0, 1); a
+        normal-family marginal imports scipy.special here, on first use."""
         u = np.asarray(u, dtype=float)
-        if np.any(u <= 0.0) or np.any(u >= 1.0):
+        if not np.all((u > 0.0) & (u < 1.0)):
             raise ParameterError("quantile argument must lie strictly in (0, 1)")
-        return self._transform(u)
+        if self._normal:
+            from scipy.special import ndtri
+
+            u = ndtri(u)
+        return self._map(u)
 
     def _check_draws(self) -> None:
-        """ParameterError unless the draws at both ends of the grid are
-        finite; the transform is monotone, so then every draw is."""
+        """ParameterError unless the map is finite at both ends of the
+        variates that can be drawn; it is monotone, so then every draw is."""
+        ends, where = ((_Z_ENDS, ("z = -13.71", "z = 13.71")) if self._normal
+                       else (_GRID_ENDS, ("u = 2^-54", "u = 1 - 2^-53")))
         with np.errstate(over="ignore", invalid="ignore"):
-            ends = self._transform(_GRID_ENDS)
+            ends = self._map(ends)
         if not np.isfinite(ends).all():
             raise ParameterError(f"{self} draws non-finite values: {ends[0]} at "
-                                 f"u = 2^-54, {ends[1]} at u = 1 - 2^-53")
+                                 f"{where[0]}, {ends[1]} at {where[1]}")
 
 
 @dataclass(frozen=True)
@@ -83,7 +97,7 @@ class Uniform(MarginalDistribution):
             raise ParameterError(f"uniform needs lo < hi, got [{lo}, {hi}]")
         self._check_draws()
 
-    def _transform(self, u):
+    def _map(self, u):
         return self.lo + u * (self.hi - self.lo)
 
     def pdf(self, x):
@@ -102,6 +116,7 @@ class Normal(MarginalDistribution):
 
     mean: float
     sd: float
+    _normal = True
 
     def __post_init__(self):
         require_finite("mean", self.mean)
@@ -120,8 +135,8 @@ class Normal(MarginalDistribution):
             raise ParameterError("normal cv needs a non-zero mean; give sd instead")
         return cls(mean, abs(mean) * cv)
 
-    def _transform(self, u):
-        return self.mean + self.sd * _ndtri(u)
+    def _map(self, z):
+        return self.mean + self.sd * z
 
     def pdf(self, x):
         if self.sd == 0:
@@ -140,6 +155,7 @@ class LogNormal(MarginalDistribution):
 
     mean: float
     cv: float
+    _normal = True
 
     def __post_init__(self):
         mean = require_finite("mean", self.mean)
@@ -158,8 +174,8 @@ class LogNormal(MarginalDistribution):
     def mu_ln(self) -> float:
         return math.log(self.mean) - 0.5 * math.log1p(self.cv * self.cv)
 
-    def _transform(self, u):
-        return np.exp(self.mu_ln + self.sigma_ln * _ndtri(u))
+    def _map(self, z):
+        return np.exp(self.mu_ln + self.sigma_ln * z)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -253,16 +269,27 @@ class InputSpace:
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """Draw an (n, d) matrix of independent rows from the product density.
 
-        The matrix is column-major, so each variable's column X[:, j] is
-        contiguous in memory.
+        The uniform columns are drawn first, as `_unit_draws` of their own,
+        then the normal-family columns as one row-major
+        gen.standard_normal((n, k)), and each column goes through its
+        marginal's map. The matrix is column-major, so each variable's column
+        X[:, j] is contiguous in memory.
         """
         n = require_integer("sample size", n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
-        u = _unit_draws(gen, n, self.d)
+        normal = [j for j, marginal in enumerate(self.marginals) if marginal._normal]
+        if normal:
+            x = np.empty((n, self.d), order="F")
+            uniform = [j for j in range(self.d) if j not in normal]
+            if uniform:
+                x[:, uniform] = _unit_draws(gen, n, len(uniform))
+            x[:, normal] = gen.standard_normal((n, len(normal)))
+        else:
+            x = _unit_draws(gen, n, self.d)
         for j, marginal in enumerate(self.marginals):
-            u[:, j] = marginal._transform(u[:, j])
-        return u
+            x[:, j] = marginal._map(x[:, j])
+        return x
 
 
 @dataclass(frozen=True)

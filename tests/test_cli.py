@@ -724,14 +724,29 @@ def test_uniform_inputs_never_import_scipy(argvs):
     assert run_in_new_interpreter(argvs)["scipy"] is False
 
 
-def test_normal_inputs_import_scipy_in_a_worker_thread_bitwise():
-    # Two chunks run at once on two workers, so in a new interpreter the first
-    # normal quantile, and with it the scipy import, runs in a worker thread.
-    args = ["analyze", "--model", "plate-buckling", "--n", "9000", "--seed", "5"]
-    threaded = run_in_new_interpreter([args + ["--workers", "2"]])
-    serial = run_in_new_interpreter([args + ["--workers", "1"]])
-    assert threaded["scipy"] and serial["scipy"]
-    results = [json.loads(probe["outputs"][0])["results"] for probe in (threaded, serial)]
+MIXED_INPUTS = [{"kind": "uniform", "lo": -3.0, "hi": 3.0},
+                {"kind": "normal", "mean": 0.5, "sd": 1.0},
+                {"kind": "lognormal", "mean": 1.0, "cv": 0.2}]
+
+
+def test_normal_inputs_never_import_scipy_and_match_across_workers(tmp_path):
+    # Normal and lognormal inputs are drawn as standard normals, so no run
+    # loads scipy, on the main thread or on a worker. Two chunks run at once
+    # on two workers, and the reports equal the serial ones bitwise.
+    cfg = tmp_path / "mixed.json"
+    write_json(cfg, {"model": {"name": "ishigami"}, "distributions": MIXED_INPUTS})
+    plate = ["--model", "plate-buckling", "--seed", "5"]
+    argvs = [["analyze", *plate, "--n", "9000"],
+             ["convergence", *plate, "--ns", "4100,8200", "--trials", "2", "--format", "json"],
+             ["analyze", "--config", str(cfg), "--n", "9000", "--seed", "5"]]
+    results = []
+    for workers in ("1", "2"):
+        probe = run_in_new_interpreter([argv + ["--workers", workers] for argv in argvs])
+        assert [name for name in probe["modules"] if name.split(".")[0] == "scipy"] == []
+        if workers == "2":
+            assert loaded(probe, ["concurrent.futures"]) == ["concurrent.futures"]
+        reports = [json.loads(out) for out in probe["outputs"]]
+        results.append([reports[0]["results"], reports[1]["rows"], reports[2]["results"]])
     assert results[0] == results[1]
 
 
@@ -744,9 +759,27 @@ def test_building_normal_inputs_does_not_import_scipy():
     assert result.stdout == "False\n", result.stderr
 
 
+def test_estimators_never_import_scipy_and_quantile_does_on_first_use():
+    code = ("import sys, shapeff\n"
+            "cfg = shapeff.EstimatorConfig(n=64, seed=3)\n"
+            "for f, space in [(shapeff.ishigami(), shapeff.ishigami_space()),\n"
+            "                 (shapeff.sobol_g([0.0, 1.0]), shapeff.sobol_g_space(2)),\n"
+            "                 (shapeff.plate_buckling(), shapeff.plate_buckling_space()),\n"
+            "                 (shapeff.constant_model(1.0, 2), shapeff.sobol_g_space(2))]:\n"
+            "    for estimate in (shapeff.estimate_shapley_all, shapeff.estimate_shapley_winding,\n"
+            "                     shapeff.estimate_main_effects, shapeff.estimate_total_effects):\n"
+            "        estimate(f, space, cfg)\n"
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+            "print(shapeff.Normal(0.0, 1.0).quantile(0.975), 'scipy' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env_importing_this_shapeff(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.split() == ["False", "1.959963984540054", "True"], result.stderr
+
+
 # Modules that no command loads unless it runs the code that needs them:
-# worker threads, external processes, the ANOVA oracle's quadrature and
-# normal quantiles. concurrent.futures loads logging.
+# worker threads, external processes and the ANOVA oracle's quadrature; scipy
+# loads only for MarginalDistribution.quantile, which no command calls.
+# concurrent.futures loads logging.
 ON_DEMAND = ["subprocess", "concurrent.futures", "logging", "numpy.polynomial", "scipy"]
 
 
@@ -757,9 +790,10 @@ def loaded(probe, names):
 @pytest.mark.parametrize("argvs", [
     [],
     [["analyze", "--model", "ishigami", "--n", "64", "--workers", "1"]],
+    [["analyze", "--model", "plate-buckling", "--n", "64", "--workers", "1"]],
     [["exact", "--model", "sobol-g"]],
     [["convergence", "--model", "ishigami", "--ns", "64,128", "--trials", "2"]],
-], ids=["import", "analyze-ishigami", "exact-sobol-g", "convergence"])
+], ids=["import", "analyze-ishigami", "analyze-plate-buckling", "exact-sobol-g", "convergence"])
 def test_commands_load_only_the_modules_they_run(argvs):
     probe = run_in_new_interpreter(argvs)
     assert loaded(probe, ON_DEMAND) == []

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -612,6 +613,35 @@ def test_each_worker_thread_allocates_one_workspace(monkeypatch):
         estimate_total_effects(ishigami(), ishigami_space(),
                                EstimatorConfig(n=8 * 4096, seed=3, workers=workers))
         assert 1 <= len(made) <= workers
+
+
+# Runs one estimator twice on Sobol' g (d=10, N=2^16) in a new interpreter and
+# prints the minor page faults of the second run.
+FAULT_PROBE = ("import resource, sys, shapeff\n"
+               "estimate = getattr(shapeff, sys.argv[1])\n"
+               "f, space = shapeff.sobol_g([float(j) for j in range(10)]), shapeff.sobol_g_space(10)\n"
+               "cfg = shapeff.EstimatorConfig(n=16 * 4096, seed=1)\n"
+               "estimate(f, space, cfg)\n"
+               "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+               "estimate(f, space, cfg)\n"
+               "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+
+
+def test_winding_reuses_its_chunk_memory_like_shapley():
+    # A chunk's draws are freed when it ends. Had they lain above the
+    # thread's workspace on the heap, glibc would give their pages back and
+    # fault them in again on every chunk (about 150 faults per chunk here).
+    pytest.importorskip("resource")
+    from test_cli import env_importing_this_shapeff
+
+    faults = {}
+    for name in ("estimate_shapley_all", "estimate_shapley_winding"):
+        result = subprocess.run([sys.executable, "-c", FAULT_PROBE, name],
+                                env=env_importing_this_shapeff(),
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        faults[name] = int(result.stdout)
+    assert faults["estimate_shapley_winding"] <= 2 * faults["estimate_shapley_all"], faults
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -10,7 +10,7 @@ from scipy.stats import chi2, lognorm
 
 from shapeff import (InputSpace, LogNormal, Normal, ParameterError, RngStream,
                      Uniform, convergence_study, ishigami, ishigami_space)
-from shapeff.inputs import _GRID_ENDS, _ndtri, permutation_rows
+from shapeff.inputs import _BELOW_ONE, _Z_REACH, permutation_rows
 
 
 def test_uniform_quantile_is_identity_on_unit_interval():
@@ -81,33 +81,54 @@ def test_degenerate_normal_has_no_density():
         Normal(0.0, 0.0).pdf(0.0)
 
 
-def test_grid_end_normal_quantiles_are_scipys():
-    assert _GRID_ENDS.tolist() == [2.0 ** -54, 1.0 - 2.0 ** -53]
-    assert _ndtri(_GRID_ENDS).tolist() == ndtri(_GRID_ENDS.copy()).tolist()
+def test_normal_family_quantiles_map_scipys_ndtri():
+    u = np.array([2.0 ** -54, 0.025, 0.5, 0.975, 1.0 - 2.0 ** -53])
+    normal, lognormal = Normal(2.0, 0.5), LogNormal(0.525, 0.044)
+    assert normal.quantile(u).tolist() == (2.0 + 0.5 * ndtri(u)).tolist()
+    assert lognormal.quantile(u).tolist() == np.exp(
+        lognormal.mu_ln + lognormal.sigma_ln * ndtri(u)).tolist()
+
+
+def test_normal_reach_is_the_ziggurat_tail_bound():
+    # numpy's ziggurat returns a base-strip draw below r, and a tail draw as
+    # r + inv_r * -log1p(-U) with U <= 1 - 2^-53 (its constants r and inv_r).
+    r, inv_r = 3.6541528853610088, 0.27366123732975828
+    assert _Z_REACH == r + inv_r * -math.log1p(-(1.0 - 2.0 ** -53))
+    assert 13.7 < _Z_REACH < 13.71
 
 
 @pytest.mark.parametrize("make", [
     lambda: Uniform(-1e308, 1e308),
     lambda: Normal(0.0, 1e308),
+    lambda: Normal(0.0, 2e307),
     lambda: Normal.from_cv(1e300, 1e8),
     lambda: LogNormal(1e307, 10.0),
+    lambda: LogNormal(1e300, 10.0),
     lambda: LogNormal(1.0, 1e200),
-], ids=["uniform", "normal", "normal-cv", "lognormal", "lognormal-nan"])
+], ids=["uniform", "normal", "normal-past-the-reach", "normal-cv", "lognormal",
+        "lognormal-past-the-reach", "lognormal-nan"])
 def test_marginals_whose_draws_overflow_are_rejected(make):
     with pytest.raises(ParameterError, match="draws non-finite values"):
         make()
 
 
 def test_marginals_at_the_edge_of_the_float_range_draw_finite_values():
-    space = InputSpace([Uniform(-8e307, 8e307), Normal(0.0, 2e307), LogNormal(1e300, 10.0)])
+    # |z| reaches 13.71, so sd = 1.3e307 stays below the largest float and
+    # 2e307 does not; likewise for the lognormal's exp.
+    space = InputSpace([Uniform(-8e307, 8e307), Normal(0.0, 1.3e307), LogNormal(1e296, 10.0)])
     x = space.sample(4096, RngStream(0).generator())
     assert np.isfinite(x).all()
+    stub = _StubGenerator([_BELOW_ONE, 2.0 ** -54], normals=[[-_Z_REACH, _Z_REACH],
+                                                           [_Z_REACH, -_Z_REACH]])
+    x = space.sample(2, stub)
+    assert np.isfinite(x).all()
+    assert x[:, 1].tolist() == [-1.3e307 * _Z_REACH, 1.3e307 * _Z_REACH]
 
 
 def test_quantile_rejects_unit_boundary():
     for dist in (Uniform(0, 1), Normal(0, 1), LogNormal(1, 0.1)):
-        for u in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ParameterError):
+        for u in (0.0, 1.0, -0.2, 1.7, math.nan, [0.5, math.nan], [[0.5], [1.0]]):
+            with pytest.raises(ParameterError, match=r"strictly in \(0, 1\)"):
                 dist.quantile(u)
 
 
@@ -207,11 +228,24 @@ def test_numpy_integers_pass_as_int():
 
 
 def _integer_grid_sample(space, n, gen):
-    """The sampling algorithm as first published: integer draws k mapped to
-    (k + 0.5) / 2^53, then each column through its marginal's quantile."""
-    k = gen.integers(0, 2 ** 53, size=(n, space.d))
-    u = (k.astype(np.float64) + 0.5) / 2 ** 53
-    return np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(space.marginals)])
+    """The sampling algorithm spelled out: integer draws k mapped to
+    (k + 0.5) / 2^53 for the uniform columns, then one row-major block of
+    standard normals for the others, and each column through its marginal's
+    formula."""
+    uniform = [j for j, m in enumerate(space.marginals) if isinstance(m, Uniform)]
+    others = [j for j in range(space.d) if j not in uniform]
+    k = gen.integers(0, 2 ** 53, size=(n, len(uniform)))
+    u = dict(zip(uniform, ((k.astype(np.float64) + 0.5) / 2 ** 53).T))
+    z = dict(zip(others, gen.standard_normal((n, len(others))).T))
+    columns = []
+    for j, m in enumerate(space.marginals):
+        if isinstance(m, Uniform):
+            columns.append(m.lo + u[j] * (m.hi - m.lo))
+        elif isinstance(m, Normal):
+            columns.append(m.mean + m.sd * z[j])
+        else:
+            columns.append(np.exp(m.mu_ln + m.sigma_ln * z[j]))
+    return np.column_stack(columns)
 
 
 @pytest.mark.parametrize("space", [
@@ -222,6 +256,7 @@ def _integer_grid_sample(space, n, gen):
 def test_sample_is_bitwise_the_integer_grid(space, seed, stream):
     # gen.random consumes the stream as gen.integers(0, 2^53) does, and adding
     # 2^-54 rounds as (k + 0.5) / 2^53 does, upper half of (0, 1) included.
+    # The normal and lognormal columns come after the uniform ones.
     n = 100_000
     x = space.sample(n, RngStream(seed, stream=stream).generator())
     ref = _integer_grid_sample(space, n, RngStream(seed, stream=stream).generator())
@@ -240,13 +275,18 @@ def test_sample_is_column_major(space):
 
 
 class _StubGenerator:
-    """Returns fixed values where numpy's Generator.random returns draws."""
+    """Returns fixed values where numpy's Generator.random and
+    Generator.standard_normal return draws."""
 
-    def __init__(self, values):
+    def __init__(self, values, normals=()):
         self.values = np.asarray(values, dtype=np.float64)
+        self.normals = np.asarray(normals, dtype=np.float64)
 
     def random(self, size):
         return self.values.reshape(size).copy()
+
+    def standard_normal(self, size):
+        return self.normals.reshape(size).copy()
 
 
 def test_top_of_the_grid_is_drawn_just_below_one():
@@ -260,8 +300,6 @@ def test_top_of_the_grid_is_drawn_just_below_one():
     expected[k == 2 ** 53 - 1] = 1.0 - 2.0 ** -53
     assert u.ravel().tolist() == expected.tolist()
     assert u.max() < 1.0
-    x = InputSpace([Normal(0.0, 1.0), LogNormal(1.0, 0.5)]).sample(4, stub)
-    assert np.isfinite(x).all()
 
 
 @pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])

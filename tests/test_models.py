@@ -435,9 +435,9 @@ def test_external_batches_match_the_per_point_view(kind, workers):
     assert batched.eval_count == cost(3, GOLDEN_N)
 
 
-# Plate-buckling outputs at seed 4100, recorded with scipy 1.17.1's ndtri. They
-# pin the Normal and LogNormal quantiles bitwise, through any change to how the
-# standard normal quantile is imported or computed.
+# Plate-buckling outputs at seed 4100, recorded with numpy 2.4.6's ziggurat
+# (Generator.standard_normal). They pin the Normal and LogNormal draws bitwise,
+# through any change to how the standard normals are drawn or mapped.
 GOLDEN_PLATE = json.loads(Path(__file__).with_name("golden_plate.json").read_text())
 
 
