@@ -54,7 +54,7 @@ _FLAGS = {
     "ns": {"help": "comma-separated sample sizes"},
     "trials": {"type": int, "help": "trials per sample size"},
     "seed": {"type": int, "help": "base RNG seed"},
-    "workers": {"type": int, "help": "estimator worker threads"},
+    "workers": {"type": int, "help": "threads that run chunks, the calling one included"},
     "format": {"choices": ["json", "csv"], "help": "report format"},
 }
 

@@ -16,9 +16,10 @@ points first and takes each walk's start value from the previous point.
 
 All estimators partition the N samples into fixed-size chunks, give chunk k
 the RNG stream id k, and merge per-chunk moments in ascending chunk order, so
-reports are bitwise identical for any worker count. Each worker thread
-allocates one chunk-sized workspace and reuses it for every chunk it runs,
-so memory per call does not grow with N.
+reports are bitwise identical for any worker count. The calling thread runs
+chunks too, with workers - 1 helper threads; each thread allocates one
+chunk-sized workspace and reuses it for every chunk it runs, so memory per
+call does not grow with N.
 
 Every chunk matrix is column-major: the sampled points, winding's walk
 points and the per-sample terms. Models read contiguous columns, and a walk
@@ -28,7 +29,6 @@ perm * count + row.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import threading
@@ -163,7 +163,7 @@ def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.nda
 
 
 class _Workspace:
-    """One worker thread's chunk buffers, reused for every chunk the thread
+    """One thread's chunk buffers, reused for every chunk the thread
     runs: `matrices` column-major float matrices of min(n, 4096) rows by d,
     one for the per-sample terms and, for winding, one for the walk points.
 
@@ -193,51 +193,75 @@ class _Workspace:
         return [_columns(b, count, self._d) for b in self._buffers]
 
 
-def _chunks(n: int):
-    """Yield (chunk index, start sample, chunk size) triples covering range(n)."""
-    for k, s in enumerate(range(0, n, _CHUNK)):
-        yield k, s, min(s + _CHUNK, n) - s
-
-
 def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
-    """Yield task(chunk, ws) for every chunk, in ascending chunk order. Each
-    thread makes one `_Workspace(d, n, matrices)`, on its first chunk, and
-    passes it to every chunk it runs. Tasks run with numpy's overflow and
-    invalid warnings off on every thread (threads do not inherit
-    np.errstate), as `_report` checks what they return. An EvaluationError is
-    raised again naming the chunk's samples. At most 2 * workers chunks are
-    in flight, so the results not yet consumed do not grow with n; on a
-    failure the chunks not yet started are cancelled."""
-    local = threading.local()
+    """Yield task(chunk, ws) for every chunk, in ascending chunk order.
 
-    def run(chunk):
-        if not hasattr(local, "ws"):
-            local.ws = _Workspace(d, n, matrices)
+    The caller and min(workers, chunks) - 1 helper threads take chunks in
+    ascending order, at most 2 * workers not yet yielded; the caller runs one
+    whenever the next result is not ready. Each thread makes one
+    `_Workspace(d, n, matrices)` for all its chunks. Tasks run with numpy's
+    overflow and invalid warnings off, as `_report` checks what they return.
+    The first failure in chunk order is raised (an EvaluationError names its
+    samples). After it, or once the consumer stops, no chunk is taken, and
+    every helper is joined before this returns or raises."""
+    total = -(-n // _CHUNK)
+    cond = threading.Condition()
+    done = {}
+    taken = head = 0
+
+    def step(ws):
+        # With cond held: run the next chunk without cond, or return False
+        # if none may be taken. A failure or a stop sets taken to total.
+        nonlocal taken
+        if taken == total or taken - head == 2 * workers:
+            return False
+        k, start = taken, taken * _CHUNK
+        taken += 1
+        cond.release()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                return task(chunk, local.ws)
-        except EvaluationError as exc:
-            _, start, count = chunk
-            raise EvaluationError(
-                f"evaluation failed in samples [{start}, {start + count}): {exc}") from exc
+                result = task((k, start, min(n - start, _CHUNK)), ws), None
+        except BaseException as exc:
+            result = None, exc
+        cond.acquire()
+        done[k] = result
+        if result[1] is not None:
+            taken = total
+        cond.notify_all()
+        return True
 
-    if workers == 1 or n <= _CHUNK:
-        yield from map(run, _chunks(n))
-        return
-    # Imported here: it loads logging, which no serial run needs.
-    from concurrent.futures import ThreadPoolExecutor
-    pending = collections.deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        try:
-            for chunk in _chunks(n):
-                pending.append(pool.submit(run, chunk))
-                if len(pending) == 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    def helper():
+        ws = _Workspace(d, n, matrices)
+        with cond:
+            while taken < total:
+                if not step(ws):
+                    cond.wait()
+
+    helpers = [threading.Thread(target=helper) for _ in range(min(workers, total) - 1)]
+    for thread in helpers:
+        thread.start()
+    ws = _Workspace(d, n, matrices)
+    try:
+        for head in range(total):
+            with cond:
+                cond.notify_all()
+                while head not in done:
+                    if not step(ws):
+                        cond.wait()
+                value, error = done.pop(head)
+            if isinstance(error, EvaluationError):
+                start = head * _CHUNK
+                raise EvaluationError(f"evaluation failed in samples "
+                                      f"[{start}, {min(start + _CHUNK, n)}): {error}") from error
+            if error is not None:
+                raise error
+            yield value
+    finally:
+        with cond:
+            taken = total
+            cond.notify_all()
+        for thread in helpers:
+            thread.join()
 
 
 def _require_match(f: ModelFunction, space: InputSpace) -> None:
@@ -326,7 +350,7 @@ def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfi
     Chunk k draws from RngStream(seed, k): x, then y, then what the design
     draws itself. design(model, x, y, gen, ws) evaluates the chunk on the
     `_ChunkModel` it is given and returns its part for `_report`; ws is the
-    worker's workspace of one column-major matrix, for the terms.
+    thread's workspace of one column-major matrix, for the terms.
     """
     _require_match(f, space)
 

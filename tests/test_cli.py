@@ -731,8 +731,9 @@ MIXED_INPUTS = [{"kind": "uniform", "lo": -3.0, "hi": 3.0},
 
 def test_normal_inputs_never_import_scipy_and_match_across_workers(tmp_path):
     # Normal and lognormal inputs are drawn as standard normals, so no run
-    # loads scipy, on the main thread or on a worker. Two chunks run at once
-    # on two workers, and the reports equal the serial ones bitwise.
+    # loads scipy, on the calling thread or on a helper. Two chunks run at
+    # once on two workers, which load no thread pool, and the reports equal
+    # the serial ones bitwise.
     cfg = tmp_path / "mixed.json"
     write_json(cfg, {"model": {"name": "ishigami"}, "distributions": MIXED_INPUTS})
     plate = ["--model", "plate-buckling", "--seed", "5"]
@@ -743,8 +744,7 @@ def test_normal_inputs_never_import_scipy_and_match_across_workers(tmp_path):
     for workers in ("1", "2"):
         probe = run_in_new_interpreter([argv + ["--workers", workers] for argv in argvs])
         assert [name for name in probe["modules"] if name.split(".")[0] == "scipy"] == []
-        if workers == "2":
-            assert loaded(probe, ["concurrent.futures"]) == ["concurrent.futures"]
+        assert loaded(probe, ["concurrent.futures", "logging"]) == []
         reports = [json.loads(out) for out in probe["outputs"]]
         results.append([reports[0]["results"], reports[1]["rows"], reports[2]["results"]])
     assert results[0] == results[1]
@@ -777,9 +777,9 @@ def test_estimators_never_import_scipy_and_quantile_does_on_first_use():
 
 
 # Modules that no command loads unless it runs the code that needs them:
-# worker threads, external processes and the ANOVA oracle's quadrature; scipy
-# loads only for MarginalDistribution.quantile, which no command calls.
-# concurrent.futures loads logging.
+# external processes and the ANOVA oracle's quadrature; scipy loads only for
+# MarginalDistribution.quantile, which no command calls. No command loads
+# concurrent.futures or logging: worker threads are plain threading.Threads.
 ON_DEMAND = ["subprocess", "concurrent.futures", "logging", "numpy.polynomial", "scipy"]
 
 
@@ -805,15 +805,16 @@ def test_commands_load_only_the_modules_they_run(argvs):
 
 
 def test_worker_threads_and_external_models_load_their_modules(tmp_path):
-    # Two workers and two chunks of samples start a thread pool.
+    # Two workers and two chunks of samples start one helper thread, which
+    # loads nothing: no thread pool and no logging.
     threaded = run_in_new_interpreter(
         [["analyze", "--model", "ishigami", "--n", "4097", "--workers", "2"]])
-    assert loaded(threaded, ["concurrent.futures", "subprocess"]) == ["concurrent.futures"]
+    assert loaded(threaded, ON_DEMAND) == []
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {"model": {"command": [sys.executable, "-c", ECHO_FIRST], "dim": 1},
                      "distributions": UNIT_INTERVAL, "n": 16})
     external = run_in_new_interpreter([["analyze", "--config", str(cfg)]])
-    assert loaded(external, ["concurrent.futures", "subprocess"]) == ["subprocess"]
+    assert loaded(external, ON_DEMAND) == ["subprocess"]
 
 
 def test_main_run_as_the_program_freezes_the_import_time_objects():

@@ -4,6 +4,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -608,11 +609,93 @@ def test_each_worker_thread_allocates_one_workspace(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(estimators, "_Workspace", CountingWorkspace)
-    for workers in (1, 2):
+    for workers, n in ((1, 8 * 4096), (2, 8 * 4096), (3, 8 * 4096), (8, 2 * 4096 + 1)):
         made.clear()
         estimate_total_effects(ishigami(), ishigami_space(),
-                               EstimatorConfig(n=8 * 4096, seed=3, workers=workers))
-        assert 1 <= len(made) <= workers
+                               EstimatorConfig(n=n, seed=3, workers=workers))
+        assert len(made) == min(workers, -(-n // 4096))
+
+
+def slow_model(calls):
+    """x1 on U(0,1), recording the thread of each call; each call sleeps
+    2 ms, so a thread that holds a chunk holds it long enough for the
+    others to take the next ones."""
+    def func(x):
+        calls.append(threading.get_ident())
+        time.sleep(0.002)
+        return x[:, 0] * 1.0
+    return ModelFunction(1, func, vectorized=True)
+
+
+def test_the_calling_thread_runs_chunks_with_at_most_workers_threads():
+    calls = []
+    estimate_shapley_all(slow_model(calls), unit_square(1),
+                         EstimatorConfig(n=8 * 4096, seed=2, workers=2))
+    assert len(calls) == 16
+    threads = set(calls)
+    assert threading.get_ident() in threads and len(threads) <= 2
+
+
+@pytest.mark.parametrize("workers, n, helpers", [(8, 2 * 4096 + 1, 2), (1, 8 * 4096, 0),
+                                                 (2, 4096, 0)])
+def test_helper_threads_are_one_fewer_than_workers_or_chunks(monkeypatch, workers, n, helpers):
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    estimate_total_effects(ishigami(), ishigami_space(),
+                           EstimatorConfig(n=n, seed=4, workers=workers))
+    assert len(started) == helpers
+    assert not any(thread.is_alive() for thread in started)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+@pytest.mark.parametrize("on", ["caller", "helper"])
+def test_every_helper_is_joined_after_a_failing_chunk(on, error):
+    # The model fails on its first call on the calling thread, or on the
+    # first on a helper; KeyboardInterrupt is not an Exception, and is
+    # raised by the caller all the same.
+    before = threading.active_count()
+    estimate_shapley_all(slow_model([]), unit_square(1),
+                         EstimatorConfig(n=8 * 4096, seed=2, workers=2))
+    assert threading.active_count() == before
+
+    def func(x):
+        time.sleep(0.002)
+        if (threading.current_thread() is threading.main_thread()) == (on == "caller"):
+            raise error("model failed")
+        return x[:, 0] * 1.0
+
+    with pytest.raises(error, match="model failed"):
+        estimate_shapley_all(ModelFunction(1, func, vectorized=True), unit_square(1),
+                             EstimatorConfig(n=8 * 4096, seed=2, workers=2))
+    assert threading.active_count() == before
+
+
+def test_the_first_failing_chunk_in_chunk_order_is_raised():
+    # Every chunk fails, the caller's more slowly, so a helper's chunk may
+    # fail first in time; the error is chunk 0's whichever thread ran it.
+    def func(x):
+        if threading.current_thread() is threading.main_thread():
+            time.sleep(0.02)
+        return np.full(len(x), np.nan)
+
+    with pytest.raises(EvaluationError, match=r"samples \[0, 4096\)"):
+        estimate_total_effects(ModelFunction(1, func, vectorized=True), unit_square(1),
+                               EstimatorConfig(n=6 * 4096, seed=2, workers=3))
+
+
+@pytest.mark.parametrize("kind", list(ESTIMATORS))
+def test_reports_are_bitwise_equal_at_one_three_and_five_workers(kind):
+    f, space = sobol_g([0.0, 1.0, 4.5]), sobol_g_space(3)
+    reports = [repr(ESTIMATORS[kind](f, space, EstimatorConfig(n=3 * 4096 + 5, seed=6,
+                                                               workers=workers)))
+               for workers in (1, 3, 5)]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 # Runs one estimator twice on Sobol' g (d=10, N=2^16) in a new interpreter and
