@@ -200,7 +200,8 @@ def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
     ascending order, at most 2 * workers not yet yielded; the caller runs one
     whenever the next result is not ready. Each thread makes one
     `_Workspace(d, n, matrices)` for all its chunks. Tasks run with numpy's
-    overflow and invalid warnings off, as `_report` checks what they return.
+    overflow and invalid warnings off on every thread (threads do not inherit
+    np.errstate), as `_report` checks what they return.
     The first failure in chunk order is raised (an EvaluationError names its
     samples). After it, or once the consumer stops, no chunk is taken, and
     every helper is joined before this returns or raises."""
@@ -211,7 +212,8 @@ def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
 
     def step(ws):
         # With cond held: run the next chunk without cond, or return False
-        # if none may be taken. A failure or a stop sets taken to total.
+        # if none may be taken. What a chunk raises, interrupts included, the
+        # caller raises; a failure or a stop sets taken to total.
         nonlocal taken
         if taken == total or taken - head == 2 * workers:
             return False
