@@ -69,7 +69,7 @@ class ConvergenceStudy:
     sse_per_trial maps (N, r) with r in 1..R to the trial's SSE (in
     sample-mean mode, to its squared deviation from the trial mean).
     fitted_slope is the least-squares slope of log2(mean SSE) against
-    log2(N), or None when any mean SSE is zero.
+    log2(N), or None with a single N or when any mean SSE is zero.
     """
 
     model: str

@@ -14,12 +14,14 @@ last step ends at y and reuses f(y). Winding stairs is the same walk with
 each walk starting where the one before ended, so a chunk evaluates its new
 points first and takes each walk's start value from the previous point.
 
-All estimators partition the N samples into fixed-size chunks, give chunk k
-the RNG stream id k, and merge per-chunk moments in ascending chunk order, so
-reports are bitwise identical for any worker count. The calling thread runs
-chunks too, with workers - 1 helper threads; each thread allocates one
-chunk-sized workspace and reuses it for every chunk it runs, so memory per
-call does not grow with N.
+Every estimator is a design run by one driver, `_report`. The driver
+partitions the N samples into fixed-size chunks and hands chunk k the RNG
+stream id k; the design draws the chunk's points, evaluates them and
+reduces the chunk to moments, which the driver merges in ascending chunk
+order, so reports are bitwise identical for any worker count. The calling
+thread runs chunks too, with workers - 1 helper threads; each thread
+allocates one chunk-sized workspace and reuses it for every chunk it runs,
+so memory per call does not grow with N.
 
 Every chunk matrix is column-major: the sampled points, winding's walk
 points and the per-sample terms. Models read contiguous columns, and a walk
@@ -117,8 +119,6 @@ class _Moments:
         self.m2 = np.zeros(width)
 
     def merge(self, count: int, mean: np.ndarray, m2: np.ndarray) -> None:
-        if count == 0:
-            return
         total = self.count + count
         delta = mean - self.mean
         self.mean = self.mean + delta * (count / total)
@@ -140,26 +140,17 @@ def _flat(matrix: np.ndarray) -> np.ndarray:
     return matrix.ravel(order="F")
 
 
-def _columns(flat: np.ndarray, count: int, width: int) -> np.ndarray:
-    """The first count * width entries of a flat buffer as a column-major
-    (count, width) matrix."""
-    return flat[:count * width].reshape(width, count).T
-
-
-def _chunk_moments(values: np.ndarray, scratch: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+def _chunk_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, column means and M2 of a column-major (count, width) block.
 
     Each column is contiguous, so numpy sums it pairwise. The deviations are
-    squared in the first count * width floats of scratch, a column-major
-    float matrix the chunk no longer needs; dev * dev is bitwise
-    (values - mean) ** 2.
+    squared in the block itself, which the chunk no longer needs; dev * dev
+    is bitwise (values - mean) ** 2.
     """
-    count, width = values.shape
     mean = values.mean(axis=0)
-    dev = _columns(_flat(scratch), count, width)
-    np.subtract(values, mean, out=dev)
-    dev *= dev
-    return count, mean, dev.sum(axis=0)
+    values -= mean
+    values *= values
+    return values.shape[0], mean, values.sum(axis=0)
 
 
 class _Workspace:
@@ -190,11 +181,12 @@ class _Workspace:
         """The column-major (count, d) float matrices."""
         if self._buffers is None:
             self._buffers = [np.empty(self._size) for _ in range(self._count)]
-        return [_columns(b, count, self._d) for b in self._buffers]
+        return [b[:count * self._d].reshape(self._d, count).T for b in self._buffers]
 
 
 def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
-    """Yield task(chunk, ws) for every chunk, in ascending chunk order.
+    """Yield task(k, count, ws) for every chunk k of count samples, in
+    ascending chunk order.
 
     The caller and min(workers, chunks) - 1 helper threads take chunks in
     ascending order, at most 2 * workers not yet yielded; the caller runs one
@@ -217,12 +209,12 @@ def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
         nonlocal taken
         if taken == total or taken - head == 2 * workers:
             return False
-        k, start = taken, taken * _CHUNK
+        k = taken
         taken += 1
         cond.release()
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                result = task((k, start, min(n - start, _CHUNK)), ws), None
+                result = task(k, min(n - k * _CHUNK, _CHUNK), ws), None
         except BaseException as exc:
             result = None, exc
         cond.acquire()
@@ -266,12 +258,6 @@ def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
             thread.join()
 
 
-def _require_match(f: ModelFunction, space: InputSpace) -> None:
-    if f.dim != space.d:
-        raise ParameterError(
-            f"model dimension {f.dim} does not match input space dimension {space.d}")
-
-
 def _finite(kind: str, name: str, values: np.ndarray,
             variables: bool = True) -> tuple[float, ...]:
     """A report field's values as a tuple; EvaluationError naming the field
@@ -299,28 +285,39 @@ class _ChunkModel:
         return self._f.evaluate_batch(points)
 
 
-def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
+def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig, design,
             workers: int, matrices: int) -> Report:
-    """Run task(model, chunk, ws) on every chunk of cfg.n samples through
-    `_run_chunks`, with workspaces of `matrices` matrices, merge the
-    per-chunk moments in chunk order as they arrive and build the report of
-    `kind`. Each task is given f as a `_ChunkModel`, and the report's
-    evaluation count is the sum of their tallies.
+    """Run `design` on every chunk of cfg.n samples and build the report of
+    `kind` from the merged moments.
 
-    Each part holds a chunk's term moments and, for the Shapley walks, the
-    moments of its per-sample 0.5 * (f(x) - f(y))^2, or None. Winding's
-    samples overlap, so its report carries no variance or CI. Finite model
-    values can still overflow in the merge or the CI, so numpy's warnings
-    are off there and every field is checked instead.
+    f.dim must equal space.d, or ParameterError is raised before any
+    evaluation. Chunk k of count samples runs, through `_run_chunks`,
+    design(model, space, count, gen, ws): gen is RngStream(seed, k)'s
+    generator, from which the design draws the chunk, model is f as a
+    `_ChunkModel`, on which it evaluates it, and ws is the thread's
+    workspace of `matrices` matrices. The report's evaluation count is the
+    sum of the chunks' tallies.
+
+    A design returns the chunk's term moments and, for the Shapley walks,
+    the moments of its per-sample 0.5 * (f(x) - f(y))^2, or None; they are
+    merged in chunk order as they arrive. Winding's samples overlap, so its
+    report carries no variance or CI. Finite model values can still overflow
+    in the merge or the CI, so numpy's warnings are off there and every
+    field is checked instead.
     """
-    def counted(chunk, ws):
+    if f.dim != space.d:
+        raise ParameterError(
+            f"model dimension {f.dim} does not match input space dimension {space.d}")
+    d = space.d
+
+    def task(k, count, ws):
         model = _ChunkModel(f)
-        parts = task(model, chunk, ws)
+        parts = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
         return model.points, parts
 
     evals = 0
     terms, pairs = _Moments(d), _Moments(1)
-    for points, (term_part, pair_part) in _run_chunks(counted, cfg.n, workers, d, matrices):
+    for points, (term_part, pair_part) in _run_chunks(task, cfg.n, workers, d, matrices):
         evals += points
         with np.errstate(over="ignore", invalid="ignore"):
             terms.merge(*term_part)
@@ -345,27 +342,6 @@ def _report(kind: str, f: ModelFunction, cfg: EstimatorConfig, d: int, task,
                   eval_count=evals, seed=cfg.seed)
 
 
-def _sampled(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig,
-             design) -> Report:
-    """Run `design` on every chunk of cfg.n samples and report the merged moments.
-
-    Chunk k draws from RngStream(seed, k): x, then y, then what the design
-    draws itself. design(model, x, y, gen, ws) evaluates the chunk on the
-    `_ChunkModel` it is given and returns its part for `_report`; ws is the
-    thread's workspace of one column-major matrix, for the terms.
-    """
-    _require_match(f, space)
-
-    def task(model, chunk, ws):
-        k, _, count = chunk
-        gen = RngStream(cfg.seed, stream=k).generator()
-        x = space.sample(count, gen)
-        y = space.sample(count, gen)
-        return design(model, x, y, gen, ws)
-
-    return _report(kind, f, cfg, space.d, task, cfg.workers, 1)
-
-
 def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np.ndarray,
           perms: np.ndarray, g: np.ndarray):
     """Walk each row of z towards the same row of y in place, swapping at
@@ -374,8 +350,8 @@ def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np
 
     fx and fy are f at the walks' two ends. Each step but the last evaluates
     f at the walks' new points; the last step ends at y and takes fy, so z
-    is not moved there. Returns the chunk's part for `_report`; g receives
-    the increments.
+    is not moved there. g receives the increments, whose moments then
+    overwrite it; returns the chunk's part for `_report`.
     """
     z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
     count, d = perms.shape
@@ -392,16 +368,16 @@ def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np
         g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
         fprev = fz
     pairs = 0.5 * (fx - fy) ** 2
-    # The walk is done, so z is free to hold the squared deviations.
-    return _chunk_moments(g, z), _chunk_moments(pairs[:, None], z)
+    return _chunk_moments(g), _chunk_moments(pairs[:, None])
 
 
-def _shapley(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
+def _shapley(f: ModelFunction, space: InputSpace, count: int, gen: np.random.Generator,
              ws: _Workspace):
-    """The Shapley design: f(x), f(y), then walk each sample from x to y
-    along a random permutation."""
-    count, d = x.shape
-    perms = permutation_rows(gen, count, d)
+    """The Shapley design: draw x, y and the permutations, evaluate f(x)
+    and f(y), then walk each sample from x to y along its permutation."""
+    x = space.sample(count, gen)
+    y = space.sample(count, gen)
+    perms = permutation_rows(gen, count, space.d)
     (g,) = ws.matrices(count)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y)
@@ -409,28 +385,29 @@ def _shapley(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Gene
     return _walk(f, fx, fy, x, y, perms, g)
 
 
-def _pick_freeze(f: ModelFunction, x: np.ndarray, y: np.ndarray, gen: np.random.Generator,
+def _pick_freeze(f: ModelFunction, space: InputSpace, count: int, gen: np.random.Generator,
                  ws: _Workspace, *, main: bool):
-    """The main and total effects' design: for each variable j, evaluate a
-    base draw with its column j taken from the other draw, then put the
-    column back.
+    """The main and total effects' design: draw x and y, then for each
+    variable j evaluate a base draw with its column j taken from the other
+    draw, and put the column back.
 
     Main's base is y and its term f(x) * (f(x_j, y_-j) - f(y)); total's base
     is x and its term 0.5 * (f(x) - f(y_j, x_-j))^2. Column j of terms holds
     base's column j while the swapped base is evaluated.
     """
-    count, d = x.shape
+    x = space.sample(count, gen)
+    y = space.sample(count, gen)
     base, swap = (y, x) if main else (x, y)
     (terms,) = ws.matrices(count)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y) if main else None
-    for j in range(d):
+    for j in range(space.d):
         terms[:, j] = base[:, j]
         base[:, j] = swap[:, j]
         fw = f.evaluate_batch(base)
         base[:, j] = terms[:, j]
         terms[:, j] = fx * (fw - fy) if main else 0.5 * (fx - fw) ** 2
-    return _chunk_moments(terms, base), None
+    return _chunk_moments(terms), None
 
 
 def estimate_shapley_all(f: ModelFunction, space: InputSpace,
@@ -440,7 +417,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
     per-variable variance estimates and ci_z-sigma confidence intervals.
     """
-    return _sampled("shapley", f, space, cfg, _shapley)
+    return _report("shapley", f, space, cfg, _shapley, cfg.workers, 1)
 
 
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
@@ -454,27 +431,24 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     cfg.workers is ignored. Chunk k draws from RngStream(seed, k): point 0
     (chunk 0 only), then its points, then its permutations.
     """
-    _require_match(f, space)
-    d = space.d
     carry = None
 
     # One chunk of walks: f at the chunk's new points, then the walks from
-    # each point to the next. Chunk 0 draws and evaluates point 0 first. The
-    # carried point is a copy, so the chunk's draws are freed when it
-    # returns, before the next chunk draws its own.
-    def task(model, chunk, ws):
+    # each point to the next. The first chunk finds no carried point, so it
+    # draws and evaluates point 0 first. The carried point is a copy, so the
+    # chunk's draws are freed when it returns, before the next chunk draws
+    # its own.
+    def design(model, space, count, gen, ws):
         nonlocal carry
-        k, start, count = chunk
-        gen = RngStream(cfg.seed, stream=k).generator()
-        if k == 0:
+        if carry is None:
             point = space.sample(1, gen)
             carry = point[0], float(model.evaluate_batch(point)[0])
         base_pt, base_f = carry
-        # Walk i runs from point start + i to y[i], point start + i + 1. The
+        # Walk i runs from the chunk's point i to y[i], its point i + 1. The
         # permutations are drawn before the workspace is made, as in
         # `_shapley`, so on a thread's first chunk they too lie below it.
         y = space.sample(count, gen)
-        perms = permutation_rows(gen, count, d)
+        perms = permutation_rows(gen, count, space.d)
         fy = model.evaluate_batch(y)
         z, g = ws.matrices(count)
         z[0] = base_pt
@@ -483,7 +457,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         carry = y[-1].copy(), float(fy[-1])
         return _walk(model, fx, fy, z, y, perms, g)
 
-    return _report("shapley-winding", f, cfg, d, task, 1, 2)
+    return _report("shapley-winding", f, space, cfg, design, 1, 2)
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,
@@ -494,7 +468,8 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     estimator one sample mean, so the same per-term variance estimate applies.
     Costs (d+2)N evaluations.
     """
-    return _sampled("main", f, space, cfg, functools.partial(_pick_freeze, main=True))
+    return _report("main", f, space, cfg, functools.partial(_pick_freeze, main=True),
+                   cfg.workers, 1)
 
 
 def estimate_total_effects(f: ModelFunction, space: InputSpace,
@@ -503,4 +478,5 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
 
     Costs (d+1)N evaluations; estimates are non-negative by construction.
     """
-    return _sampled("total", f, space, cfg, functools.partial(_pick_freeze, main=False))
+    return _report("total", f, space, cfg, functools.partial(_pick_freeze, main=False),
+                   cfg.workers, 1)

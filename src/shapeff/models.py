@@ -11,11 +11,9 @@ line-based stdin/stdout protocol, is a ModelFunction too.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import threading
-import weakref
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,16 +63,17 @@ class ModelFunction:
         """Evaluate f at every row of an (n, d) array; counts n evaluations.
 
         Returns an (n,) array of finite floats of its own; EvaluationError if
-        f gives any other shape, values that are not numbers, or a NaN or
-        infinite value. This is the one place that checks what a model
-        returns, for the estimators, the oracle and every other caller.
+        f gives any other shape or values that are not numbers, before the
+        batch is counted, or a NaN or infinite value, after it is. This is
+        the one place that checks what a model returns, for the estimators,
+        the oracle and every other caller.
         """
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.dim:
             raise ParameterError(
                 f"{self.name} expects an (n, {self.dim}) batch, got shape {points.shape}")
         if self._vectorized:
-            values = self._func(points)
+            values = self._evaluate(points)
             try:
                 values = np.asarray(values, dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
@@ -100,6 +99,10 @@ class ModelFunction:
                 f"{self.name} returned a non-finite value {float(values[i])} at row {i} "
                 f"of the batch: x = {points[i].tolist()}")
         return values
+
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
+        """A vectorized model's raw values at every row of an (n, d) array."""
+        return self._func(points)
 
     def _number(self, value, i: int) -> float:
         """A per-point function's value at point i of a batch, as a float."""
@@ -430,17 +433,14 @@ class ExternalModel(ModelFunction):
                                      f"or os.PathLike, got {arg!r}")
         self._child: _Child | None = None
         self._serving = threading.Lock()
-        # A bound method would make the model refer to itself, so a model
-        # dropped unclosed would keep its process until a garbage collection.
-        exchange = functools.partial(ExternalModel._exchange, weakref.proxy(self))
-        super().__init__(dim, exchange, name="external", vectorized=True)
+        super().__init__(dim, None, name="external", vectorized=True)
 
     def _ensure_started(self) -> _Child:
         if self._child is None:
             self._child = _Child(self.command)
         return self._child
 
-    def _exchange(self, points: np.ndarray) -> np.ndarray:
+    def _evaluate(self, points: np.ndarray) -> np.ndarray:
         """Evaluate every row of an (n, d) array in one exchange with the process."""
         with self._serving:
             child = self._ensure_started()

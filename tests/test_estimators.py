@@ -81,9 +81,14 @@ def test_config_stores_numpy_integers_as_int():
     assert all(type(v) is int for v in (cfg.n, cfg.seed, cfg.workers))
 
 
-def test_dimension_mismatch_rejected():
-    with pytest.raises(ParameterError):
-        estimate_shapley_all(ishigami(), unit_square(2), EstimatorConfig(n=4, seed=0))
+@pytest.mark.parametrize("estimate", [estimate_shapley_all, estimate_shapley_winding,
+                                      estimate_main_effects, estimate_total_effects])
+def test_dimension_mismatch_rejected(estimate):
+    f = ishigami()
+    with pytest.raises(ParameterError, match="model dimension 3 does not match input "
+                                             "space dimension 2"):
+        estimate(f, unit_square(2), EstimatorConfig(n=4, seed=0))
+    assert f.eval_count == 0
 
 
 def test_cost_contract_shapley():

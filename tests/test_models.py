@@ -162,6 +162,23 @@ def test_eval_count_is_thread_safe():
     assert f.eval_count == 8 * 50 * 100
 
 
+@pytest.mark.parametrize("func, vectorized, counted, match", [
+    (lambda X: 1.0, True, 0, r"returned shape \(\) for a batch of 4 points"),
+    (lambda X: X[:, :1], True, 0, r"returned shape \(4, 1\) for a batch of 4 points"),
+    (lambda X: np.array(["a"] * len(X)), True, 0, "returned a ndarray that is not an array"),
+    (lambda x: "a", False, 0, "returned str at point 0 of the batch"),
+    (lambda X: np.where(X[:, 0] > 0.5, np.inf, 1.0), True, 4, "non-finite value inf at row 2"),
+], ids=["scalar", "column", "strings", "per-point-string", "inf"])
+def test_only_a_batch_that_reaches_the_finiteness_check_is_counted(func, vectorized,
+                                                                     counted, match):
+    # A misshapen batch or one holding non-numbers raises before it is
+    # counted; one holding a non-finite value is counted and then raises.
+    f = ModelFunction(2, func, name="bad", vectorized=vectorized)
+    with pytest.raises(EvaluationError, match=match):
+        f.evaluate_batch(np.array([[0.1, 0.0], [0.2, 0.0], [0.9, 0.0], [0.3, 0.0]]))
+    assert f.eval_count == counted
+
+
 def test_model_purity_and_shape_checks():
     f = ishigami()
     x = [0.3, -0.7, 2.0]

@@ -115,8 +115,9 @@ def test_merged_chunk_moments_match_an_exact_two_pass_sum(d, wide, sizes, shift,
     stats = _Moments(width)
     start = 0
     for size in sizes:
-        block = np.asfortranarray(values[start:start + size])
-        stats.merge(*_chunk_moments(block, np.empty((size, d), order="F")))
+        # A copy: _chunk_moments overwrites the block it is given.
+        block = np.array(values[start:start + size], order="F")
+        stats.merge(*_chunk_moments(block))
         start += size
     assert stats.count == n
     for j in range(width):
