@@ -144,8 +144,8 @@ def _chunk_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     """Count, column means and M2 of a column-major (count, width) block.
 
     Each column is contiguous, so numpy sums it pairwise. The deviations are
-    squared in the block itself, which the chunk no longer needs; dev * dev
-    is bitwise (values - mean) ** 2.
+    squared in place in the block, which the chunk no longer needs; d * d is
+    bitwise d ** 2.
     """
     mean = values.mean(axis=0)
     values -= mean
