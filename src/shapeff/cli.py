@@ -69,101 +69,55 @@ _EXACT = {
     "sobol-g": lambda model: sobol_g_exact(model["a"]),
 }
 
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["config", "version", "results", "sigma2_estimate",
-                 "eval_count", "seed", "elapsed_seconds"],
-    "additionalProperties": False,
-    "properties": {
-        "config": {"type": "object"},
-        "version": {"type": "string"},
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["variable", "estimate", "variance", "ci_low", "ci_high"],
-                "additionalProperties": False,
-                "properties": {
-                    "variable": {"type": "integer", "minimum": 1},
-                    "estimate": {"type": "number"},
-                    "variance": {"type": ["number", "null"]},
-                    "ci_low": {"type": ["number", "null"]},
-                    "ci_high": {"type": ["number", "null"]},
-                },
-            },
-        },
-        "sigma2_estimate": {"type": ["number", "null"]},
-        "eval_count": {"type": "integer", "minimum": 0},
-        "seed": {"type": "integer"},
-        "elapsed_seconds": {"type": "number", "minimum": 0},
-    },
-}
 
-EXACT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["config", "version", "results", "sigma2", "mu"],
-    "additionalProperties": False,
-    "properties": {
-        "config": {"type": "object"},
-        "version": {"type": "string"},
-        "results": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["variable", "main", "total", "shapley"],
-                "additionalProperties": False,
-                "properties": {
-                    "variable": {"type": "integer", "minimum": 1},
-                    "main": {"type": "number"},
-                    "total": {"type": "number"},
-                    "shapley": {"type": "number"},
-                },
-            },
-        },
-        "sigma2": {"type": "number"},
-        "mu": {"type": ["number", "null"]},
-    },
-}
+def _record(**properties) -> dict:
+    """The schema of a JSON object with exactly these properties: each one
+    is required and any other key is rejected."""
+    return {"type": "object", "required": list(properties), "additionalProperties": False,
+            "properties": properties}
 
-CONVERGENCE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["config", "version", "rows", "summary", "slope", "elapsed_seconds"],
-    "additionalProperties": False,
-    "properties": {
-        "config": {"type": "object"},
-        "version": {"type": "string"},
-        "rows": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["n", "trial", "sse"],
-                "additionalProperties": False,
-                "properties": {
-                    "n": {"type": "integer", "minimum": 2},
-                    "trial": {"type": "integer", "minimum": 1},
-                    "sse": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-        "summary": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["n", "mean_sse"],
-                "additionalProperties": False,
-                "properties": {
-                    "n": {"type": "integer", "minimum": 2},
-                    "mean_sse": {"type": "number", "minimum": 0},
-                },
-            },
-        },
-        "slope": {"type": ["number", "null"]},
-        "elapsed_seconds": {"type": "number", "minimum": 0},
-    },
-}
+
+def _rows(**properties) -> dict:
+    """The schema of a list of records with these properties."""
+    return {"type": "array", "items": _record(**properties)}
+
+
+def _report_schema(**properties) -> dict:
+    """The published schema of a report: a record of the resolved config,
+    the library version and then these properties."""
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema",
+            **_record(config={"type": "object"}, version={"type": "string"}, **properties)}
+
+
+# Every leaf schema is written out where it is used, so that no two places
+# in the published schemas share one dict a caller could modify.
+REPORT_SCHEMA = _report_schema(
+    results=_rows(variable={"type": "integer", "minimum": 1},
+                  estimate={"type": "number"},
+                  variance={"type": ["number", "null"]},
+                  ci_low={"type": ["number", "null"]},
+                  ci_high={"type": ["number", "null"]}),
+    sigma2_estimate={"type": ["number", "null"]},
+    eval_count={"type": "integer", "minimum": 0},
+    seed={"type": "integer"},
+    elapsed_seconds={"type": "number", "minimum": 0})
+
+EXACT_SCHEMA = _report_schema(
+    results=_rows(variable={"type": "integer", "minimum": 1},
+                  main={"type": "number"},
+                  total={"type": "number"},
+                  shapley={"type": "number"}),
+    sigma2={"type": "number"},
+    mu={"type": ["number", "null"]})
+
+CONVERGENCE_SCHEMA = _report_schema(
+    rows=_rows(n={"type": "integer", "minimum": 2},
+               trial={"type": "integer", "minimum": 1},
+               sse={"type": "number", "minimum": 0}),
+    summary=_rows(n={"type": "integer", "minimum": 2},
+                  mean_sse={"type": "number", "minimum": 0}),
+    slope={"type": ["number", "null"]},
+    elapsed_seconds={"type": "number", "minimum": 0})
 
 
 def _resolve_model(model_cfg):

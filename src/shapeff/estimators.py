@@ -154,16 +154,17 @@ def _chunk_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 class _Workspace:
-    """One thread's chunk buffers, reused for every chunk the thread
-    runs: `matrices` column-major float matrices of min(n, 4096) rows by d,
-    one for the per-sample terms and, for winding, one for the walk points.
+    """One thread's chunk buffers, reused for every chunk the thread runs:
+    column-major float matrices of min(n, 4096) rows by d, as many as the
+    design asks for, one for the per-sample terms and, for winding, one for
+    the walk points.
 
     A chunk of count samples uses the first count * d floats of each buffer
     and writes every element it reads, so a short tail chunk never sees
     values left by an earlier chunk. Models are passed these buffers, so
     they must neither keep nor modify the arrays they are given.
 
-    Each buffer is made on first use, after the thread's first chunk has
+    Each buffer is made on first request, after the thread's first chunk has
     drawn its points. The draws, which every chunk allocates and frees, then
     lie below the long-lived buffers on the heap, and glibc reuses their
     space instead of returning it to the system at the end of each chunk and
@@ -171,28 +172,27 @@ class _Workspace:
     minor faults per call if the buffers come first, 400 this way).
     """
 
-    def __init__(self, d: int, n: int, matrices: int):
+    def __init__(self, d: int, n: int):
         self._size = min(n, _CHUNK) * d
         self._d = d
-        self._count = matrices
-        self._buffers = None
+        self._buffers = []
 
-    def matrices(self, count: int) -> list[np.ndarray]:
-        """The column-major (count, d) float matrices."""
-        if self._buffers is None:
-            self._buffers = [np.empty(self._size) for _ in range(self._count)]
-        return [b[:count * self._d].reshape(self._d, count).T for b in self._buffers]
+    def matrices(self, count: int, k: int) -> list[np.ndarray]:
+        """The first k buffers as column-major (count, d) float matrices."""
+        while len(self._buffers) < k:
+            self._buffers.append(np.empty(self._size))
+        return [b[:count * self._d].reshape(self._d, count).T for b in self._buffers[:k]]
 
 
-def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
+def _run_chunks(task, n: int, workers: int, d: int):
     """Yield task(k, count, ws) for every chunk k of count samples, in
     ascending chunk order.
 
     The caller and min(workers, chunks) - 1 helper threads take chunks in
     ascending order, at most 2 * workers not yet yielded; the caller runs one
     whenever the next result is not ready. Each thread makes one
-    `_Workspace(d, n, matrices)` for all its chunks. Tasks run with numpy's
-    overflow and invalid warnings off on every thread (threads do not inherit
+    `_Workspace(d, n)` for all its chunks. Tasks run with numpy's overflow
+    and invalid warnings off on every thread (threads do not inherit
     np.errstate), as `_report` checks what they return.
     The first failure in chunk order is raised (an EvaluationError names its
     samples). After it, or once the consumer stops, no chunk is taken, and
@@ -202,46 +202,45 @@ def _run_chunks(task, n: int, workers: int, d: int, matrices: int):
     done = {}
     taken = head = 0
 
-    def step(ws):
-        # With cond held: run the next chunk without cond, or return False
-        # if none may be taken. What a chunk raises, interrupts included, the
-        # caller raises; a failure or a stop sets taken to total.
+    def work(ws, finished):
+        # With cond held, until finished(): run the next chunk without cond,
+        # or wait while none may be taken. The caller stops once the next
+        # result is ready, a helper once every chunk is taken. What a chunk
+        # raises, interrupts included, the caller raises; a failure or a
+        # stop sets taken to total.
         nonlocal taken
-        if taken == total or taken - head == 2 * workers:
-            return False
-        k = taken
-        taken += 1
-        cond.release()
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = task(k, min(n - k * _CHUNK, _CHUNK), ws), None
-        except BaseException as exc:
-            result = None, exc
-        cond.acquire()
-        done[k] = result
-        if result[1] is not None:
-            taken = total
-        cond.notify_all()
-        return True
+        while not finished():
+            if taken == total or taken - head == 2 * workers:
+                cond.wait()
+                continue
+            k = taken
+            taken += 1
+            cond.release()
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    result = task(k, min(n - k * _CHUNK, _CHUNK), ws), None
+            except BaseException as exc:
+                result = None, exc
+            cond.acquire()
+            done[k] = result
+            if result[1] is not None:
+                taken = total
+            cond.notify_all()
 
     def helper():
-        ws = _Workspace(d, n, matrices)
+        ws = _Workspace(d, n)
         with cond:
-            while taken < total:
-                if not step(ws):
-                    cond.wait()
+            work(ws, lambda: taken == total)
 
     helpers = [threading.Thread(target=helper) for _ in range(min(workers, total) - 1)]
     for thread in helpers:
         thread.start()
-    ws = _Workspace(d, n, matrices)
+    ws = _Workspace(d, n)
     try:
         for head in range(total):
             with cond:
                 cond.notify_all()
-                while head not in done:
-                    if not step(ws):
-                        cond.wait()
+                work(ws, lambda: head in done)
                 value, error = done.pop(head)
             if isinstance(error, EvaluationError):
                 start = head * _CHUNK
@@ -286,7 +285,7 @@ class _ChunkModel:
 
 
 def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig, design,
-            workers: int, matrices: int) -> Report:
+            workers: int) -> Report:
     """Run `design` on every chunk of cfg.n samples and build the report of
     `kind` from the merged moments.
 
@@ -295,7 +294,7 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
     design(model, space, count, gen, ws): gen is RngStream(seed, k)'s
     generator, from which the design draws the chunk, model is f as a
     `_ChunkModel`, on which it evaluates it, and ws is the thread's
-    workspace of `matrices` matrices. The report's evaluation count is the
+    `_Workspace`, from which it takes the matrices it writes. The report's evaluation count is the
     sum of the chunks' tallies.
 
     A design returns the chunk's term moments and, for the Shapley walks,
@@ -317,7 +316,7 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
 
     evals = 0
     terms, pairs = _Moments(d), _Moments(1)
-    for points, (term_part, pair_part) in _run_chunks(task, cfg.n, workers, d, matrices):
+    for points, (term_part, pair_part) in _run_chunks(task, cfg.n, workers, d):
         evals += points
         with np.errstate(over="ignore", invalid="ignore"):
             terms.merge(*term_part)
@@ -378,7 +377,7 @@ def _shapley(f: ModelFunction, space: InputSpace, count: int, gen: np.random.Gen
     x = space.sample(count, gen)
     y = space.sample(count, gen)
     perms = permutation_rows(gen, count, space.d)
-    (g,) = ws.matrices(count)
+    (g,) = ws.matrices(count, 1)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y)
     # The walk moves x towards y in place; x is not read again.
@@ -398,7 +397,7 @@ def _pick_freeze(f: ModelFunction, space: InputSpace, count: int, gen: np.random
     x = space.sample(count, gen)
     y = space.sample(count, gen)
     base, swap = (y, x) if main else (x, y)
-    (terms,) = ws.matrices(count)
+    (terms,) = ws.matrices(count, 1)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y) if main else None
     for j in range(space.d):
@@ -417,7 +416,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
     per-variable variance estimates and ci_z-sigma confidence intervals.
     """
-    return _report("shapley", f, space, cfg, _shapley, cfg.workers, 1)
+    return _report("shapley", f, space, cfg, _shapley, cfg.workers)
 
 
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
@@ -450,14 +449,14 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         y = space.sample(count, gen)
         perms = permutation_rows(gen, count, space.d)
         fy = model.evaluate_batch(y)
-        z, g = ws.matrices(count)
+        z, g = ws.matrices(count, 2)
         z[0] = base_pt
         z[1:] = y[:-1]
         fx = np.concatenate(([base_f], fy[:-1]))
         carry = y[-1].copy(), float(fy[-1])
         return _walk(model, fx, fy, z, y, perms, g)
 
-    return _report("shapley-winding", f, space, cfg, design, 1, 2)
+    return _report("shapley-winding", f, space, cfg, design, 1)
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,
@@ -469,7 +468,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     Costs (d+2)N evaluations.
     """
     return _report("main", f, space, cfg, functools.partial(_pick_freeze, main=True),
-                   cfg.workers, 1)
+                   cfg.workers)
 
 
 def estimate_total_effects(f: ModelFunction, space: InputSpace,
@@ -479,4 +478,4 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
     Costs (d+1)N evaluations; estimates are non-negative by construction.
     """
     return _report("total", f, space, cfg, functools.partial(_pick_freeze, main=False),
-                   cfg.workers, 1)
+                   cfg.workers)

@@ -608,6 +608,72 @@ def test_stdout_when_no_output_path(capsys):
     jsonschema.validate(report, EXACT_SCHEMA)
 
 
+SCHEMAS = {"REPORT_SCHEMA": REPORT_SCHEMA, "CONVERGENCE_SCHEMA": CONVERGENCE_SCHEMA,
+           "EXACT_SCHEMA": EXACT_SCHEMA}
+
+# Each command's published schema, a command line whose JSON report it
+# describes, and the number of record types in that report: the report
+# itself and each kind of row.
+SCHEMA_REPORTS = {
+    "analyze": (REPORT_SCHEMA, ["analyze", "--model", "ishigami", "--n", "64"], 2),
+    "convergence": (CONVERGENCE_SCHEMA, ["convergence", "--model", "ishigami", "--ns", "64,128",
+                                         "--trials", "2", "--format", "json"], 3),
+    "exact": (EXACT_SCHEMA, ["exact", "--model", "ishigami"], 2),
+}
+
+
+@pytest.mark.parametrize("name", SCHEMAS)
+def test_published_schemas_are_valid_draft_2020_12_schemas(name):
+    jsonschema.Draft202012Validator.check_schema(SCHEMAS[name])
+
+
+def records(schema, instance):
+    """(schema, object) for each object in `instance` that `schema` lists the
+    properties of: the report itself and the first row of each of its lists."""
+    if schema["type"] == "array":
+        yield from records(schema["items"], instance[0])
+    elif "properties" in schema:
+        yield schema, instance
+        for key, sub in schema["properties"].items():
+            yield from records(sub, instance[key])
+
+
+@pytest.mark.parametrize("command", SCHEMA_REPORTS)
+def test_every_record_requires_exactly_the_keys_it_lists(capsys, command):
+    schema, args, record_types = SCHEMA_REPORTS[command]
+    assert run(args) == 0
+    report = json.loads(capsys.readouterr().out)
+    validator = jsonschema.Draft202012Validator(schema)
+    assert validator.is_valid(report)
+    found = list(records(schema, report))
+    assert len(found) == record_types
+    for _, record in found:
+        for key in list(record):
+            value = record.pop(key)
+            assert not validator.is_valid(report), f"valid without {key}"
+            record[key] = value
+        record["unlisted"] = 0
+        assert not validator.is_valid(report), f"valid with an unlisted key beside {list(record)}"
+        del record["unlisted"]
+    assert validator.is_valid(report)
+
+
+def test_no_dict_or_list_is_shared_within_or_between_the_schemas():
+    """A caller that changes one part of a published schema changes no
+    other part and no other schema."""
+    seen = []
+
+    def walk(node):
+        if isinstance(node, (dict, list)):
+            seen.append(id(node))
+            for child in node.values() if isinstance(node, dict) else node:
+                walk(child)
+
+    for schema in SCHEMAS.values():
+        walk(schema)
+    assert len(seen) == len(set(seen))
+
+
 def read_pyproject():
     """pyproject.toml as a dict; skips the test where tomllib is missing."""
     tomllib = pytest.importorskip("tomllib")
