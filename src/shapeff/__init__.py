@@ -26,47 +26,7 @@ from .reference import (AnovaDecomposition, SensitivityIndices, anova_oracle,
                         main_total_from_anova, shapley_from_anova,
                         sobol_g_anova, sobol_g_exact)
 
-__all__ = [
-    "__version__",
-    "AnovaDecomposition",
-    "CapacityError",
-    "ConfigError",
-    "ConvergenceStudy",
-    "EstimatorConfig",
-    "EvaluationError",
-    "ExternalModel",
-    "InputSpace",
-    "LogNormal",
-    "ModelFunction",
-    "Normal",
-    "ParameterError",
-    "Report",
-    "RngStream",
-    "SensitivityError",
-    "SensitivityIndices",
-    "Uniform",
-    "anova_oracle",
-    "constant_model",
-    "convergence_csv_lines",
-    "convergence_study",
-    "estimate_main_effects",
-    "estimate_shapley_all",
-    "estimate_shapley_winding",
-    "estimate_total_effects",
-    "indices_from_anova",
-    "ishigami",
-    "ishigami_anova",
-    "ishigami_exact",
-    "ishigami_space",
-    "main_total_from_anova",
-    "plate_buckling",
-    "plate_buckling_space",
-    "shapley_from_anova",
-    "sobol_g",
-    "sobol_g_anova",
-    "sobol_g_exact",
-    "sobol_g_space",
-    "sse_exact",
-    "sse_samplemean",
-    "trial_seed",
-]
+# The public names are the ones imported above, after the version. The
+# imports also bind each submodule here, such as errors; those stay out.
+__all__ = ["__version__", *sorted(name for name, value in globals().items()
+                                 if not (name.startswith("_") or isinstance(value, type(errors))))]

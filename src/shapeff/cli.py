@@ -256,17 +256,21 @@ def _csv_lines(rows: list[dict], footer: dict) -> list[str]:
     return lines + [f"#{key},{cell(value)}" for key, value in footer.items()]
 
 
-def _emit(fmt: str, report: dict, csv_lines: list[str], output: str | None) -> None:
-    """Write the report as JSON, or its CSV lines, to `output` or stdout.
+def _emit(cfg: dict, resolved: dict, fields: dict, csv_lines: list[str]) -> None:
+    """Write the report, in the resolved config's format, to the config's
+    output or stdout: as JSON, the resolved config, the library version and
+    then `fields`; as CSV, `csv_lines`.
 
     The estimators check their reports' numbers; a NaN or infinity that gets
     past them raises EvaluationError here instead of writing invalid JSON.
     """
+    report = {"config": resolved, "version": __version__, **fields}
     try:
-        text = (json.dumps(report, indent=2, allow_nan=False) if fmt == "json"
+        text = (json.dumps(report, indent=2, allow_nan=False) if resolved["format"] == "json"
                 else "\n".join(csv_lines)) + "\n"
     except ValueError as exc:
         raise EvaluationError(f"the report holds a number JSON cannot represent: {exc}") from None
+    output = cfg.get("output")
     if output is None:
         sys.stdout.write(text)
         return
@@ -294,11 +298,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 for j, (est, var, low, high) in enumerate(cells)]
         totals = {"sigma2_estimate": rep.sigma2_estimate, "eval_count": rep.eval_count,
                   "seed": settings["seed"]}
-        report = {"config": resolved, "version": __version__, "results": rows,
-                  **totals, "elapsed_seconds": elapsed}
-        _emit(settings["format"], report,
-              _csv_lines(rows, {**totals, "elapsed_seconds": f"{elapsed:.6f}"}),
-              cfg.get("output"))
+        _emit(cfg, resolved, {"results": rows, **totals, "elapsed_seconds": elapsed},
+              _csv_lines(rows, {**totals, "elapsed_seconds": f"{elapsed:.6f}"}))
         return 0
 
 
@@ -312,16 +313,14 @@ def cmd_convergence(args: argparse.Namespace) -> int:
                                   settings["trials"], settings["seed"], exact=exact,
                                   workers=settings["workers"])
         elapsed = time.perf_counter() - start
-        report = {
-            "config": resolved,
-            "version": __version__,
+        fields = {
             "rows": [{"n": n, "trial": r, "sse": study.sse_per_trial[(n, r)]}
                      for n in study.ns for r in range(1, study.trials + 1)],
             "summary": [{"n": n, "mean_sse": study.mean_sse[n]} for n in study.ns],
             "slope": study.fitted_slope,
             "elapsed_seconds": elapsed,
         }
-        _emit(settings["format"], report, convergence_csv_lines(study), cfg.get("output"))
+        _emit(cfg, resolved, fields, convergence_csv_lines(study))
         return 0
 
 
@@ -335,10 +334,9 @@ def cmd_exact(args: argparse.Namespace) -> int:
     idx = _EXACT[name](model_resolved)
     rows = [{"variable": j + 1, "main": idx.main[j], "total": idx.total[j],
              "shapley": idx.shapley[j]} for j in range(idx.d)]
-    report = {"config": {"model": model_resolved, **settings}, "version": __version__,
-              "results": rows, "sigma2": idx.sigma2, "mu": idx.mu}
-    _emit(settings["format"], report, _csv_lines(rows, {"sigma2": idx.sigma2, "mu": idx.mu}),
-          cfg.get("output"))
+    totals = {"sigma2": idx.sigma2, "mu": idx.mu}
+    _emit(cfg, {"model": model_resolved, **settings}, {"results": rows, **totals},
+          _csv_lines(rows, totals))
     return 0
 
 

@@ -169,7 +169,11 @@ class _Workspace:
     lie below the long-lived buffers on the heap, and glibc reuses their
     space instead of returning it to the system at the end of each chunk and
     page-faulting it back in on the next (Sobol' g, d=10, N=2^18: about 15k
-    minor faults per call if the buffers come first, 400 this way).
+    minor faults per call if the buffers come first, 400 this way). That
+    holds for the calling thread. A helper thread that a later call starts
+    still has its heap trimmed chunk by chunk: with workers=2 such a helper
+    took 2,300-4,900 minor faults per Shapley call, and none once glibc's
+    trimming was switched off.
     """
 
     def __init__(self, d: int, n: int):
@@ -316,25 +320,24 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
 
     evals = 0
     terms, pairs = _Moments(d), _Moments(1)
-    for points, (term_part, pair_part) in _run_chunks(task, cfg.n, workers, d):
-        evals += points
-        with np.errstate(over="ignore", invalid="ignore"):
+    variance = low = high = sigma2 = from_pairs = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for points, (term_part, pair_part) in _run_chunks(task, cfg.n, workers, d):
+            evals += points
             terms.merge(*term_part)
             if pair_part is not None:
                 pairs.merge(*pair_part)
-    estimates = _finite(kind, "estimates", terms.mean)
-    variance = low = high = sigma2 = from_pairs = None
-    if kind != "shapley-winding":
-        with np.errstate(over="ignore", invalid="ignore"):
+        estimates = _finite(kind, "estimates", terms.mean)
+        if kind != "shapley-winding":
             var = terms.m2 / (cfg.n * (cfg.n - 1))
             half = cfg.ci_z * np.sqrt(var)
             variance, low, high = (_finite(kind, name, v) for name, v in zip(
                 ("variance_of_estimator", "ci_low", "ci_high"),
                 (var, terms.mean - half, terms.mean + half)))
-    if pairs.count:
-        # The exact sum of finite estimates is finite, or fsum raises.
-        sigma2 = math.fsum(estimates)
-        (from_pairs,) = _finite(kind, "sigma2_from_pairs", pairs.mean, variables=False)
+        if pairs.count:
+            # The exact sum of finite estimates is finite, or fsum raises.
+            sigma2 = math.fsum(estimates)
+            (from_pairs,) = _finite(kind, "sigma2_from_pairs", pairs.mean, variables=False)
     return Report(kind=kind, d=d, n=cfg.n, estimates=estimates,
                   variance_of_estimator=variance, ci_low=low, ci_high=high,
                   sigma2_estimate=sigma2, sigma2_from_pairs=from_pairs,

@@ -77,28 +77,26 @@ class AnovaDecomposition:
         return math.fsum(self.subset_variances.values())
 
 
+def _per_variable(anova: AnovaDecomposition, terms) -> np.ndarray:
+    """Per variable j, the math.fsum of the values of the (u, value) pairs
+    in `terms` whose subset u holds j; 0.0 where there are none."""
+    parts: list[list[float]] = [[] for _ in range(anova.d)]
+    for u, value in terms:
+        for j in u:
+            parts[j].append(value)
+    return np.array([math.fsum(p) for p in parts])
+
+
 def shapley_from_anova(anova: AnovaDecomposition) -> np.ndarray:
     """Shapley effects from subset variances: each sigma_u^2 splits |u| ways."""
-    parts: list[list[float]] = [[] for _ in range(anova.d)]
-    for u, var in anova.subset_variances.items():
-        share = var / len(u)
-        for j in u:
-            parts[j].append(share)
-    return np.array([math.fsum(p) for p in parts])
+    return _per_variable(anova, ((u, var / len(u)) for u, var in anova.subset_variances.items()))
 
 
 def main_total_from_anova(anova: AnovaDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Main effects (singleton variances) and totals (all subsets touching j)."""
-    main = np.zeros(anova.d)
-    total_parts: list[list[float]] = [[] for _ in range(anova.d)]
-    for u, var in anova.subset_variances.items():
-        if len(u) == 1:
-            (j,) = u
-            main[j] = var
-        for j in u:
-            total_parts[j].append(var)
-    total = np.array([math.fsum(p) for p in total_parts])
-    return main, total
+    variances = anova.subset_variances.items()
+    main = _per_variable(anova, ((u, var) for u, var in variances if len(u) == 1))
+    return main, _per_variable(anova, variances)
 
 
 def ishigami_exact(a: float = 7.0, b: float = 0.1) -> SensitivityIndices:

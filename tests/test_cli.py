@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import jsonschema
@@ -111,6 +112,28 @@ def test_package_and_reports_carry_the_declared_version(tmp_path):
     assert run(["analyze", "--model", "ishigami", "--n", "64", "--seed", "1",
                 "--output", str(out)]) == 0
     assert read_json(out)["version"] == shapeff.__version__
+
+
+# The public names of 0.6.0 in the order of its __all__, which the package
+# derives from its imports.
+PUBLIC_NAMES = [
+    "__version__", "AnovaDecomposition", "CapacityError", "ConfigError", "ConvergenceStudy",
+    "EstimatorConfig", "EvaluationError", "ExternalModel", "InputSpace", "LogNormal",
+    "ModelFunction", "Normal", "ParameterError", "Report", "RngStream", "SensitivityError",
+    "SensitivityIndices", "Uniform", "anova_oracle", "constant_model",
+    "convergence_csv_lines", "convergence_study", "estimate_main_effects",
+    "estimate_shapley_all", "estimate_shapley_winding", "estimate_total_effects",
+    "indices_from_anova", "ishigami", "ishigami_anova", "ishigami_exact", "ishigami_space",
+    "main_total_from_anova", "plate_buckling", "plate_buckling_space", "shapley_from_anova",
+    "sobol_g", "sobol_g_anova", "sobol_g_exact", "sobol_g_space", "sse_exact",
+    "sse_samplemean", "trial_seed",
+]
+
+
+def test_package_exports_the_public_names_and_no_module():
+    assert shapeff.__all__ == PUBLIC_NAMES
+    assert not [name for name in shapeff.__all__
+                if isinstance(getattr(shapeff, name), types.ModuleType)]
 
 
 def test_analyze_flag_overrides_config(tmp_path):

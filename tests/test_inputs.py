@@ -314,6 +314,14 @@ def test_permutation_rows_d1_is_identity():
         assert permutation_rows(RngStream(seed).generator(), 3, 1).tolist() == [[0]] * 3
 
 
+def test_permutation_rows_are_intp():
+    # The walks index with perms[:, step] * count: in int16, [8, 9] * 4096 is
+    # [-32768, -28672], and numpy raises OverflowError for uint8. Narrower
+    # rows are also slower to permute.
+    rows = permutation_rows(RngStream(9).generator(), 4096, 10)
+    assert rows.dtype == np.intp
+
+
 def test_permutations_are_bijections():
     gen = RngStream(5).generator()
     rows = permutation_rows(gen, 500, 6)
