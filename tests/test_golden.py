@@ -3,11 +3,13 @@
 ``golden_inproc.json`` holds, as ``float.hex``, the reports of every estimator
 on Sobol' g (d=10, a = 0..9) and on the plate at N = 4100 (one full chunk and a
 short tail chunk), the winding reports at the edge sizes N = 2 and N = 4097
-(whose last chunk holds a single walk), an Ishigami-space sample, and the
-Sobol' g and plate kernels on a fixed 4100-row batch. Any change to the sampling grid, the
-quantile transforms, the permutation walks, the moment reduction or the
-kernels' arithmetic shows here as a changed bit; a change that means to alter
-outputs must re-record the file and bump ``__version__``. Under ``external``
+(whose last chunk holds a single walk), an Ishigami-space sample, a short
+plate-space sample (whose normal and lognormal columns pin numpy's ziggurat
+draws), and the Sobol' g and plate kernels on a fixed 4100-row batch. Any
+change to the sampling grid, the quantile transforms, the permutation walks,
+the moment reduction or the kernels' arithmetic shows here as a changed bit;
+a change that means to alter outputs must re-record the file and bump
+``__version__``. Under ``external``
 it holds the same reports for Ishigami computed by a child process over the
 line protocol (N = 4100, seed 20), and the convergence CSV lines of that
 model; the child's command is built from ``sys.executable`` at run time.
@@ -111,6 +113,10 @@ def ishigami_sample() -> list:
     return hex_rows(ishigami_space().sample(1024, RngStream(SEED, stream=3).generator()))
 
 
+def plate_sample() -> list:
+    return hex_rows(plate_buckling_space().sample(6, RngStream(SEED, stream=9).generator()))
+
+
 def kernel_values(model: str) -> list:
     make_f, make_space = MODELS[model]
     batch = make_space().sample(GOLDEN_N, RngStream(SEED, stream=5).generator())
@@ -123,6 +129,7 @@ def golden_outputs() -> dict:
                             for kind in [*ESTIMATORS, *WINDING_KINDS]}
                     for model in MODELS},
         "ishigami_sample": ishigami_sample(),
+        "plate_sample": plate_sample(),
         "kernels": {model: kernel_values(model) for model in MODELS},
         "winding_edges": {model: {f"{kind}-{n}": run_report(model, kind, n=n)
                                   for kind in WINDING_KINDS for n in WINDING_EDGE_NS}
@@ -363,6 +370,10 @@ def test_winding_edge_report_matches_its_golden(golden, model, kind, n):
 
 def test_ishigami_sample_matches_its_golden(golden):
     assert ishigami_sample() == golden["ishigami_sample"]
+
+
+def test_plate_sample_matches_its_golden(golden):
+    assert plate_sample() == golden["plate_sample"]
 
 
 @pytest.mark.parametrize("model", list(MODELS))
