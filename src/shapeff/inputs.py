@@ -24,7 +24,7 @@ configs use: ``{"kind": "uniform", "lo": ..., "hi": ...}``, ``{"kind":
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -52,12 +52,22 @@ _Z_ENDS = np.array([-_Z_REACH, _Z_REACH])
 class MarginalDistribution:
     """A distribution of one input, as a map of one standard variate.
 
-    A subclass defines ``pdf(x)`` and ``_map(v)``, monotone in v, which takes
-    a uniform on (0, 1), or a standard normal where the class sets
-    ``_normal = True``. Its ``__post_init__`` ends with ``_check_draws()``.
+    A subclass is a frozen dataclass whose fields are its real parameters. It
+    defines ``pdf(x)``, ``_check_parameters()`` for its own ranges, and
+    ``_map(v)``, monotone in v, which takes a uniform on (0, 1), or a standard
+    normal where the class sets ``_normal = True``.
     """
 
     _normal = False
+
+    def __post_init__(self):
+        """Store each parameter as a finite float, then check its range and
+        the draws; ParameterError names the first that fails."""
+        for field in fields(self):
+            object.__setattr__(self, field.name,
+                               require_finite(field.name, getattr(self, field.name)))
+        self._check_parameters()
+        self._check_draws()
 
     def quantile(self, u):
         """The marginal's quantile of u, each value strictly in (0, 1); a
@@ -90,12 +100,9 @@ class Uniform(MarginalDistribution):
     lo: float
     hi: float
 
-    def __post_init__(self):
-        lo = require_finite("lo", self.lo)
-        hi = require_finite("hi", self.hi)
-        if not lo < hi:
-            raise ParameterError(f"uniform needs lo < hi, got [{lo}, {hi}]")
-        self._check_draws()
+    def _check_parameters(self):
+        if not self.lo < self.hi:
+            raise ParameterError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
 
     def _map(self, u):
         return self.lo + u * (self.hi - self.lo)
@@ -118,12 +125,9 @@ class Normal(MarginalDistribution):
     sd: float
     _normal = True
 
-    def __post_init__(self):
-        require_finite("mean", self.mean)
-        sd = require_finite("sd", self.sd)
-        if sd < 0:
-            raise ParameterError(f"normal sd must be >= 0, got {sd}")
-        self._check_draws()
+    def _check_parameters(self):
+        if self.sd < 0:
+            raise ParameterError(f"normal sd must be >= 0, got {self.sd}")
 
     @classmethod
     def from_cv(cls, mean: float, cv: float) -> "Normal":
@@ -157,14 +161,11 @@ class LogNormal(MarginalDistribution):
     cv: float
     _normal = True
 
-    def __post_init__(self):
-        mean = require_finite("mean", self.mean)
-        cv = require_finite("cv", self.cv)
-        if mean <= 0:
-            raise ParameterError(f"lognormal mean must be > 0, got {mean}")
-        if cv <= 0:
-            raise ParameterError(f"lognormal cv must be > 0, got {cv}")
-        self._check_draws()
+    def _check_parameters(self):
+        if self.mean <= 0:
+            raise ParameterError(f"lognormal mean must be > 0, got {self.mean}")
+        if self.cv <= 0:
+            raise ParameterError(f"lognormal cv must be > 0, got {self.cv}")
 
     @property
     def sigma_ln(self) -> float:

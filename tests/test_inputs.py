@@ -1,7 +1,9 @@
 """Tests for marginal distributions, sampling, and RNG streams."""
 
+import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +76,21 @@ def test_lognormal_pdf_matches_scipy_and_vanishes_off_the_positive_axis():
     expected = lognorm(s=ln.sigma_ln, scale=math.exp(ln.mu_ln)).pdf(x)
     assert ln.pdf(x) == pytest.approx(expected, rel=1e-12, abs=0.0)
     assert ln.pdf(x)[:2].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("make, params", [
+    (lambda: Uniform(Fraction(1, 3), 1), (1 / 3, 1.0)),
+    (lambda: Normal(Fraction(1, 2), np.int64(2)), (0.5, 2.0)),
+    (lambda: LogNormal(Fraction(1, 2), np.float32(0.25)), (0.5, 0.25)),
+], ids=["uniform", "normal", "lognormal"])
+def test_marginals_store_their_parameters_as_floats(make, params):
+    # A Fraction passes the real-number check; the marginal keeps the float
+    # that the check returns, so its map and its draws are plain floats.
+    marginal = make()
+    assert dataclasses.astuple(marginal) == params
+    assert all(type(value) is float for value in dataclasses.astuple(marginal))
+    x = InputSpace([marginal]).sample(3, RngStream(0).generator())
+    assert x.dtype == np.float64 and np.isfinite(x).all()
 
 
 def test_degenerate_normal_has_no_density():
