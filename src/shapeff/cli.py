@@ -306,8 +306,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_convergence(args: argparse.Namespace) -> int:
     cfg, settings = _config(args)
     with _model_and_space(cfg, settings) as (model, space, resolved):
+        # A builtin's closed form holds only on the builtin's own inputs;
+        # otherwise the study scores against the trial mean.
         name = resolved["model"].get("name")
-        exact = _EXACT[name](resolved["model"]) if name in _EXACT else None
+        own = name in _EXACT and space == InputSpace.from_specs(BUILTINS[name].inputs(model.dim))
+        exact = _EXACT[name](resolved["model"]) if own else None
         start = time.perf_counter()
         study = convergence_study(model, space, settings["estimator"], settings["ns"],
                                   settings["trials"], settings["seed"], exact=exact,

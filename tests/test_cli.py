@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 
 import shapeff
-from shapeff import cli
+from shapeff import InputSpace, cli, convergence_study, ishigami, ishigami_exact
 from shapeff.cli import (CONVERGENCE_SCHEMA, EXACT_SCHEMA, REPORT_SCHEMA, main)
 from shapeff.models import BUILTINS
 
@@ -618,6 +618,25 @@ def test_convergence_json_format_validates_schema(tmp_path):
     jsonschema.validate(report, CONVERGENCE_SCHEMA)
     assert len(report["rows"]) == 4
     assert len(report["summary"]) == 2
+
+
+@pytest.mark.parametrize("inputs", ["unit-interval", "default"])
+def test_convergence_scores_a_builtin_against_its_closed_form_only_on_its_own_inputs(
+        tmp_path, inputs):
+    # Ishigami's closed form holds on three Uniform(-pi, pi) inputs. On any
+    # other inputs the study scores each trial against the trial mean.
+    distributions, exact = {"unit-interval": (UNIT_INTERVAL * 3, None),
+                            "default": (BUILTINS["ishigami"].inputs(3), ishigami_exact())}[inputs]
+    out = tmp_path / "study.json"
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"name": "ishigami"}, "distributions": distributions,
+                     "ns": [64, 128], "trials": 3, "seed": 1, "format": "json",
+                     "output": str(out)})
+    assert run(["convergence", "--config", str(cfg)]) == 0
+    study = convergence_study(ishigami(), InputSpace.from_specs(distributions), "shapley",
+                              [64, 128], 3, 1, exact=exact)
+    assert [row["mean_sse"] for row in read_json(out)["summary"]] == [
+        study.mean_sse[64], study.mean_sse[128]]
 
 
 def test_convergence_requires_ns(tmp_path, capsys):
