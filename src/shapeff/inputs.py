@@ -6,13 +6,13 @@ reproduce the same sequence bitwise; distinct stream ids yield statistically
 independent streams, which the estimators use to parallelize over fixed-size
 sample chunks without losing determinism.
 
-Each marginal is a map of one standard variate: a uniform on (0, 1) for
+Each marginal is a map of one standard variate: a uniform on [0, 1) for
 :class:`Uniform`, a standard normal for :class:`Normal` and
-:class:`LogNormal`. :meth:`InputSpace.sample` draws the uniform columns
-first, then the normal ones from numpy's ziggurat
-(``Generator.standard_normal``), and maps each column in place, so no run
-needs an inverse normal CDF. :meth:`MarginalDistribution.quantile` maps a
-uniform through the same map, by way of ``scipy.special.ndtri`` for the
+:class:`LogNormal`. :meth:`InputSpace.sample` draws the columns in turn, each
+as numpy's uniforms (``Generator.random``) or ziggurat normals
+(``Generator.standard_normal``), and maps each in place, so no run needs an
+inverse normal CDF. :meth:`MarginalDistribution.quantile` maps a uniform on
+(0, 1) through the same map, by way of ``scipy.special.ndtri`` for the
 normal family.
 
 A marginal can also be given as a distribution spec, the JSON object that
@@ -32,14 +32,9 @@ import numpy as np
 from .errors import (ConfigError, ParameterError, _check_keys, require_finite,
                      require_integer, require_real)
 
-# Uniform draws are (k + 0.5) / 2^53 for k uniform in [0, 2^53), except that
-# the top point (2^53 - 0.5) / 2^53 rounds to exactly 1.0 and is drawn as
-# 1 - 2^-53 instead. Every draw is strictly inside (0, 1).
-_U53 = 1 << 53
-_BELOW_ONE = 1.0 - 2.0 ** -53
-# The lowest and highest draws of that grid, at which a uniform marginal
-# checks its map when it is built.
-_GRID_ENDS = np.array([0.5 / _U53, _BELOW_ONE])
+# numpy's uniform draws are k / 2^53 for k uniform in [0, 2^53). A uniform
+# marginal checks its map at the lowest and highest of them when it is built.
+_GRID_ENDS = np.array([0.0, 1.0 - 2.0 ** -53])
 # The reach of numpy's ziggurat (Marsaglia and Tsang 2000): a draw below the
 # base strip's edge r is returned as is, and a tail draw is r - ln(1 - U) / r
 # for a 53-bit U <= 1 - 2^-53, so |z| <= r + 53 ln 2 / r, about 13.71. A
@@ -54,7 +49,7 @@ class MarginalDistribution:
 
     A subclass is a frozen dataclass whose fields are its real parameters. It
     defines ``pdf(x)``, ``_check_parameters()`` for its own ranges, and
-    ``_map(v)``, monotone in v, which takes a uniform on (0, 1), or a standard
+    ``_map(v)``, monotone in v, which takes a uniform on [0, 1), or a standard
     normal where the class sets ``_normal = True``.
     """
 
@@ -85,7 +80,7 @@ class MarginalDistribution:
         """ParameterError unless the map is finite at both ends of the
         variates that can be drawn; it is monotone, so then every draw is."""
         ends, where = ((_Z_ENDS, ("z = -13.71", "z = 13.71")) if self._normal
-                       else (_GRID_ENDS, ("u = 2^-54", "u = 1 - 2^-53")))
+                       else (_GRID_ENDS, ("u = 0", "u = 1 - 2^-53")))
         with np.errstate(over="ignore", invalid="ignore"):
             ends = self._map(ends)
         if not np.isfinite(ends).all():
@@ -220,27 +215,6 @@ def _marginal_from_spec(spec, where: str) -> MarginalDistribution:
         raise ConfigError(f"{where}: {exc}")
 
 
-def _unit_draws(gen: np.random.Generator, n: int, d: int) -> np.ndarray:
-    """A column-major (n, d) matrix of grid uniforms (k + 0.5) / 2^53, checked
-    to lie in (0, 1).
-
-    gen.random draws k / 2^53 with k = next_uint64 >> 11, the same k that
-    gen.integers(0, 2^53) draws, and adding 2^-54 rounds exactly as
-    (k + 0.5) / 2^53 does, since scaling by a power of two commutes with
-    rounding. The draws fill the rows in turn, one point after another; the
-    shift is added while they are copied into column-major order.
-    """
-    u = np.empty((n, d), order="F")
-    np.add(gen.random((n, d)), 0.5 / _U53, out=u)
-    lo, hi = u.min(), u.max()
-    if hi == 1.0:
-        np.minimum(u, _BELOW_ONE, out=u)
-        hi = _BELOW_ONE
-    if not (lo > 0.0 and hi < 1.0):
-        raise ParameterError("uniform draws must lie strictly in (0, 1)")
-    return u
-
-
 @dataclass(frozen=True)
 class InputSpace:
     """Product of independent marginals; one draw is a d-vector."""
@@ -270,27 +244,22 @@ class InputSpace:
     def sample(self, n: int, gen: np.random.Generator) -> np.ndarray:
         """Draw an (n, d) matrix of independent rows from the product density.
 
-        The uniform columns are drawn first, as `_unit_draws` of their own,
-        then the normal-family columns as one row-major
-        gen.standard_normal((n, k)), and each column goes through its
-        marginal's map. The matrix is column-major, so each variable's column
-        X[:, j] is contiguous in memory.
+        Column j is drawn in turn, straight into row j of a C-ordered (d, n)
+        buffer: n uniforms on [0, 1) (gen.random), or n standard normals
+        (gen.standard_normal) for a normal-family marginal. Each row then goes
+        through its marginal's map. The transpose is returned, so the matrix
+        is column-major and each variable's column X[:, j] is contiguous.
         """
         n = require_integer("sample size", n)
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
-        normal = [j for j, marginal in enumerate(self.marginals) if marginal._normal]
-        if normal:
-            x = np.empty((n, self.d), order="F")
-            uniform = [j for j in range(self.d) if j not in normal]
-            if uniform:
-                x[:, uniform] = _unit_draws(gen, n, len(uniform))
-            x[:, normal] = gen.standard_normal((n, len(normal)))
-        else:
-            x = _unit_draws(gen, n, self.d)
-        for j, marginal in enumerate(self.marginals):
-            x[:, j] = marginal._map(x[:, j])
-        return x
+        if not isinstance(gen, np.random.Generator):
+            raise ParameterError(f"gen must be a numpy.random.Generator, got {gen!r}")
+        x = np.empty((self.d, n))
+        for row, marginal in zip(x, self.marginals):
+            (gen.standard_normal if marginal._normal else gen.random)(out=row)
+            row[:] = marginal._map(row)
+        return x.T
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,13 @@ short tail chunk), the winding reports at the edge sizes N = 2 and N = 4097
 (whose last chunk holds a single walk), an Ishigami-space sample, a short
 plate-space sample (whose normal and lognormal columns pin numpy's ziggurat
 draws), and the Sobol' g and plate kernels on a fixed 4100-row batch. Any
-change to the sampling grid, the quantile transforms, the permutation walks,
-the moment reduction or the kernels' arithmetic shows here as a changed bit;
-a change that means to alter outputs must re-record the file and bump
-``__version__``. Under ``external``
-it holds the same reports for Ishigami computed by a child process over the
-line protocol (N = 4100, seed 20), and the convergence CSV lines of that
-model; the child's command is built from ``sys.executable`` at run time.
+change to the order or kind of the draws, the marginals' maps, the
+permutation walks, the moment reduction or the kernels' arithmetic shows
+here as a changed bit; a change that means to alter outputs must re-record
+the file and bump ``__version__``. Under ``external`` it holds the same
+reports for Ishigami computed by a child process over the line protocol
+(N = 4100, seed 20), and the convergence CSV lines of that model; the
+child's command is built from ``sys.executable`` at run time.
 
 ``golden_cli.json`` holds the exit code, stdout and stderr of a fixed matrix
 of CLI invocations: ``analyze`` for every builtin model, estimator and

@@ -12,7 +12,7 @@ from scipy.stats import chi2, lognorm
 
 from shapeff import (InputSpace, LogNormal, Normal, ParameterError, RngStream,
                      Uniform, convergence_study, ishigami, ishigami_space)
-from shapeff.inputs import _BELOW_ONE, _Z_REACH, permutation_rows
+from shapeff.inputs import _Z_REACH, permutation_rows
 
 
 def test_uniform_quantile_is_identity_on_unit_interval():
@@ -135,8 +135,8 @@ def test_marginals_at_the_edge_of_the_float_range_draw_finite_values():
     space = InputSpace([Uniform(-8e307, 8e307), Normal(0.0, 1.3e307), LogNormal(1e296, 10.0)])
     x = space.sample(4096, RngStream(0).generator())
     assert np.isfinite(x).all()
-    stub = _StubGenerator([_BELOW_ONE, 2.0 ** -54], normals=[[-_Z_REACH, _Z_REACH],
-                                                           [_Z_REACH, -_Z_REACH]])
+    stub = _FixedDraws(uniforms=[[1.0 - 2.0 ** -53, 0.0]],
+                       normals=[[-_Z_REACH, _Z_REACH], [_Z_REACH, -_Z_REACH]])
     x = space.sample(2, stub)
     assert np.isfinite(x).all()
     assert x[:, 1].tolist() == [-1.3e307 * _Z_REACH, 1.3e307 * _Z_REACH]
@@ -245,23 +245,18 @@ def test_numpy_integers_pass_as_int():
 
 
 def _integer_grid_sample(space, n, gen):
-    """The sampling algorithm spelled out: integer draws k mapped to
-    (k + 0.5) / 2^53 for the uniform columns, then one row-major block of
-    standard normals for the others, and each column through its marginal's
-    formula."""
-    uniform = [j for j, m in enumerate(space.marginals) if isinstance(m, Uniform)]
-    others = [j for j in range(space.d) if j not in uniform]
-    k = gen.integers(0, 2 ** 53, size=(n, len(uniform)))
-    u = dict(zip(uniform, ((k.astype(np.float64) + 0.5) / 2 ** 53).T))
-    z = dict(zip(others, gen.standard_normal((n, len(others))).T))
+    """The sampling algorithm spelled out: one column after another, integer
+    draws k mapped to k / 2^53 for a uniform column and standard normals for
+    the others, each column through its marginal's formula."""
     columns = []
-    for j, m in enumerate(space.marginals):
+    for m in space.marginals:
         if isinstance(m, Uniform):
-            columns.append(m.lo + u[j] * (m.hi - m.lo))
+            u = gen.integers(0, 2 ** 53, size=n).astype(np.float64) / 2 ** 53
+            columns.append(m.lo + u * (m.hi - m.lo))
         elif isinstance(m, Normal):
-            columns.append(m.mean + m.sd * z[j])
+            columns.append(m.mean + m.sd * gen.standard_normal(n))
         else:
-            columns.append(np.exp(m.mu_ln + m.sigma_ln * z[j]))
+            columns.append(np.exp(m.mu_ln + m.sigma_ln * gen.standard_normal(n)))
     return np.column_stack(columns)
 
 
@@ -271,12 +266,28 @@ def _integer_grid_sample(space, n, gen):
 ], ids=["uniform", "mixed"])
 @pytest.mark.parametrize("seed, stream", [(0, 0), (7, 3), (2 ** 63 + 5, 11)])
 def test_sample_is_bitwise_the_integer_grid(space, seed, stream):
-    # gen.random consumes the stream as gen.integers(0, 2^53) does, and adding
-    # 2^-54 rounds as (k + 0.5) / 2^53 does, upper half of (0, 1) included.
-    # The normal and lognormal columns come after the uniform ones.
+    # gen.random draws k / 2^53 with k = next_uint64 >> 11, the same k that
+    # gen.integers(0, 2^53) draws, and the division is exact.
     n = 100_000
     x = space.sample(n, RngStream(seed, stream=stream).generator())
     ref = _integer_grid_sample(space, n, RngStream(seed, stream=stream).generator())
+    assert np.array_equal(x.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("space", [
+    InputSpace([Uniform(0.0, 1.0), Uniform(-math.pi, math.pi), Uniform(-1.0, 3.0)]),
+    InputSpace([Normal(2.0, 0.5), LogNormal(0.525, 0.044), Normal(-1.0, 3.0)]),
+    InputSpace([LogNormal(1.0, 0.2), Uniform(-math.pi, math.pi), Normal(2.0, 0.5),
+                Uniform(0.0, 1.0)]),
+], ids=["uniform", "normal-family", "mixed"])
+@pytest.mark.parametrize("n", [1, 4097])
+def test_sample_is_bitwise_the_per_column_reference(space, n):
+    # Column j is the marginal's map of numpy's own n draws, taken from the
+    # stream after those of columns 0..j-1.
+    gen = RngStream(11, stream=2).generator()
+    ref = np.column_stack([m._map(gen.standard_normal(n) if m._normal else gen.random(n))
+                           for m in space.marginals])
+    x = space.sample(n, RngStream(11, stream=2).generator())
     assert np.array_equal(x.view(np.int64), ref.view(np.int64))
 
 
@@ -291,39 +302,44 @@ def test_sample_is_column_major(space):
     assert x.flags.f_contiguous
 
 
-class _StubGenerator:
-    """Returns fixed values where numpy's Generator.random and
-    Generator.standard_normal return draws."""
+class _FixedDraws(np.random.Generator):
+    """A numpy Generator whose random and standard_normal fill `out` with the
+    next of the given columns, where the real ones fill it with draws."""
 
-    def __init__(self, values, normals=()):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.normals = np.asarray(normals, dtype=np.float64)
+    def __init__(self, uniforms=(), normals=()):
+        super().__init__(np.random.PCG64(0))
+        self.uniforms = [np.asarray(column, dtype=np.float64) for column in uniforms]
+        self.normals = [np.asarray(column, dtype=np.float64) for column in normals]
 
-    def random(self, size):
-        return self.values.reshape(size).copy()
+    def random(self, *, out):
+        out[:] = self.uniforms.pop(0)
+        return out
 
-    def standard_normal(self, size):
-        return self.normals.reshape(size).copy()
+    def standard_normal(self, *, out):
+        out[:] = self.normals.pop(0)
+        return out
 
 
 def test_top_of_the_grid_is_drawn_just_below_one():
-    k = np.array([0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53 - 1],
-                 dtype=np.uint64)
-    # The grid point of the largest k rounds to exactly 1.0.
-    assert (float(2 ** 53 - 1) + 0.5) / 2 ** 53 == 1.0
-    stub = _StubGenerator(k.astype(np.float64) / 2 ** 53)   # what gen.random gives for k
-    u = InputSpace([Uniform(0.0, 1.0)] * 2).sample(4, stub)
-    expected = (k.astype(np.float64) + 0.5) / 2 ** 53
-    expected[k == 2 ** 53 - 1] = 1.0 - 2.0 ** -53
-    assert u.ravel().tolist() == expected.tolist()
-    assert u.max() < 1.0
+    k = np.array([0, 1, 2 ** 52, 2 ** 53 - 2, 2 ** 53 - 1], dtype=np.uint64)
+    u = k.astype(np.float64) / 2 ** 53   # what gen.random gives for k
+    # The top grid point is exact, so nothing is clamped: it is 1 - 2^-53.
+    assert u[-1] == 1.0 - 2.0 ** -53
+    x = InputSpace([Uniform(0.0, 1.0)]).sample(5, _FixedDraws(uniforms=[u]))
+    assert x[:, 0].tolist() == u.tolist()
+    assert x.min() == 0.0 and x.max() < 1.0
 
 
-@pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
-def test_draws_outside_the_unit_interval_are_rejected(bad):
-    stub = _StubGenerator([0.5, 0.25, bad, 0.75])
-    with pytest.raises(ParameterError, match=r"strictly in \(0, 1\)"):
-        InputSpace([Uniform(0.0, 1.0)] * 2).sample(2, stub)
+def test_sample_needs_a_numpy_generator():
+    class Duck:
+        def random(self, *, out):
+            out[:] = 0.5
+            return out
+
+    space = InputSpace([Uniform(0.0, 1.0)])
+    for gen in (Duck(), np.random.RandomState(0), None):
+        with pytest.raises(ParameterError, match="gen must be a numpy.random.Generator"):
+            space.sample(2, gen)
 
 
 def test_permutation_rows_d1_is_identity():
