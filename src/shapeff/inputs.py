@@ -245,10 +245,11 @@ class InputSpace:
         """Draw an (n, d) matrix of independent rows from the product density.
 
         Column j is drawn in turn, straight into row j of a C-ordered (d, n)
-        buffer: n uniforms on [0, 1) (gen.random), or n standard normals
-        (gen.standard_normal) for a normal-family marginal. Each row then goes
-        through its marginal's map. The transpose is returned, so the matrix
-        is column-major and each variable's column X[:, j] is contiguous.
+        buffer: n uniforms on [0, 1) (gen.random), checked to lie there, or
+        n standard normals (gen.standard_normal) for a normal-family marginal.
+        Each row then goes through its marginal's map. The transpose is
+        returned, so the matrix is column-major and each variable's column
+        X[:, j] is contiguous.
         """
         n = require_integer("sample size", n)
         if n < 1:
@@ -257,7 +258,12 @@ class InputSpace:
             raise ParameterError(f"gen must be a numpy.random.Generator, got {gen!r}")
         x = np.empty((self.d, n))
         for row, marginal in zip(x, self.marginals):
-            (gen.standard_normal if marginal._normal else gen.random)(out=row)
+            if marginal._normal:
+                gen.standard_normal(out=row)
+            else:
+                gen.random(out=row)
+                if not (row.min() >= 0.0 and row.max() < 1.0):
+                    raise ParameterError("uniform draws must lie in [0, 1)")
             row[:] = marginal._map(row)
         return x.T
 

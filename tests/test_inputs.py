@@ -330,6 +330,13 @@ def test_top_of_the_grid_is_drawn_just_below_one():
     assert x.min() == 0.0 and x.max() < 1.0
 
 
+@pytest.mark.parametrize("bad", [-0.25, 1.5, math.nan])
+def test_draws_outside_the_unit_interval_are_rejected(bad):
+    stub = _FixedDraws(uniforms=[[0.5, 0.25], [bad, 0.75]])
+    with pytest.raises(ParameterError, match=r"uniform draws must lie in \[0, 1\)"):
+        InputSpace([Uniform(0.0, 1.0)] * 2).sample(2, stub)
+
+
 def test_sample_needs_a_numpy_generator():
     class Duck:
         def random(self, *, out):
