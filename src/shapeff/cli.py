@@ -2,7 +2,8 @@
 
 Configuration is JSON with strict validation: unknown keys anywhere in the
 file are rejected, because a typo in a distribution spec would otherwise
-silently corrupt an analysis. Command-line flags override config values.
+silently corrupt an analysis, and so are repeated keys, of which json would
+silently keep the last. Command-line flags override config values.
 Reports embed the fully resolved config and the library version, so a report
 is a complete recipe for reproducing itself: rerunning `analyze` with the
 embedded config and seed gives bitwise-identical estimates.
@@ -19,6 +20,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from typing import Sequence
 
 from . import __version__
@@ -168,14 +170,24 @@ def _model_and_space(cfg: dict, settings: dict):
             model.close()
 
 
+def _unique_keys(pairs: list) -> dict:
+    repeated = sorted(key for key, times in Counter(k for k, _ in pairs).items() if times > 1)
+    if repeated:
+        raise ConfigError(f"repeated key(s) in config: {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            config = json.load(handle, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    except ConfigError:
+        # A repeated key, which _unique_keys raises: not a JSON error.
+        raise
     except ValueError as exc:
         # A JSONDecodeError, or an integer literal too long to convert.
         raise ConfigError(f"config {path} is not valid JSON: {exc}")

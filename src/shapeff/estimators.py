@@ -188,77 +188,67 @@ class _Workspace:
         return [b[:count * self._d].reshape(self._d, count).T for b in self._buffers[:k]]
 
 
-def _run_chunks(task, n: int, workers: int, d: int):
-    """Yield task(k, count, ws) for every chunk k of count samples, in
-    ascending chunk order.
+def _run_chunks(task, merge, n: int, workers: int, d: int) -> None:
+    """Run task(k, count, ws) on every chunk k of count samples and pass
+    the results to merge in ascending chunk order.
 
-    The caller and min(workers, chunks) - 1 helper threads take chunks in
-    ascending order, at most 2 * workers not yet yielded; the caller runs one
-    whenever the next result is not ready. Each thread makes one
-    `_Workspace(d, n)` for all its chunks. Tasks run with numpy's overflow
-    and invalid warnings off on every thread (threads do not inherit
-    np.errstate), as `_report` checks what they return.
-    The first failure in chunk order is raised (an EvaluationError names its
-    samples). After it, or once the consumer stops, no chunk is taken, and
-    every helper is joined before this returns or raises."""
+    The caller and min(workers, chunks) - 1 helpers run one loop, each with
+    its own `_Workspace(d, n)`: under the lock, take the next chunk while
+    fewer than 2 * workers are taken and not merged, run it without the
+    lock, and merge every result next in chunk order. numpy's overflow and
+    invalid warnings are off on every thread, as `_report` checks every
+    field. A failure, interrupts included, stops new chunks at once; the
+    first in chunk order is raised once every started helper is joined."""
     total = -(-n // _CHUNK)
     cond = threading.Condition()
     done = {}
-    taken = head = 0
+    taken = merged = 0
+    failure = None
 
-    def work(ws, finished):
-        # With cond held, until finished(): run the next chunk without cond,
-        # or wait while none may be taken. The caller stops once the next
-        # result is ready, a helper once every chunk is taken. What a chunk
-        # raises, interrupts included, the caller raises; a failure or a
-        # stop sets taken to total.
-        nonlocal taken
-        while not finished():
-            if taken == total or taken - head == 2 * workers:
-                cond.wait()
-                continue
-            k = taken
-            taken += 1
-            cond.release()
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    result = task(k, min(n - k * _CHUNK, _CHUNK), ws), None
-            except BaseException as exc:
-                result = None, exc
-            cond.acquire()
-            done[k] = result
-            if result[1] is not None:
-                taken = total
-            cond.notify_all()
-
-    def helper():
+    def work():
+        nonlocal taken, merged, failure
         ws = _Workspace(d, n)
-        with cond:
-            work(ws, lambda: taken == total)
-
-    helpers = [threading.Thread(target=helper) for _ in range(min(workers, total) - 1)]
-    for thread in helpers:
-        thread.start()
-    ws = _Workspace(d, n)
-    try:
-        for head in range(total):
-            with cond:
+        with cond, np.errstate(over="ignore", invalid="ignore"):
+            while taken < total:
+                if taken - merged == 2 * workers:
+                    cond.wait()
+                    continue
+                k = taken
+                taken += 1
+                cond.release()
+                try:
+                    result = task(k, min(n - k * _CHUNK, _CHUNK), ws), None
+                except BaseException as exc:
+                    result = None, exc
+                cond.acquire()
+                done[k] = result
+                while failure is None and merged in done:
+                    value, failure = done.pop(merged)
+                    merged += 1
+                    if failure is None:
+                        try:
+                            merge(value)
+                        except BaseException as exc:
+                            failure = exc
+                if result[1] is not None or failure is not None:
+                    taken = total
                 cond.notify_all()
-                work(ws, lambda: head in done)
-                value, error = done.pop(head)
-            if isinstance(error, EvaluationError):
-                start = head * _CHUNK
-                raise EvaluationError(f"evaluation failed in samples "
-                                      f"[{start}, {min(start + _CHUNK, n)}): {error}") from error
-            if error is not None:
-                raise error
-            yield value
+
+    helpers = []
+    try:
+        for _ in range(min(workers, total) - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            helpers.append(thread)
+        work()
     finally:
         with cond:
             taken = total
             cond.notify_all()
         for thread in helpers:
             thread.join()
+    if failure is not None:
+        raise failure
 
 
 def _finite(kind: str, name: str, values: np.ndarray,
@@ -298,15 +288,15 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
     design(model, space, count, gen, ws): gen is RngStream(seed, k)'s
     generator, from which the design draws the chunk, model is f as a
     `_ChunkModel`, on which it evaluates it, and ws is the thread's
-    `_Workspace`, from which it takes the matrices it writes. The report's evaluation count is the
-    sum of the chunks' tallies.
+    `_Workspace`, from which it takes the matrices it writes. An
+    EvaluationError there is raised again naming the chunk's samples.
 
     A design returns the chunk's term moments and, for the Shapley walks,
-    the moments of its per-sample 0.5 * (f(x) - f(y))^2, or None; they are
-    merged in chunk order as they arrive. Winding's samples overlap, so its
-    report carries no variance or CI. Finite model values can still overflow
-    in the merge or the CI, so numpy's warnings are off there and every
-    field is checked instead.
+    those of its per-sample 0.5 * (f(x) - f(y))^2, or None; `merge` adds
+    them and the chunk's evaluations to the run's totals in chunk order.
+    Winding's samples overlap, so its report carries no variance or CI.
+    Finite model values can still overflow in the merge or the CI, so
+    numpy's warnings are off there and every field is checked instead.
     """
     if f.dim != space.d:
         raise ParameterError(
@@ -315,18 +305,27 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
 
     def task(k, count, ws):
         model = _ChunkModel(f)
-        parts = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
+        try:
+            parts = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
+        except EvaluationError as exc:
+            raise EvaluationError(f"evaluation failed in samples "
+                                  f"[{k * _CHUNK}, {k * _CHUNK + count}): {exc}") from exc
         return model.points, parts
 
     evals = 0
     terms, pairs = _Moments(d), _Moments(1)
+
+    def merge(result):
+        nonlocal evals
+        points, (term_part, pair_part) = result
+        evals += points
+        terms.merge(*term_part)
+        if pair_part is not None:
+            pairs.merge(*pair_part)
+
+    _run_chunks(task, merge, cfg.n, workers, d)
     variance = low = high = sigma2 = from_pairs = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for points, (term_part, pair_part) in _run_chunks(task, cfg.n, workers, d):
-            evals += points
-            terms.merge(*term_part)
-            if pair_part is not None:
-                pairs.merge(*pair_part)
         estimates = _finite(kind, "estimates", terms.mean)
         if kind != "shapley-winding":
             var = terms.m2 / (cfg.n * (cfg.n - 1))

@@ -275,6 +275,23 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "sedd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, repeated", [
+    ('{"model": {"name": "ishigami"}, "n": 64, "n": 128, "seed": 1}', "n"),
+    ('{"model": {"name": "sobol-g", "a": [0, 1], "a": [0, 1, 2]}, "n": 16}', "a"),
+    ('{"model": {"name": "constant", "dim": 1}, "n": 16, "distributions": '
+     '[{"kind": "uniform", "lo": 0, "lo": 1, "hi": 2}]}', "lo"),
+    ('{"seed": 1, "model": {"name": "ishigami"}, "n": 16, "seed": 1, "n": 16}', "n, seed"),
+], ids=["top-level", "model", "distribution", "two-keys-same-values"])
+def test_repeated_config_key_exits_2(tmp_path, capsys, monkeypatch, text, repeated):
+    # json keeps the last of repeated keys, so the first config would run
+    # at n = 128 unless the CLI refused it.
+    monkeypatch.setattr(cli, "run_estimator", None)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run(["analyze", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: repeated key(s) in config: {repeated}\n"
+
+
 def test_unknown_distribution_key_exits_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     write_json(cfg, {

@@ -743,6 +743,76 @@ def test_the_first_failing_chunk_in_chunk_order_is_raised():
                                EstimatorConfig(n=6 * 4096, seed=2, workers=3))
 
 
+def test_a_failure_stops_new_chunks_before_it_is_next_to_merge():
+    # Chunk 1 fails at once while chunk 0 sleeps. Had the threads stopped
+    # only once chunk 1's failure was next to merge, the one that ran chunk
+    # 1 would have gone on to chunks 2 and 3 meanwhile.
+    space = unit_square(1)
+    firsts = {space.sample(4096, RngStream(3, stream=k).generator())[0, 0]: k
+              for k in range(16)}
+    started = []
+
+    def func(x):
+        k = firsts.get(x[0, 0])
+        if k is not None:
+            started.append(k)
+        if k == 0:
+            time.sleep(0.5)
+        if k == 1:
+            raise RuntimeError("model failed")
+        return x[:, 0] * 1.0
+
+    with pytest.raises(RuntimeError, match="model failed"):
+        estimate_shapley_all(ModelFunction(1, func, vectorized=True), space,
+                             EstimatorConfig(n=16 * 4096, seed=3, workers=2))
+    assert sorted(started) == [0, 1]
+
+
+def test_a_helper_that_fails_to_start_leaves_no_thread_running(monkeypatch):
+    # The second of two helpers fails to start while the first already runs
+    # chunks. The run raises the start's error, and the first helper is
+    # stopped and joined, not left waiting for chunks no thread will merge.
+    started = []
+
+    class FailingThread(threading.Thread):
+        def start(self):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", FailingThread)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        estimate_shapley_all(slow_model([]), unit_square(1),
+                             EstimatorConfig(n=8 * 4096, seed=2, workers=3))
+    assert len(started) == 1 and not started[0].is_alive()
+
+
+def test_a_merge_that_fails_on_a_helper_is_raised(monkeypatch):
+    # Merges run on whichever thread finished the chunk next in order. The
+    # helper's chunks are the slow ones, so it finishes chunks that are next
+    # and merges them; its first merge fails, and the run raises that error.
+    from shapeff import estimators
+
+    merge = estimators._Moments.merge
+
+    def failing_merge(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("merge failed")
+        merge(self, *args)
+
+    def func(x):
+        time.sleep(0.002 if threading.current_thread() is threading.main_thread() else 0.02)
+        return x[:, 0] * 1.0
+
+    monkeypatch.setattr(estimators._Moments, "merge", failing_merge)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="merge failed"):
+        estimate_total_effects(ModelFunction(1, func, vectorized=True), unit_square(1),
+                               EstimatorConfig(n=8 * 4096, seed=2, workers=2))
+    assert threading.active_count() == before
+
+
 # Runs one estimator twice on Sobol' g (d=10, N=2^16) in a new interpreter and
 # prints the minor page faults of the second run.
 FAULT_PROBE = ("import resource, sys, shapeff\n"
