@@ -127,16 +127,11 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
             except EvaluationError as exc:
                 raise EvaluationError(f"trial {r} at N={n} failed: {exc}") from exc
         table = np.vstack(rows)
-        if exact is not None:
-            target = exact.shapley if kind.startswith("shapley") else getattr(exact, kind)
-            for r in range(1, trials + 1):
-                sse_per_trial[(n, r)] = sse_exact(table[r - 1], target)
-            mean_sse[n] = math.fsum(sse_per_trial[(n, r)] for r in range(1, trials + 1)) / trials
-        else:
-            centered = table - table.mean(axis=0)
-            for r in range(1, trials + 1):
-                sse_per_trial[(n, r)] = math.fsum((centered[r - 1] ** 2).tolist())
-            mean_sse[n] = sse_samplemean(table)
+        target = table.mean(axis=0) if exact is None else np.asarray(
+            exact.shapley if kind.startswith("shapley") else getattr(exact, kind))
+        sse = [math.fsum(row.tolist()) for row in (table - target) ** 2]
+        sse_per_trial.update(((n, r), v) for r, v in enumerate(sse, 1))
+        mean_sse[n] = sse_samplemean(table) if exact is None else math.fsum(sse) / trials
 
     slope = None
     if all(v > 0 for v in mean_sse.values()) and len(ns) >= 2:

@@ -191,6 +191,8 @@ def _load_config(path: str | None) -> dict:
     except ValueError as exc:
         # A JSONDecodeError, or an integer literal too long to convert.
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config {path} is nested too deeply to read")
     if not isinstance(config, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     return config

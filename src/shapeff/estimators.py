@@ -16,16 +16,17 @@ points first and takes each walk's start value from the previous point.
 
 Every estimator is a design run by one driver, `_report`. The driver
 partitions the N samples into fixed-size chunks and hands chunk k the RNG
-stream id k; the design draws the chunk's points, evaluates them and
-reduces the chunk to moments, which the driver merges in ascending chunk
-order, so reports are bitwise identical for any worker count. The calling
-thread runs chunks too, with workers - 1 helper threads; each thread
-allocates one chunk-sized workspace and reuses it for every chunk it runs,
-so memory per call does not grow with N.
+stream id k; the design draws the chunk's points, evaluates them and fills
+one block of per-sample terms (the Shapley walks put 0.5 * (f(x) - f(y))^2
+in its column d), which the driver alone reduces to moments and merges in
+ascending chunk order, so reports are bitwise identical for any worker
+count. The calling thread runs chunks too, with workers - 1 helper threads;
+each thread allocates one chunk-sized workspace and reuses it for every
+chunk it runs, so memory per call does not grow with N.
 
 Every chunk matrix is column-major: the sampled points, winding's walk
-points and the per-sample terms. Models read contiguous columns, and a walk
-step moves one coordinate of every sample through a single flat index,
+points and the term block. Models read contiguous columns, and a walk step
+moves one coordinate of every sample through a single flat index,
 perm * count + row.
 """
 
@@ -107,16 +108,16 @@ class Report:
 
 
 class _Moments:
-    """Running per-variable mean and sum of squared deviations (M2).
+    """Running column means and sums of squared deviations (M2) of a term
+    block of any width; the first merge sets the width.
 
     Chunks are merged with the pairwise-update rule; merging in a fixed order
     makes the result independent of how the chunks were computed.
     """
 
-    def __init__(self, width: int):
+    def __init__(self):
         self.count = 0
-        self.mean = np.zeros(width)
-        self.m2 = np.zeros(width)
+        self.mean = self.m2 = 0.0
 
     def merge(self, count: int, mean: np.ndarray, m2: np.ndarray) -> None:
         total = self.count + count
@@ -154,15 +155,15 @@ def _chunk_moments(values: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
 
 
 class _Workspace:
-    """One thread's chunk buffers, reused for every chunk the thread runs:
-    column-major float matrices of min(n, 4096) rows by d, as many as the
-    design asks for, one for the per-sample terms and, for winding, one for
-    the walk points.
+    """One thread's chunk buffers of min(n, 4096) * (d + 1) floats, reused
+    for every chunk the thread runs: one for the term block and, for
+    winding, one for the walk points.
 
-    A chunk of count samples uses the first count * d floats of each buffer
-    and writes every element it reads, so a short tail chunk never sees
-    values left by an earlier chunk. Models are passed these buffers, so
-    they must neither keep nor modify the arrays they are given.
+    A chunk of count samples takes the first count * width floats of a
+    buffer as a (count, width) matrix and writes every element it reads, so
+    a short tail chunk never sees values left by an earlier chunk. Models
+    are passed these buffers, so they must neither keep nor modify the
+    arrays they are given.
 
     Each buffer is made on first request, after the thread's first chunk has
     drawn its points. The draws, which every chunk allocates and frees, then
@@ -177,15 +178,15 @@ class _Workspace:
     """
 
     def __init__(self, d: int, n: int):
-        self._size = min(n, _CHUNK) * d
-        self._d = d
+        self._size = min(n, _CHUNK) * (d + 1)
         self._buffers = []
 
-    def matrices(self, count: int, k: int) -> list[np.ndarray]:
-        """The first k buffers as column-major (count, d) float matrices."""
-        while len(self._buffers) < k:
+    def matrices(self, count: int, *widths: int) -> list[np.ndarray]:
+        """One column-major (count, width) float matrix per width, each from
+        its own buffer, in order; a width is at most d + 1."""
+        while len(self._buffers) < len(widths):
             self._buffers.append(np.empty(self._size))
-        return [b[:count * self._d].reshape(self._d, count).T for b in self._buffers[:k]]
+        return [b[:count * w].reshape(w, count).T for b, w in zip(self._buffers, widths)]
 
 
 def _run_chunks(task, merge, n: int, workers: int, d: int) -> None:
@@ -281,7 +282,7 @@ class _ChunkModel:
 def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig, design,
             workers: int) -> Report:
     """Run `design` on every chunk of cfg.n samples and build the report of
-    `kind` from the merged moments.
+    `kind` from the merged moments of its term blocks.
 
     f.dim must equal space.d, or ParameterError is raised before any
     evaluation. Chunk k of count samples runs, through `_run_chunks`,
@@ -291,10 +292,11 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
     `_Workspace`, from which it takes the matrices it writes. An
     EvaluationError there is raised again naming the chunk's samples.
 
-    A design returns the chunk's term moments and, for the Shapley walks,
-    those of its per-sample 0.5 * (f(x) - f(y))^2, or None; `merge` adds
-    them and the chunk's evaluations to the run's totals in chunk order.
-    Winding's samples overlap, so its report carries no variance or CI.
+    A design returns the chunk's term block, which the task reduces with
+    `_chunk_moments`; `merge` adds those moments and the chunk's evaluations
+    to the run's totals in chunk order. Columns 0..d-1 give the estimates,
+    variances and CIs, and column d, if any, sigma2_from_pairs. Winding's
+    samples overlap, so its report carries no variance or CI.
     Finite model values can still overflow in the merge or the CI, so
     numpy's warnings are off there and every field is checked instead.
     """
@@ -306,37 +308,36 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
     def task(k, count, ws):
         model = _ChunkModel(f)
         try:
-            parts = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
+            block = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
         except EvaluationError as exc:
             raise EvaluationError(f"evaluation failed in samples "
                                   f"[{k * _CHUNK}, {k * _CHUNK + count}): {exc}") from exc
-        return model.points, parts
+        return model.points, _chunk_moments(block)
 
     evals = 0
-    terms, pairs = _Moments(d), _Moments(1)
+    terms = _Moments()
 
     def merge(result):
         nonlocal evals
-        points, (term_part, pair_part) = result
+        points, moments = result
         evals += points
-        terms.merge(*term_part)
-        if pair_part is not None:
-            pairs.merge(*pair_part)
+        terms.merge(*moments)
 
     _run_chunks(task, merge, cfg.n, workers, d)
+    mean, m2, pairs = terms.mean[:d], terms.m2[:d], terms.mean[d:]
     variance = low = high = sigma2 = from_pairs = None
     with np.errstate(over="ignore", invalid="ignore"):
-        estimates = _finite(kind, "estimates", terms.mean)
+        estimates = _finite(kind, "estimates", mean)
         if kind != "shapley-winding":
-            var = terms.m2 / (cfg.n * (cfg.n - 1))
+            var = m2 / (cfg.n * (cfg.n - 1))
             half = cfg.ci_z * np.sqrt(var)
             variance, low, high = (_finite(kind, name, v) for name, v in zip(
                 ("variance_of_estimator", "ci_low", "ci_high"),
-                (var, terms.mean - half, terms.mean + half)))
-        if pairs.count:
+                (var, mean - half, mean + half)))
+        if len(pairs):
             # The exact sum of finite estimates is finite, or fsum raises.
             sigma2 = math.fsum(estimates)
-            (from_pairs,) = _finite(kind, "sigma2_from_pairs", pairs.mean, variables=False)
+            (from_pairs,) = _finite(kind, "sigma2_from_pairs", pairs, variables=False)
     return Report(kind=kind, d=d, n=cfg.n, estimates=estimates,
                   variance_of_estimator=variance, ci_low=low, ci_high=high,
                   sigma2_estimate=sigma2, sigma2_from_pairs=from_pairs,
@@ -351,8 +352,8 @@ def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np
 
     fx and fy are f at the walks' two ends. Each step but the last evaluates
     f at the walks' new points; the last step ends at y and takes fy, so z
-    is not moved there. g receives the increments, whose moments then
-    overwrite it; returns the chunk's part for `_report`.
+    is not moved there. Returns g, the chunk's (count, d + 1) term block:
+    column j receives variable j's increments and column d 0.5 * (fx - fy)^2.
     """
     z_flat, y_flat, g_flat = _flat(z), _flat(y), _flat(g)
     count, d = perms.shape
@@ -368,8 +369,8 @@ def _walk(f: ModelFunction, fx: np.ndarray, fy: np.ndarray, z: np.ndarray, y: np
             fz = f.evaluate_batch(z)
         g_flat[idx] = (fx - 0.5 * (fprev + fz)) * (fprev - fz)
         fprev = fz
-    pairs = 0.5 * (fx - fy) ** 2
-    return _chunk_moments(g), _chunk_moments(pairs[:, None])
+    g[:, d] = 0.5 * (fx - fy) ** 2
+    return g
 
 
 def _shapley(f: ModelFunction, space: InputSpace, count: int, gen: np.random.Generator,
@@ -379,7 +380,7 @@ def _shapley(f: ModelFunction, space: InputSpace, count: int, gen: np.random.Gen
     x = space.sample(count, gen)
     y = space.sample(count, gen)
     perms = permutation_rows(gen, count, space.d)
-    (g,) = ws.matrices(count, 1)
+    (g,) = ws.matrices(count, space.d + 1)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y)
     # The walk moves x towards y in place; x is not read again.
@@ -399,7 +400,7 @@ def _pick_freeze(f: ModelFunction, space: InputSpace, count: int, gen: np.random
     x = space.sample(count, gen)
     y = space.sample(count, gen)
     base, swap = (y, x) if main else (x, y)
-    (terms,) = ws.matrices(count, 1)
+    (terms,) = ws.matrices(count, space.d)
     fx = f.evaluate_batch(x)
     fy = f.evaluate_batch(y) if main else None
     for j in range(space.d):
@@ -408,7 +409,7 @@ def _pick_freeze(f: ModelFunction, space: InputSpace, count: int, gen: np.random
         fw = f.evaluate_batch(base)
         base[:, j] = terms[:, j]
         terms[:, j] = fx * (fw - fy) if main else 0.5 * (fx - fw) ** 2
-    return _chunk_moments(terms), None
+    return terms
 
 
 def estimate_shapley_all(f: ModelFunction, space: InputSpace,
@@ -451,7 +452,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         y = space.sample(count, gen)
         perms = permutation_rows(gen, count, space.d)
         fy = model.evaluate_batch(y)
-        z, g = ws.matrices(count, 2)
+        z, g = ws.matrices(count, space.d, space.d + 1)
         z[0] = base_pt
         z[1:] = y[:-1]
         fx = np.concatenate(([base_f], fy[:-1]))

@@ -393,6 +393,13 @@ def test_integer_literal_too_long_to_read_exits_2(tmp_path, capsys):
     assert "is not valid JSON: Exceeds the limit" in capsys.readouterr().err
 
 
+def test_config_nested_deeper_than_the_recursion_limit_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"model": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert run(["analyze", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config {cfg} is nested too deeply to read\n"
+
+
 def test_config_validation_errors_exit_2(tmp_path):
     bad_configs = [
         {"model": {"name": "nope"}, "n": 16},

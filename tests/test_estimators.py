@@ -472,6 +472,13 @@ def walk_points(x: np.ndarray, y: np.ndarray, perms: np.ndarray) -> list[np.ndar
     return points
 
 
+def mean_half_squared_differences(ends: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The mean over every walk of 0.5 * (f(a) - f(b))^2, for the recording
+    model's f and each walk's end points a and b, one row of each pair."""
+    terms = [0.5 * (np.sin(a).sum(axis=1) - np.sin(b).sum(axis=1)) ** 2 for a, b in ends]
+    return math.fsum(np.concatenate(terms).tolist()) / sum(map(len, terms))
+
+
 def bitwise(batches: list[np.ndarray]) -> list[tuple]:
     return [(b.shape, b.tobytes()) for b in batches]
 
@@ -482,7 +489,7 @@ def test_shapley_walks_visit_x_y_then_x_taking_y_along_the_permutation(n, d, wor
     model, batches = recording_model(d)
     space = InputSpace([Uniform(-1.0, 2.0)] * d)
     seed = 23
-    estimate_shapley_all(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
+    rep = estimate_shapley_all(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
     # The chunks differ in size, so a chunk's batches are those of its size,
     # in the order its thread passed them.
     sizes = [min(4096, n - s) for s in range(0, n, 4096)]
@@ -494,6 +501,10 @@ def test_shapley_walks_visit_x_y_then_x_taking_y_along_the_permutation(n, d, wor
         y = space.sample(count, gen)
         perms = permutation_rows(gen, count, d)
         assert bitwise(by_size[count]) == bitwise([x, y, *walk_points(x, y, perms)])
+    # Each walk runs from a row of a chunk's first batch to the same row of
+    # its second.
+    assert rep.sigma2_from_pairs == pytest.approx(
+        mean_half_squared_differences([(b[0], b[1]) for b in by_size.values()]), rel=1e-12)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -502,7 +513,7 @@ def test_winding_walks_consecutive_points_along_chunk_permutations(n, d, workers
     model, batches = recording_model(d)
     space = InputSpace([Uniform(-1.0, 2.0)] * d)
     seed = 29
-    estimate_shapley_winding(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
+    rep = estimate_shapley_winding(model, space, EstimatorConfig(n=n, seed=seed, workers=workers))
     # Chunk k draws from stream k: point 0 (chunk 0 only), its points, then
     # its permutations. It evaluates its new points, then walks each point
     # to the next, starting from the last point of the chunk before; chunk 0
@@ -519,6 +530,11 @@ def test_winding_walks_consecutive_points_along_chunk_permutations(n, d, workers
         expected += [points, *walk_points(np.vstack([last, points[:-1]]), points, perms)]
         last = points[-1:]
     assert bitwise(batches) == bitwise(expected)
+    # Walk i runs from point i to point i + 1: point 0 is the first batch,
+    # and each chunk's points the first of its d batches.
+    sequence = np.vstack([batches[0], *batches[1::d]])
+    assert rep.sigma2_from_pairs == pytest.approx(
+        mean_half_squared_differences([(sequence[:-1], sequence[1:])]), rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)

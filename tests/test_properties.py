@@ -112,7 +112,7 @@ def test_merged_chunk_moments_match_an_exact_two_pass_sum(d, wide, sizes, shift,
     width = d if wide else 1
     n = sum(sizes)
     values = scale * (np.random.default_rng(seed).standard_normal((n, width)) + shift)
-    stats = _Moments(width)
+    stats = _Moments()
     start = 0
     for size in sizes:
         # A copy: _chunk_moments overwrites the block it is given.
