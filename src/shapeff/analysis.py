@@ -151,6 +151,13 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
     )
 
 
+def _csv_cell(value) -> str:
+    """One CSV cell: None as na, an int or a str as str gives it, and any
+    other number with 17 significant digits."""
+    return ("na" if value is None else str(value) if isinstance(value, (int, str))
+            else f"{value:.17g}")
+
+
 def convergence_csv_lines(study: ConvergenceStudy) -> list[str]:
     """Render a study in the convergence CSV format.
 
@@ -158,13 +165,8 @@ def convergence_csv_lines(study: ConvergenceStudy) -> list[str]:
     then a final `#slope,<value|na>` line.
     """
     lines = ["model,estimator,N,trial,sse"]
-    for n in study.ns:
-        for r in range(1, study.trials + 1):
-            sse = study.sse_per_trial[(n, r)]
-            lines.append(f"{study.model},{study.estimator},{n},{r},{sse:.17g}")
-    lines.append("#summary")
-    for n in study.ns:
-        lines.append(f"{n},{study.mean_sse[n]:.17g}")
-    slope = "na" if study.fitted_slope is None else f"{study.fitted_slope:.17g}"
-    lines.append(f"#slope,{slope}")
-    return lines
+    lines += [",".join(map(_csv_cell, (study.model, study.estimator, n, r,
+                                       study.sse_per_trial[(n, r)])))
+              for n in study.ns for r in range(1, study.trials + 1)]
+    lines += ["#summary"] + [f"{n},{_csv_cell(study.mean_sse[n])}" for n in study.ns]
+    return lines + [f"#slope,{_csv_cell(study.fitted_slope)}"]

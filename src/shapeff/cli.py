@@ -24,8 +24,8 @@ from collections import Counter
 from typing import Sequence
 
 from . import __version__
-from .analysis import (ESTIMATOR_KINDS, convergence_csv_lines, convergence_study,
-                       run_estimator)
+from .analysis import (ESTIMATOR_KINDS, _csv_cell, convergence_csv_lines,
+                       convergence_study, run_estimator)
 from .errors import ConfigError, EvaluationError, ParameterError, _check_keys
 # Runs go through analysis.run_estimator. The estimate_* names stay bound here
 # because perfbench's tracer wraps them in every module that imports them.
@@ -261,29 +261,24 @@ def _check_writable(path: str) -> None:
 
 
 def _csv_lines(rows: list[dict], footer: dict) -> list[str]:
-    """A header, one line per row, then one #key,value line per footer item.
-    Floats print with 17 significant digits and None as na."""
-    def cell(value):
-        return "na" if value is None else f"{value:.17g}" if isinstance(value, float) else str(value)
-
-    lines = [",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows]
-    return lines + [f"#{key},{cell(value)}" for key, value in footer.items()]
+    """A header, one line per row, then one #key,value line per footer item."""
+    lines = [",".join(rows[0])] + [",".join(map(_csv_cell, row.values())) for row in rows]
+    return lines + [f"#{key},{_csv_cell(value)}" for key, value in footer.items()]
 
 
 def _emit(cfg: dict, resolved: dict, fields: dict, csv_lines: list[str]) -> None:
     """Write the report, in the resolved config's format, to the config's
     output or stdout: as JSON, the resolved config, the library version and
-    then `fields`; as CSV, `csv_lines`.
-
-    The estimators check their reports' numbers; a NaN or infinity that gets
-    past them raises EvaluationError here instead of writing invalid JSON.
-    """
+    then `fields`; as CSV, `csv_lines`. If that JSON would hold a NaN or an
+    infinity that got past the library's checks, neither format is written
+    and EvaluationError is raised."""
     report = {"config": resolved, "version": __version__, **fields}
     try:
-        text = (json.dumps(report, indent=2, allow_nan=False) if resolved["format"] == "json"
-                else "\n".join(csv_lines)) + "\n"
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise EvaluationError(f"the report holds a number JSON cannot represent: {exc}") from None
+    if resolved["format"] == "csv":
+        text = "\n".join(csv_lines) + "\n"
     output = cfg.get("output")
     if output is None:
         sys.stdout.write(text)
@@ -295,8 +290,10 @@ def _emit(cfg: dict, resolved: dict, fields: dict, csv_lines: list[str]) -> None
         raise ConfigError(f"cannot write report to {output}: {exc}")
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg, settings = _config(args)
+def cmd_analyze(cfg: dict, settings: dict) -> tuple[dict, dict, list[str]]:
+    """Run one estimator on `_config`'s cfg and settings. Return, for
+    `_emit`, the resolved config, the JSON fields and the CSV lines; an
+    external model's process has ended by then, as in cmd_convergence."""
     est_cfg = EstimatorConfig(**{key: settings[key] for key in ("n", "seed", "workers", "ci_z")})
     # The report echoes ci_z as the float the run used: 3 reads 3.0.
     settings["ci_z"] = est_cfg.ci_z
@@ -304,21 +301,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         rep = run_estimator(settings["estimator"], model, space, est_cfg)
         elapsed = time.perf_counter() - start
-        none = (None,) * rep.d
-        cells = zip(rep.estimates, rep.variance_of_estimator or none,
-                    rep.ci_low or none, rep.ci_high or none)
-        rows = [{"variable": j + 1, "estimate": est, "variance": var,
-                 "ci_low": low, "ci_high": high}
-                for j, (est, var, low, high) in enumerate(cells)]
-        totals = {"sigma2_estimate": rep.sigma2_estimate, "eval_count": rep.eval_count,
-                  "seed": settings["seed"]}
-        _emit(cfg, resolved, {"results": rows, **totals, "elapsed_seconds": elapsed},
-              _csv_lines(rows, {**totals, "elapsed_seconds": f"{elapsed:.6f}"}))
-        return 0
+    none = (None,) * rep.d
+    cells = zip(rep.estimates, rep.variance_of_estimator or none,
+                rep.ci_low or none, rep.ci_high or none)
+    rows = [{"variable": j + 1, "estimate": est, "variance": var,
+             "ci_low": low, "ci_high": high}
+            for j, (est, var, low, high) in enumerate(cells)]
+    totals = {"sigma2_estimate": rep.sigma2_estimate, "eval_count": rep.eval_count,
+              "seed": settings["seed"]}
+    return (resolved, {"results": rows, **totals, "elapsed_seconds": elapsed},
+            _csv_lines(rows, {**totals, "elapsed_seconds": f"{elapsed:.6f}"}))
 
 
-def cmd_convergence(args: argparse.Namespace) -> int:
-    cfg, settings = _config(args)
+def cmd_convergence(cfg: dict, settings: dict) -> tuple[dict, dict, list[str]]:
+    """Run a convergence study; return as cmd_analyze does."""
     with _model_and_space(cfg, settings) as (model, space, resolved):
         # A builtin's closed form holds only on the builtin's own inputs;
         # otherwise the study scores against the trial mean.
@@ -330,19 +326,19 @@ def cmd_convergence(args: argparse.Namespace) -> int:
                                   settings["trials"], settings["seed"], exact=exact,
                                   workers=settings["workers"])
         elapsed = time.perf_counter() - start
-        fields = {
-            "rows": [{"n": n, "trial": r, "sse": study.sse_per_trial[(n, r)]}
-                     for n in study.ns for r in range(1, study.trials + 1)],
-            "summary": [{"n": n, "mean_sse": study.mean_sse[n]} for n in study.ns],
-            "slope": study.fitted_slope,
-            "elapsed_seconds": elapsed,
-        }
-        _emit(cfg, resolved, fields, convergence_csv_lines(study))
-        return 0
+    fields = {
+        "rows": [{"n": n, "trial": r, "sse": study.sse_per_trial[(n, r)]}
+                 for n in study.ns for r in range(1, study.trials + 1)],
+        "summary": [{"n": n, "mean_sse": study.mean_sse[n]} for n in study.ns],
+        "slope": study.fitted_slope,
+        "elapsed_seconds": elapsed,
+    }
+    return resolved, fields, convergence_csv_lines(study)
 
 
-def cmd_exact(args: argparse.Namespace) -> int:
-    cfg, settings = _config(args)
+def cmd_exact(cfg: dict, settings: dict) -> tuple[dict, dict, list[str]]:
+    """A builtin's closed-form indices, returned as cmd_analyze does; no
+    model is evaluated."""
     _, model_resolved = _resolve_model(cfg["model"])
     name = model_resolved.get("name")
     if name not in _EXACT:
@@ -352,9 +348,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
     rows = [{"variable": j + 1, "main": idx.main[j], "total": idx.total[j],
              "shapley": idx.shapley[j]} for j in range(idx.d)]
     totals = {"sigma2": idx.sigma2, "mu": idx.mu}
-    _emit(cfg, {"model": model_resolved, **settings}, {"results": rows, **totals},
-          _csv_lines(rows, totals))
-    return 0
+    return ({"model": model_resolved, **settings}, {"results": rows, **totals},
+            _csv_lines(rows, totals))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -390,7 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         gc.freeze()
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg, settings = _config(args)
+        _emit(cfg, *args.func(cfg, settings))
+        return 0
     except ParameterError as exc:
         # The model and the distributions raise theirs as ConfigError naming
         # them, so what remains is a run setting's, which the library checks.

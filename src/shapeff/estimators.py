@@ -172,9 +172,9 @@ class _Workspace:
     page-faulting it back in on the next (Sobol' g, d=10, N=2^18: about 15k
     minor faults per call if the buffers come first, 400 this way). That
     holds for the calling thread. A helper thread that a later call starts
-    still has its heap trimmed chunk by chunk: with workers=2 such a helper
-    took 2,300-4,900 minor faults per Shapley call, and none once glibc's
-    trimming was switched off.
+    still has its heap trimmed and regrown: at workers=2 it took 0-5,320
+    faults per Shapley call, in a range that varies by process (measured as
+    README's Reproducibility section says).
     """
 
     def __init__(self, d: int, n: int):
@@ -280,7 +280,7 @@ class _ChunkModel:
 
 
 def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig, design,
-            workers: int) -> Report:
+            chain: bool = False) -> Report:
     """Run `design` on every chunk of cfg.n samples and build the report of
     `kind` from the merged moments of its term blocks.
 
@@ -295,8 +295,9 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
     A design returns the chunk's term block, which the task reduces with
     `_chunk_moments`; `merge` adds those moments and the chunk's evaluations
     to the run's totals in chunk order. Columns 0..d-1 give the estimates,
-    variances and CIs, and column d, if any, sigma2_from_pairs. Winding's
-    samples overlap, so its report carries no variance or CI.
+    variances and CIs, and column d, if any, sigma2_from_pairs. A `chain`
+    design carries a sample from each chunk to the next, so its chunks run
+    in order on the calling thread and its report carries no variance or CI.
     Finite model values can still overflow in the merge or the CI, so
     numpy's warnings are off there and every field is checked instead.
     """
@@ -323,12 +324,12 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
         evals += points
         terms.merge(*moments)
 
-    _run_chunks(task, merge, cfg.n, workers, d)
+    _run_chunks(task, merge, cfg.n, 1 if chain else cfg.workers, d)
     mean, m2, pairs = terms.mean[:d], terms.m2[:d], terms.mean[d:]
     variance = low = high = sigma2 = from_pairs = None
     with np.errstate(over="ignore", invalid="ignore"):
         estimates = _finite(kind, "estimates", mean)
-        if kind != "shapley-winding":
+        if not chain:
             var = m2 / (cfg.n * (cfg.n - 1))
             half = cfg.ci_z * np.sqrt(var)
             variance, low, high = (_finite(kind, name, v) for name, v in zip(
@@ -419,7 +420,7 @@ def estimate_shapley_all(f: ModelFunction, space: InputSpace,
     Costs exactly (d+1)N model evaluations. The report carries the unbiased
     per-variable variance estimates and ci_z-sigma confidence intervals.
     """
-    return _report("shapley", f, space, cfg, _shapley, cfg.workers)
+    return _report("shapley", f, space, cfg, _shapley)
 
 
 def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
@@ -428,10 +429,10 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
 
     Reusing each walk's final value as the next pair's base value cuts the
     cost to d*N + 1 evaluations. The pairs overlap, so no unbiased variance
-    estimate exists and the variance and CI fields are None. The chunks run
-    in order, each walking on from the last point of the one before, so
-    cfg.workers is ignored. Chunk k draws from RngStream(seed, k): point 0
-    (chunk 0 only), then its points, then its permutations.
+    estimate exists and the variance and CI fields are None. Each chunk
+    walks on from the last point of the one before, so the chunks run as a
+    `chain`, whatever cfg.workers. Chunk k draws from RngStream(seed, k):
+    point 0 (chunk 0 only), then its points, then its permutations.
     """
     carry = None
 
@@ -459,7 +460,7 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
         carry = y[-1].copy(), float(fy[-1])
         return _walk(model, fx, fy, z, y, perms, g)
 
-    return _report("shapley-winding", f, space, cfg, design, 1)
+    return _report("shapley-winding", f, space, cfg, design, chain=True)
 
 
 def estimate_main_effects(f: ModelFunction, space: InputSpace,
@@ -470,8 +471,7 @@ def estimate_main_effects(f: ModelFunction, space: InputSpace,
     estimator one sample mean, so the same per-term variance estimate applies.
     Costs (d+2)N evaluations.
     """
-    return _report("main", f, space, cfg, functools.partial(_pick_freeze, main=True),
-                   cfg.workers)
+    return _report("main", f, space, cfg, functools.partial(_pick_freeze, main=True))
 
 
 def estimate_total_effects(f: ModelFunction, space: InputSpace,
@@ -480,5 +480,4 @@ def estimate_total_effects(f: ModelFunction, space: InputSpace,
 
     Costs (d+1)N evaluations; estimates are non-negative by construction.
     """
-    return _report("total", f, space, cfg, functools.partial(_pick_freeze, main=False),
-                   cfg.workers)
+    return _report("total", f, space, cfg, functools.partial(_pick_freeze, main=False))

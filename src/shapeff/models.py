@@ -282,6 +282,8 @@ BUILTINS = {
 _SLICE = 256
 # Bytes of the child's stderr kept for error messages.
 _STDERR_TAIL = 4096
+# Seconds a child has to exit once its stdin is closed before close() kills it.
+_EXIT_GRACE = 5
 
 
 def _request_lines(points: np.ndarray) -> bytes:
@@ -379,14 +381,14 @@ class _Child:
         return note + ")"
 
     def close(self) -> None:
-        """Close the child's stdin and reap it; kill it if it does not exit within 5 s."""
+        """Close the child's stdin and reap it; kill it if it outlasts _EXIT_GRACE s."""
         import subprocess
         try:
             self.proc.stdin.close()
         except OSError:
             pass
         try:
-            self.proc.wait(timeout=5)
+            self.proc.wait(timeout=_EXIT_GRACE)
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()

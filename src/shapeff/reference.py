@@ -31,7 +31,9 @@ class SensitivityIndices:
     """Exact (or estimated) main, total, and Shapley effects plus sigma^2.
 
     Invariants for exact constructions: main[j] <= shapley[j] <= total[j] and
-    sum(shapley) == sigma2 up to accumulation rounding.
+    sum(shapley) == sigma2 up to accumulation rounding. A main, total or
+    Shapley value or sigma2 that is not finite, such as the overflow of a
+    closed form at huge parameters, raises ParameterError.
     """
 
     d: int
@@ -44,6 +46,10 @@ class SensitivityIndices:
     def __post_init__(self):
         if not (len(self.main) == len(self.total) == len(self.shapley) == self.d):
             raise ParameterError("index vectors must all have length d")
+        for name in ("main", "total", "shapley"):
+            for j, value in enumerate(getattr(self, name)):
+                require_finite(f"{name} of variable {j + 1}", value)
+        require_finite("sigma2", self.sigma2)
 
 
 @dataclass

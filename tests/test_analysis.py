@@ -37,6 +37,11 @@ def test_sse_samplemean_hand_values():
         sse_samplemean(np.array([[1.0, 2.0]]))
 
 
+def test_sse_samplemean_rejects_a_table_that_is_not_two_dimensional():
+    with pytest.raises(ParameterError, match=r"^expected an R x d table, got shape \(3,\)$"):
+        sse_samplemean(np.array([0.0, 1.0, 2.0]))
+
+
 def test_sse_samplemean_translation_invariant():
     table = np.array([[0.1, 2.0], [0.4, 1.5], [0.2, 1.9]])
     shifted = table + np.array([5.0, -3.0])

@@ -547,16 +547,32 @@ def test_settings_the_library_checks_exit_2_before_any_evaluation(
     assert captured.err.startswith("error: config: ")
 
 
-def test_json_report_never_holds_nan_or_infinity(monkeypatch, capsys):
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_never_holds_nan_or_infinity(monkeypatch, capsys, fmt):
+    # A CSV report is written only if the same report is valid JSON.
     nan = (math.nan,)
     report = shapeff.Report(kind="main", d=1, n=4, estimates=nan, variance_of_estimator=nan,
                             ci_low=nan, ci_high=nan, sigma2_estimate=None,
                             sigma2_from_pairs=None, eval_count=12, seed=0)
     monkeypatch.setattr(cli, "run_estimator", lambda *args, **kwargs: report)
-    assert run(["analyze", "--model", "constant", "--n", "4", "--estimator", "main"]) == 3
+    assert run(["analyze", "--model", "constant", "--n", "4", "--estimator", "main",
+                "--format", fmt]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the report holds a number JSON cannot represent")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_write_that_fails_after_the_run_exits_2(tmp_path, capsys):
+    # A link in a writable directory to a writable device passes the check
+    # made before the run; every write to /dev/full then fails.
+    target = tmp_path / "full"
+    target.symlink_to("/dev/full")
+    assert run(["exact", "--model", "ishigami", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot write report to {target}: "
+                            "[Errno 28] No space left on device\n")
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -588,6 +604,27 @@ def test_exact_sobol_g_cases(tmp_path):
     report = read_json(out)
     jsonschema.validate(report, EXACT_SCHEMA)
     assert report["sigma2"] == pytest.approx(0.5945358157323086, rel=1e-12)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_closed_forms_that_overflow_exit_2_with_no_report(tmp_path, capsys, fmt):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"name": "ishigami", "a": 1e200}})
+    assert run(["exact", "--config", str(cfg), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: main of variable 2 must be finite, got inf\n"
+
+
+def test_convergence_against_a_closed_form_that_overflows_exits_2_before_any_trial(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "convergence_study", lambda *args, **kwargs: pytest.fail("ran"))
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"name": "ishigami", "a": 1e200}, "ns": [16, 32], "trials": 2})
+    assert run(["convergence", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: main of variable 2 must be finite, got inf\n"
 
 
 def test_exact_rejects_non_analytic_models(tmp_path):

@@ -4,8 +4,10 @@ import dataclasses
 import gc
 import math
 import re
+import signal
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from shapeff import (EstimatorConfig, EvaluationError, ExternalModel,
                      ishigami, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, sobol_g,
                      sobol_g_exact, sobol_g_space)
+from shapeff import models
 
 ECHO_FIRST = ("import sys\n"
               "for line in sys.stdin:\n"
@@ -389,6 +392,35 @@ def test_external_model_that_closes_its_input_mid_batch_is_reported():
     message = run_with_timeout(call)
     assert "no reply for line 2" in message
     assert "exited with code 5" in message
+
+
+def test_closing_a_child_that_ignores_eof_kills_and_reaps_it(monkeypatch):
+    # The child never reads its input, so closing it does not end it; close()
+    # must kill it once the grace period is over, and must not hang.
+    monkeypatch.setattr(models, "_EXIT_GRACE", 0.5)
+    child = models._Child([sys.executable, "-c", "import time; time.sleep(30)"])
+    start = time.monotonic()
+    run_with_timeout(child.close, seconds=10)
+    assert time.monotonic() - start < 10
+    assert child.proc.returncode == -signal.SIGKILL
+
+
+def test_a_child_that_closes_its_output_but_runs_on_is_killed_and_reaped():
+    # The reply pipe reaches EOF while the process still runs, so the error
+    # has no exit note; the failed batch then kills and reaps the process.
+    code = "import os, time\nos.close(1)\ntime.sleep(30)\n"
+
+    def call():
+        ext = ExternalModel([sys.executable, "-c", code], dim=1)
+        child = ext._ensure_started()
+        with pytest.raises(EvaluationError) as err:
+            ext.evaluate_batch(np.zeros((1, 1)))
+        return ext, child, str(err.value)
+
+    ext, child, message = run_with_timeout(call)
+    assert message == "external model produced no reply for line 1"
+    assert ext._child is None
+    assert child.proc.returncode == -signal.SIGKILL
 
 
 def test_external_model_serves_concurrent_batches_in_order():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from shapeff import (AnovaDecomposition, CapacityError, InputSpace,
                      ModelFunction, Normal, ParameterError, Uniform,
                      anova_oracle, indices_from_anova, ishigami,
                      ishigami_anova, ishigami_exact, ishigami_space,
-                     main_total_from_anova, shapley_from_anova, sobol_g,
-                     sobol_g_anova, sobol_g_exact, sobol_g_space)
+                     SensitivityIndices, main_total_from_anova, shapley_from_anova,
+                     sobol_g, sobol_g_anova, sobol_g_exact, sobol_g_space)
 
 
 def test_ishigami_exact_values():
@@ -90,6 +91,26 @@ def test_sobol_g_exact_shapley_is_within_one_ulp_of_exact_arithmetic():
         phi = c[j] * sum(Fraction(math.prod(u, start=Fraction(1)), k + 1)
                          for k in range(10) for u in itertools.combinations(others, k))
         assert abs(idx.shapley[j] - float(phi)) <= math.ulp(idx.shapley[j]), j
+
+
+def test_closed_forms_that_overflow_raise_naming_the_field_and_variable():
+    # v2 = a^2 / 8 overflows: the first non-finite value is x2's main effect.
+    with pytest.raises(ParameterError, match=r"^main of variable 2 must be finite, got inf$"):
+        ishigami_exact(a=1e200)
+    with pytest.raises(ParameterError, match=r"^main of variable 2 must be finite, got inf$"):
+        ishigami_anova(a=1e200)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("main", (0.0, math.nan), "main of variable 2 must be finite, got nan"),
+    ("total", (math.inf, 1.0), "total of variable 1 must be finite, got inf"),
+    ("shapley", (1.0, -math.inf), "shapley of variable 2 must be finite, got -inf"),
+    ("sigma2", math.nan, "sigma2 must be finite, got nan")])
+def test_sensitivity_indices_reject_values_that_are_not_finite(field, value, message):
+    fields = {"main": (0.0, 1.0), "total": (1.0, 1.0), "shapley": (0.5, 1.0), "sigma2": 1.5}
+    with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+        SensitivityIndices(d=2, **{**fields, field: value})
+    assert SensitivityIndices(d=2, **fields, mu=None).sigma2 == 1.5
 
 
 def test_shapley_from_anova_trivial_splits():
@@ -204,6 +225,19 @@ def test_oracle_requires_truncation_for_unbounded_marginals():
     assert anova.subset_variances[frozenset({0})] == pytest.approx(1.0, rel=1e-6)
 
 
+def test_oracle_rejects_truncation_bounds_that_miss_the_support():
+    f = ModelFunction(1, lambda x: x[:, 0], name="x1", vectorized=True)
+    with pytest.raises(ParameterError, match=r"^quadrature weights vanish; bounds miss the "):
+        anova_oracle(f, InputSpace([Uniform(0, 1)]), 4, truncation=[(2.0, 3.0)])
+    assert f.eval_count == 0
+
+
+def test_sobol_g_anova_caps_the_subsets_it_materializes():
+    with pytest.raises(CapacityError, match=r"d=21 exceeds the cap 20$"):
+        sobol_g_anova([0.0] * 21)
+    assert len(sobol_g_anova([0.0] * 3).subset_variances) == 7
+
+
 def test_oracle_dimension_cap():
     f = ModelFunction(5, lambda x: x[:, 0], name="x1", vectorized=True)
     space = InputSpace([Uniform(0, 1)] * 5)
@@ -260,6 +294,7 @@ def test_oracle_subset_variances_sum_to_the_grid_variance():
     {"truncation": [(-math.inf, math.inf), None]}, {"truncation": [(0.0, math.inf), None]},
     {"truncation": [("a", 1), None]}, {"truncation": [5, None]},
     {"truncation": [(0, 1, 2), None]},
+    {"truncation": [(1.0, 1.0), None]}, {"truncation": [(2.0, 1.0), None]},
 ], ids=lambda kw: ",".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_oracle_checks_its_arguments_before_evaluating(kwargs):
     f = ModelFunction(2, lambda x: x[:, 0], name="x1", vectorized=True)
