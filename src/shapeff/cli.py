@@ -150,9 +150,11 @@ def _resolve_model(model_cfg):
 def _model_and_space(cfg: dict, settings: dict):
     """Yield (model, input space, resolved config): the resolved config is
     the model's, the distribution specs, then the run settings. An external
-    model's process is closed on exit."""
+    model's process is closed on exit, as its `with` block would close it."""
     model, model_resolved = _resolve_model(cfg["model"])
-    try:
+    with contextlib.ExitStack() as stack:
+        if isinstance(model, ExternalModel):
+            stack.push(model.__exit__)
         specs = cfg.get("distributions")
         if specs is None:
             if "command" in model_resolved:
@@ -165,9 +167,6 @@ def _model_and_space(cfg: dict, settings: dict):
                 f"distributions length {len(specs)} does not match model dimension {model.dim}")
         resolved = {"model": model_resolved, "distributions": specs, **settings}
         yield model, InputSpace.from_specs(specs), resolved
-    finally:
-        if isinstance(model, ExternalModel):
-            model.close()
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -244,16 +243,17 @@ def _setting(cfg: dict, key: str):
 
 def _check_writable(path: str) -> None:
     """ConfigError unless a report can be written to `path`, so that a run
-    never ends in a report it cannot keep. Nothing is created."""
+    never ends in a report it cannot keep: an existing file must be writable,
+    and a new one needs a writable directory. Nothing is created."""
     directory = os.path.dirname(path) or "."
+    exists = os.path.exists(path)
     if not path:
         problem = "the path is empty"
     elif os.path.isdir(path):
         problem = "it is a directory"
-    elif not os.path.isdir(directory):
+    elif not exists and not os.path.isdir(directory):
         problem = f"no directory {directory}"
-    elif not os.access(directory, os.W_OK) or (os.path.exists(path)
-                                               and not os.access(path, os.W_OK)):
+    elif not os.access(path if exists else directory, os.W_OK):
         problem = "permission denied"
     else:
         return
@@ -378,9 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         # Run as the program (`python -m shapeff.cli` or the `shapeff`
         # script): freeze the objects the imports made, so that neither the
-        # collections during the run nor the final ones at exit walk them.
-        # On a 2-core VM this took a cold `shapeff exact --model sobol-g`
-        # from 295 to 258 ms (medians of 31). A call with an argv (tests, the
+        # collections during the run nor the final ones at exit walk them,
+        # which shortens a cold command. A call with an argv (tests, the
         # benchmark's tracer, other embedders) leaves the collector alone.
         gc.freeze()
     args = _build_parser().parse_args(argv)

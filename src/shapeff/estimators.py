@@ -80,12 +80,13 @@ class Report:
     """One estimator run: per-variable estimates with variances and bounds.
 
     kind is the estimator's name in ESTIMATOR_KINDS. variance_of_estimator,
-    ci_low and ci_high are None for shapley-winding, whose correlated samples
-    admit no unbiased variance estimate. For the two Shapley kinds
-    sigma2_estimate is the plain sum of the estimates and sigma2_from_pairs
-    the mean of 0.5*(f(x)-f(y))^2 over the sample pairs, equal to it up to
-    rounding by the per-sample telescoping identity; both are None for main
-    and total. Estimates may be negative; they are never clamped.
+    ci_low and ci_high are None for shapley-winding: the per-sample iid
+    variance formula does not hold for its overlapping walks. For the two
+    Shapley kinds sigma2_estimate is the plain sum of the estimates and
+    sigma2_from_pairs the mean of 0.5*(f(x)-f(y))^2 over the sample pairs,
+    equal to it up to rounding by the per-sample telescoping identity; both
+    are None for main and total. Estimates may be negative; they are never
+    clamped.
     """
 
     kind: str
@@ -169,12 +170,7 @@ class _Workspace:
     drawn its points. The draws, which every chunk allocates and frees, then
     lie below the long-lived buffers on the heap, and glibc reuses their
     space instead of returning it to the system at the end of each chunk and
-    page-faulting it back in on the next (Sobol' g, d=10, N=2^18: about 15k
-    minor faults per call if the buffers come first, 400 this way). That
-    holds for the calling thread. A helper thread that a later call starts
-    still has its heap trimmed and regrown: at workers=2 it took 0-5,320
-    faults per Shapley call, in a range that varies by process (measured as
-    README's Reproducibility section says).
+    page-faulting it back in on the next.
     """
 
     def __init__(self, d: int, n: int):
@@ -428,11 +424,12 @@ def estimate_shapley_winding(f: ModelFunction, space: InputSpace,
     """Winding-stairs Shapley estimator: pair consecutive points of one sequence.
 
     Reusing each walk's final value as the next pair's base value cuts the
-    cost to d*N + 1 evaluations. The pairs overlap, so no unbiased variance
-    estimate exists and the variance and CI fields are None. Each chunk
-    walks on from the last point of the one before, so the chunks run as a
-    `chain`, whatever cfg.workers. Chunk k draws from RngStream(seed, k):
-    point 0 (chunk 0 only), then its points, then its permutations.
+    cost to d*N + 1 evaluations. The walks overlap, so the per-sample iid
+    variance formula does not hold, and the variance and CI fields are None.
+    Each chunk walks on from the last point of the one before, so the chunks
+    run as a `chain`, whatever cfg.workers. Chunk k draws from
+    RngStream(seed, k): point 0 (chunk 0 only), then its points, then its
+    permutations.
     """
     carry = None
 

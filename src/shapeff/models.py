@@ -380,8 +380,15 @@ class _Child:
             note += f"; stderr: {err}"
         return note + ")"
 
-    def close(self) -> None:
-        """Close the child's stdin and reap it; kill it if it outlasts _EXIT_GRACE s."""
+    def close(self, check: bool = True) -> None:
+        """Close the child's stdin and reap it; kill it if it outlasts _EXIT_GRACE s.
+
+        If it exited by itself and ``check`` is true, EvaluationError names
+        the replies it left unread: it sent more replies than requests, so
+        some were read as the answers to the wrong lines. They are read
+        without blocking, since a process the child started may still hold
+        the pipe open.
+        """
         import subprocess
         try:
             self.proc.stdin.close()
@@ -392,8 +399,16 @@ class _Child:
         except subprocess.TimeoutExpired:
             self.proc.kill()
             self.proc.wait()
+            check = False
+        unread = 0
+        if check:
+            os.set_blocking(self.proc.stdout.fileno(), False)
+            unread = len((self.proc.stdout.read() or b"").splitlines())
         self.proc.stdout.close()
         self._drain.join(timeout=1)
+        if unread:
+            raise EvaluationError(f"external model sent {unread} more replies than requests "
+                                  f"(after line {self.lines})")
 
     def kill(self) -> None:
         """End the child at once and reap it, after a failed batch.
@@ -403,7 +418,7 @@ class _Child:
         EOF on its input and a broken pipe on its output.
         """
         self.proc.kill()
-        self.close()
+        self.close(check=False)
 
 
 class ExternalModel(ModelFunction):
@@ -418,7 +433,8 @@ class ExternalModel(ModelFunction):
     so the process must answer each line as it reads it. One batch is served
     at a time, so the model is safe to call from several threads. A failed
     batch ends the process; the next call starts a fresh one, whose line
-    numbers start again at 1.
+    numbers start again at 1. close() raises EvaluationError if the process
+    sent more replies than requests.
     """
 
     def __init__(self, command: Sequence[str], dim: int):
@@ -468,8 +484,14 @@ class ExternalModel(ModelFunction):
         self._ensure_started()
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, *exc) -> None:
+        """Close the process; a block that already failed keeps its own
+        error instead of close()'s."""
+        try:
+            self.close()
+        except EvaluationError:
+            if exc_type is None:
+                raise
 
     def __del__(self):
         try:

@@ -179,6 +179,22 @@ def test_external_model_protocol_violation_exits_3(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_external_model_that_sends_more_replies_than_requests_exits_3(tmp_path, capsys):
+    # Every reply after the first answers the wrong line, so the estimates
+    # are wrong although each reply parses; closing the model finds the
+    # replies left unread, before any report is written.
+    twice = ("import sys\n"
+             "for line in sys.stdin:\n"
+             "    print(line.split()[0])\n"
+             "    print(line.split()[0], flush=True)\n")
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"command": [sys.executable, "-c", twice], "dim": 1},
+                     "distributions": UNIT_INTERVAL, "n": 16, "seed": 1})
+    assert run(["analyze", "--config", str(cfg)]) == 3
+    assert capsys.readouterr() == (
+        "", "error: external model sent 32 more replies than requests (after line 32)\n")
+
+
 def test_external_model_flooding_stderr_finishes(tmp_path):
     # 1 KiB of stderr per reply overfills an undrained stderr pipe within
     # a few dozen replies, after which the child blocks and the run hangs.
@@ -255,6 +271,71 @@ def test_unwritable_output_exits_2_before_starting_the_model(tmp_path, capsys, o
     assert run(["convergence", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write report to {target}: ")
     assert not marker.exists()
+
+
+# Root passes os.access whatever a file's mode, so the chmod tests below run
+# only as another user. The monkeypatched test after them runs for everyone.
+AS_ROOT = not hasattr(os, "geteuid") or os.geteuid() == 0
+needs_non_root = pytest.mark.skipif(AS_ROOT, reason="root passes every write check")
+
+
+@pytest.fixture
+def read_only_dir(tmp_path):
+    """A directory this user cannot write to, with one writable file in it."""
+    directory = tmp_path / "locked"
+    directory.mkdir()
+    (directory / "writable.json").write_text("")
+    directory.chmod(0o555)
+    yield directory
+    directory.chmod(0o755)
+
+
+@needs_non_root
+def test_an_existing_read_only_output_file_exits_2(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("")
+    target.chmod(0o444)
+    assert run(["exact", "--model", "ishigami", "--output", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report to {target}: permission denied\n"
+    assert target.read_text() == ""
+
+
+@needs_non_root
+def test_a_new_output_file_in_a_read_only_directory_exits_2(read_only_dir, capsys):
+    target = read_only_dir / "report.json"
+    assert run(["exact", "--model", "ishigami", "--output", str(target)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report to {target}: permission denied\n"
+    assert not target.exists()
+
+
+@needs_non_root
+def test_an_existing_writable_output_file_in_a_read_only_directory_is_written(read_only_dir):
+    # Only a file that does not exist yet needs a writable directory.
+    target = read_only_dir / "writable.json"
+    assert run(["exact", "--model", "ishigami", "--output", str(target)]) == 0
+    jsonschema.validate(read_json(target), EXACT_SCHEMA)
+
+
+def test_a_report_can_go_to_the_null_device(capsys):
+    # Its directory is not writable for a user other than root.
+    assert run(["exact", "--model", "ishigami", "--output", os.devnull]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_output_write_access_is_asked_of_the_file_if_it_exists(tmp_path, monkeypatch, capsys):
+    # The same rule for every user: os.access denies the directory, so only
+    # a file that is already there can take the report.
+    access = os.access
+    monkeypatch.setattr(cli.os, "access",
+                        lambda path, mode: path != str(tmp_path) and access(path, mode))
+    existing = tmp_path / "existing.json"
+    existing.write_text("")
+    assert run(["exact", "--model", "ishigami", "--output", str(existing)]) == 0
+    jsonschema.validate(read_json(existing), EXACT_SCHEMA)
+    new = tmp_path / "new.json"
+    assert run(["exact", "--model", "ishigami", "--output", str(new)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write report to {new}: permission denied\n"
+    assert not new.exists()
 
 
 def test_external_model_without_dim_exits_2_before_starting_it(tmp_path, capsys):
@@ -563,15 +644,13 @@ def test_report_never_holds_nan_or_infinity(monkeypatch, capsys, fmt):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-def test_a_write_that_fails_after_the_run_exits_2(tmp_path, capsys):
-    # A link in a writable directory to a writable device passes the check
-    # made before the run; every write to /dev/full then fails.
-    target = tmp_path / "full"
-    target.symlink_to("/dev/full")
-    assert run(["exact", "--model", "ishigami", "--output", str(target)]) == 2
+def test_a_write_that_fails_after_the_run_exits_2(capsys):
+    # /dev/full is an existing writable file, so it passes the check made
+    # before the run; every write to it then fails.
+    assert run(["exact", "--model", "ishigami", "--output", "/dev/full"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: cannot write report to {target}: "
+    assert captured.err == ("error: cannot write report to /dev/full: "
                             "[Errno 28] No space left on device\n")
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import os
 import re
 import signal
 import sys
@@ -392,6 +393,52 @@ def test_external_model_that_closes_its_input_mid_batch_is_reported():
     message = run_with_timeout(call)
     assert "no reply for line 2" in message
     assert "exited with code 5" in message
+
+
+# Answers every request twice.
+TWICE = ("import sys\n"
+         "for line in sys.stdin:\n"
+         "    print(line.split()[0])\n"
+         "    print(line.split()[0], flush=True)\n")
+
+
+def test_closing_a_model_that_sent_more_replies_than_requests_raises():
+    with pytest.raises(EvaluationError, match=r"^external model sent 3 more replies than "
+                                              r"requests \(after line 3\)$"):
+        with ExternalModel([sys.executable, "-c", TWICE], dim=1) as ext:
+            # Each reply after the first answers the wrong line.
+            assert ext.evaluate_batch(np.array([[1.0], [2.0], [3.0]])).tolist() == [1.0, 1.0, 2.0]
+    # A block that already failed keeps its own error.
+    with pytest.raises(KeyError):
+        with ExternalModel([sys.executable, "-c", TWICE], dim=1) as ext:
+            ext.evaluate_batch(np.zeros((3, 1)))
+            raise KeyError("the block's own error")
+
+
+def test_closing_a_wrapper_whose_background_process_holds_the_replies_does_not_hang(tmp_path):
+    # The shell does not exec the simulator, and a process it left in the
+    # background holds the reply pipe open after both have exited, so a
+    # read of what is left must not wait for EOF.
+    script = tmp_path / "twice.py"
+    script.write_text(TWICE)
+    pid_file = tmp_path / "background.pid"
+    command = ["sh", "-c", 'sleep 60 & echo $! > "$2"; "$0" "$1"', sys.executable,
+               str(script), str(pid_file)]
+    ext = ExternalModel(command, dim=1)
+
+    def close():
+        with pytest.raises(EvaluationError) as err:
+            ext.close()
+        return str(err.value)
+
+    try:
+        ext.evaluate_batch(np.zeros((3, 1)))
+        start = time.monotonic()
+        message = run_with_timeout(close, seconds=30)
+        assert time.monotonic() - start < models._EXIT_GRACE
+        assert message == "external model sent 3 more replies than requests (after line 3)"
+    finally:
+        os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
 
 def test_closing_a_child_that_ignores_eof_kills_and_reaps_it(monkeypatch):

@@ -113,6 +113,14 @@ def test_sensitivity_indices_reject_values_that_are_not_finite(field, value, mes
     assert SensitivityIndices(d=2, **fields, mu=None).sigma2 == 1.5
 
 
+@pytest.mark.parametrize("field", ["main", "total", "shapley"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_sensitivity_indices_reject_vectors_of_the_wrong_length(field, length):
+    fields = {"main": (0.0, 1.0), "total": (1.0, 1.0), "shapley": (0.5, 1.0), "sigma2": 1.5}
+    with pytest.raises(ParameterError, match="^index vectors must all have length d$"):
+        SensitivityIndices(d=2, **{**fields, field: (0.5,) * length})
+
+
 def test_shapley_from_anova_trivial_splits():
     single = AnovaDecomposition(d=2, mu=0.0, subset_variances={frozenset({0}): 1.0})
     assert shapley_from_anova(single).tolist() == [1.0, 0.0]
