@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -273,14 +274,10 @@ BUILTINS = {
 }
 
 
-# Request lines per write. The next slice is written before the replies to the
-# current one are read, so at most two slices of short replies (about 13 KB)
-# ever wait in the reply pipe, well under the 64 KiB a pipe holds by default:
-# the child never blocks on a reply while this process blocks on a request.
-# A batch's payload is formatted a slice at a time, so it never sits whole in
-# memory.
+# Request lines formatted at a time, so a batch's payload never sits whole in
+# memory. Replies waiting beyond a batch's needs are bounded by 2 x _SLICE.
 _SLICE = 256
-# Bytes of the child's stderr kept for error messages.
+# Bytes of the child's stderr kept for error messages; no reply line is longer.
 _STDERR_TAIL = 4096
 # Seconds a child has to exit once its stdin is closed before close() kills it.
 _EXIT_GRACE = 5
@@ -296,16 +293,18 @@ def _request_lines(points: np.ndarray) -> bytes:
 class _Child:
     """One running external process, its request line count, and its stderr tail.
 
-    A daemon thread reads the child's stderr as it arrives and keeps the last
-    ``_STDERR_TAIL`` bytes, so a chatty child never blocks on a full pipe.
+    All pipe I/O goes through :meth:`_pump`, one poll over the three
+    non-blocking pipes, so neither process blocks on a full pipe while the
+    other waits. Replies queue in arrival order, as in a stream.
     """
 
     def __init__(self, command: list[str]):
-        # subprocess is imported where it is used, so that a run without an
-        # external model never loads it.
+        # subprocess and select are imported where they are used, so that a
+        # run without an external model never loads them.
+        import select
         import subprocess
         try:
-            self.proc = subprocess.Popen(
+            self.proc = proc = subprocess.Popen(
                 command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
@@ -315,65 +314,104 @@ class _Child:
             raise EvaluationError(f"cannot start external model {command}: {exc}")
         self.lines = 0
         self._tail = b""
-        self._drain = threading.Thread(target=self._drain_stderr, daemon=True,
-                                       name="external-model-stderr")
-        self._drain.start()
+        self._pipes = {p.fileno(): p for p in (proc.stdin, proc.stdout, proc.stderr)}
+        for fd in self._pipes:
+            os.set_blocking(fd, False)
+        self._poll = select.poll()
+        self._poll.register(proc.stdout, select.POLLIN)
+        self._poll.register(proc.stderr, select.POLLIN)
+        # Request bytes unwritten and slices unformatted; reply lines unread,
+        # the bytes after the last newline, and a count of those none was due.
+        self._pending, self._requests = memoryview(b""), iter(())
+        self._replies, self._partial, self._unread = [], b"", 0
 
-    def _drain_stderr(self) -> None:
-        with self.proc.stderr as err:
-            while chunk := err.read1(_STDERR_TAIL):
+    def _pump(self, timeout: float | None) -> bool:
+        """Wait up to ``timeout`` s (None: no limit) for a pipe to be ready;
+        write what stdin takes, read what stdout and stderr hold, and close
+        either at EOF. True if a pipe was ready."""
+        events = self._poll.poll(None if timeout is None else timeout * 1000)
+        for fd, _ in events:
+            pipe = self._pipes[fd]
+            if pipe is self.proc.stdin:
+                try:
+                    self._pending = (self._pending[os.write(fd, self._pending):]
+                                     or memoryview(next(self._requests, b"")))
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError:
+                    # Its replies are still read, up to the first missing one.
+                    self._pending = memoryview(b"")
+                if not self._pending:
+                    self._poll.unregister(fd)
+                continue
+            chunk = os.read(fd, 1 << 16)
+            if pipe is self.proc.stderr:
                 self._tail = (self._tail + chunk)[-_STDERR_TAIL:]
+            elif chunk or self._partial:
+                # At EOF, a last line without a newline is a reply too.
+                *lines, self._partial = (self._partial + (chunk or b"\n")).split(b"\n")
+                self._replies += lines
+            if not chunk:
+                self._poll.unregister(fd)
+                pipe.close()
+        return bool(events)
 
     def exchange(self, points: np.ndarray) -> np.ndarray:
-        """Send one request line per row of ``points``; read the replies in order.
-
-        Slice i + 1 is written before the replies to slice i are read, so the
-        child has input to work on while this process reads.
-        """
+        """Send one request line per row of ``points``; read the replies in order."""
+        import select
         n = points.shape[0]
         values = np.empty(n)
-        sending = self._send(points[:_SLICE])
-        for start in range(0, n, _SLICE):
-            if sending:
-                sending = self._send(points[start + _SLICE:start + 2 * _SLICE])
-            self._receive(values[start:start + _SLICE], self.lines + start)
-        self.lines += n
-        return values
+        self._requests = (_request_lines(points[s:s + _SLICE]) for s in range(0, n, _SLICE))
+        self._pending = memoryview(next(self._requests, b""))
+        if self._pending:
+            self._poll.register(self.proc.stdin, select.POLLOUT)
+        got = 0
+        while True:
+            replies = self._replies[:n - got]
+            del self._replies[:len(replies)]
+            for reply in replies:
+                try:
+                    values[got] = float(reply)
+                except ValueError:
+                    text = reply.strip().decode(errors="replace")
+                    raise EvaluationError(f"external model sent a malformed reply at line "
+                                          f"{self.lines + got + 1}: {text!r}")
+                got += 1
+            if len(self._replies) > 2 * _SLICE:
+                # No correct child gets this far ahead; a flood must not keep us reading.
+                raise EvaluationError(f"external model sent more than {2 * _SLICE} more replies "
+                                      f"than requests (after line {self.lines + n})")
+            if len(self._partial) > _STDERR_TAIL:
+                raise EvaluationError(f"external model sent a reply of over {_STDERR_TAIL} bytes "
+                                      f"at line {self.lines + got + len(self._replies) + 1}")
+            if got == n and not self._pending:
+                self.lines += n
+                return values
+            if got < n and self.proc.stdout.closed:
+                raise EvaluationError(f"external model produced no reply for line "
+                                      f"{self.lines + got + 1}{self.exit_note()}")
+            self._pump(None)
 
-    def _send(self, points: np.ndarray) -> bool:
-        """Write the request lines; False once the child has closed its input."""
-        try:
-            self.proc.stdin.write(_request_lines(points))
-            self.proc.stdin.flush()
-        except BrokenPipeError:
-            # The replies the child did send are still read; the first missing
-            # one is reported with the exit note.
-            return False
-        return True
-
-    def _receive(self, values: np.ndarray, lines_before: int) -> None:
-        stdout = self.proc.stdout
-        for i in range(values.shape[0]):
-            line_no = lines_before + i + 1
-            reply = stdout.readline()
-            if not reply:
-                raise EvaluationError(
-                    f"external model produced no reply for line {line_no}{self.exit_note()}")
-            try:
-                values[i] = float(reply)
-            except ValueError:
-                text = reply.strip().decode(errors="replace")
-                raise EvaluationError(
-                    f"external model sent a malformed reply at line {line_no}: {text!r}")
+    def _wait(self, seconds: float) -> int | None:
+        """Pump until the child ends or ``seconds`` pass; its exit code, or None.
+        Replies are counted, not kept. Once the child has ended, only what the
+        pipes hold is read, since a process it started may hold them open."""
+        deadline = time.monotonic() + seconds
+        while True:
+            if self.proc.poll() is None:
+                if (left := deadline - time.monotonic()) <= 0:
+                    return None
+                # Quiet pipes need not mean a running child: look every 50 ms.
+                self._pump(min(left, 0.05))
+            elif not self._pump(0):
+                return self.proc.returncode
+            self._unread += len(self._replies)
+            self._replies.clear()
 
     def exit_note(self) -> str:
         """' (process exited with code c; stderr: ...)' once the process has ended."""
-        import subprocess
-        try:
-            code = self.proc.wait(timeout=1)
-        except subprocess.TimeoutExpired:
+        if (code := self._wait(1)) is None:
             return ""
-        self._drain.join(timeout=1)
         note = f" (process exited with code {code}"
         err = self._tail.decode(errors="replace").strip()
         if err:
@@ -383,30 +421,19 @@ class _Child:
     def close(self, check: bool = True) -> None:
         """Close the child's stdin and reap it; kill it if it outlasts _EXIT_GRACE s.
 
-        If it exited by itself and ``check`` is true, EvaluationError names
-        the replies it left unread: it sent more replies than requests, so
-        some were read as the answers to the wrong lines. They are read
-        without blocking, since a process the child started may still hold
-        the pipe open.
+        If ``check`` is true, EvaluationError names the replies it sent beyond
+        its requests, even if it was killed: some answered the wrong lines.
         """
-        import subprocess
-        try:
-            self.proc.stdin.close()
-        except OSError:
-            pass
-        try:
-            self.proc.wait(timeout=_EXIT_GRACE)
-        except subprocess.TimeoutExpired:
+        if self._pending:
+            self._poll.unregister(self.proc.stdin)
+        self.proc.stdin.close()
+        if self._wait(_EXIT_GRACE) is None:
             self.proc.kill()
-            self.proc.wait()
-            check = False
-        unread = 0
-        if check:
-            os.set_blocking(self.proc.stdout.fileno(), False)
-            unread = len((self.proc.stdout.read() or b"").splitlines())
+            self._wait(_EXIT_GRACE)
         self.proc.stdout.close()
-        self._drain.join(timeout=1)
-        if unread:
+        self.proc.stderr.close()
+        unread = self._unread + bool(self._partial)
+        if check and unread:
             raise EvaluationError(f"external model sent {unread} more replies than requests "
                                   f"(after line {self.lines})")
 
@@ -428,13 +455,14 @@ class ExternalModel(ModelFunction):
     of str, bytes or os.PathLike; anything else raises ParameterError.
     Each request is one line of d space-separated decimal floats; the process
     must answer one decimal float per line, in order. EOF on its stdin tells
-    the process to finish. The process starts on the first evaluation. A
-    batch goes out in one pipelined exchange, with up to 512 lines in flight,
-    so the process must answer each line as it reads it. One batch is served
-    at a time, so the model is safe to call from several threads. A failed
-    batch ends the process; the next call starts a fresh one, whose line
-    numbers start again at 1. close() raises EvaluationError if the process
-    sent more replies than requests.
+    the process to finish. The process starts on the first evaluation.
+    Requests go out as fast as it reads them, one 256-line slice formatted at
+    a time, so it must answer and flush each line as it reads it; its stderr
+    is read in the same loop. One batch is served at a time, so the model is
+    safe to call from several threads. A failed batch ends the process; the
+    next call starts a fresh one, whose line numbers start again at 1. More
+    replies than requests raise EvaluationError, at once past 512 waiting
+    lines and otherwise at close(), even if the process had to be killed.
     """
 
     def __init__(self, command: Sequence[str], dim: int):

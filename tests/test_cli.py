@@ -195,6 +195,47 @@ def test_external_model_that_sends_more_replies_than_requests_exits_3(tmp_path, 
         "", "error: external model sent 32 more replies than requests (after line 32)\n")
 
 
+def run_external_analyze(tmp_path, child, dim, n):
+    """``analyze`` of an external child in a new process, seed 1, bounded by
+    a timeout: a child that breaks the protocol must not hang the run."""
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"model": {"command": [sys.executable, "-c", child], "dim": dim},
+                     "distributions": UNIT_INTERVAL * dim, "n": n, "seed": 1})
+    return subprocess.run([sys.executable, "-m", "shapeff.cli", "analyze", "--config", str(cfg)],
+                          env=env_importing_this_shapeff(), capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_external_model_whose_surplus_replies_outgrow_the_pipes_exits_3(tmp_path):
+    # Each request gets two replies. At n=1024 the surplus outgrows the reply
+    # pipe, so the child blocks writing it and never sees EOF; the surplus
+    # must fail the run, not vanish with the killed child.
+    twice = ("import math, sys\n"
+             "for line in sys.stdin:\n"
+             "    x1, x2, x3 = (float(v) for v in line.split())\n"
+             "    y = repr((1 + 0.1 * x3 ** 4) * math.sin(x1) + 7 * math.sin(x2) ** 2)\n"
+             "    print(y)\n"
+             "    print(y, flush=True)\n")
+    result = run_external_analyze(tmp_path, twice, 3, 1024)
+    assert (result.returncode, result.stdout) == (3, "")
+    # Which batch finds the surplus depends on how the two processes interleave.
+    assert re.fullmatch(r"error: evaluation failed in samples \[0, 1024\): external model sent "
+                        r"more than 512 more replies than requests \(after line \d+\)\n",
+                        result.stderr)
+
+
+def test_external_model_that_floods_its_replies_exits_3(tmp_path):
+    # 1000 replies per request: the child never reads its input again once
+    # its output is full, so writing requests alone would wait forever.
+    flood = ("import sys\n"
+             "for line in sys.stdin:\n"
+             "    sys.stdout.write('1.0\\n' * 1000)\n"
+             "    sys.stdout.flush()\n")
+    result = run_external_analyze(tmp_path, flood, 1, 4096)
+    assert (result.returncode, result.stdout) == (3, "")
+    assert "more replies than requests" in result.stderr
+
+
 def test_external_model_flooding_stderr_finishes(tmp_path):
     # 1 KiB of stderr per reply overfills an undrained stderr pipe within
     # a few dozen replies, after which the child blocks and the run hangs.

@@ -332,7 +332,7 @@ def test_external_model_failed_batch_leaves_nothing_behind():
         with pytest.raises(EvaluationError, match="line 2: 'nope'"):
             ext.evaluate_batch(np.full((20000, 8), 0.5))
         assert old.proc.returncode is not None
-        assert not old._drain.is_alive()
+        assert old.proc.stdin.closed and old.proc.stdout.closed and old.proc.stderr.closed
         assert ext.evaluate(np.zeros(8)) == 1.0
         assert ext._child is not old
 
@@ -439,6 +439,91 @@ def test_closing_a_wrapper_whose_background_process_holds_the_replies_does_not_h
         assert message == "external model sent 3 more replies than requests (after line 3)"
     finally:
         os.kill(int(pid_file.read_text()), signal.SIGKILL)
+
+
+def test_a_batch_from_a_child_that_answers_twice_fails_at_once():
+    # Its surplus outgrows the reply pipe within the batch, so the child
+    # blocks writing replies while most of the long requests are unsent.
+    def call():
+        with pytest.raises(EvaluationError) as err:
+            with ExternalModel([sys.executable, "-c", TWICE], dim=8) as ext:
+                ext.evaluate_batch(np.full((4096, 8), 0.1))
+        return str(err.value)
+
+    assert (run_with_timeout(call, seconds=30)
+            == "external model sent more than 512 more replies than requests (after line 4096)")
+
+
+def test_a_child_that_floods_its_replies_fails_the_batch():
+    # 1000 replies per request overfill the reply pipe many times over, and
+    # the child stops reading its input while it waits to write them.
+    flood = ("import sys\n"
+             "for line in sys.stdin:\n"
+             "    sys.stdout.write('1.0\\n' * 1000)\n"
+             "    sys.stdout.flush()\n")
+
+    def call():
+        with ExternalModel([sys.executable, "-c", flood], dim=1) as ext:
+            with pytest.raises(EvaluationError) as err:
+                ext.evaluate_batch(np.zeros((64, 1)))
+        return str(err.value)
+
+    assert "more replies than requests" in run_with_timeout(call, seconds=30)
+
+
+def test_a_reply_line_that_never_ends_fails_the_batch():
+    # 100 kB and no newline, and the child runs on: waiting for the end of
+    # the line would wait for the child, and would keep all of it.
+    code = ("import sys, time\n"
+            "sys.stdin.readline()\n"
+            "sys.stdout.write('x' * 100000)\n"
+            "sys.stdout.flush()\n"
+            "time.sleep(30)\n")
+
+    def call():
+        with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
+            with pytest.raises(EvaluationError) as err:
+                ext.evaluate_batch(np.zeros((1, 1)))
+        return str(err.value)
+
+    assert (run_with_timeout(call, seconds=10)
+            == "external model sent a reply of over 4096 bytes at line 1")
+
+
+def test_closing_a_child_that_had_to_be_killed_still_counts_its_surplus(monkeypatch):
+    monkeypatch.setattr(models, "_EXIT_GRACE", 0.5)
+    code = ("import sys, time\n"
+            "sys.stdin.readline()\n"
+            "print(1.0)\n"
+            "print(2.0, flush=True)\n"
+            "time.sleep(30)\n")
+    child = models._Child([sys.executable, "-c", code])
+
+    def call():
+        assert child.exchange(np.zeros((1, 1))).tolist() == [1.0]
+        with pytest.raises(EvaluationError) as err:
+            child.close()
+        return str(err.value)
+
+    assert (run_with_timeout(call, seconds=10)
+            == "external model sent 1 more replies than requests (after line 1)")
+    assert child.proc.returncode == -signal.SIGKILL
+
+
+def test_an_external_model_starts_no_thread(monkeypatch):
+    # Counted while the batch is served: each slice is formatted mid-batch.
+    counts = []
+    request_lines = models._request_lines
+
+    def counting(points):
+        counts.append(threading.active_count())
+        return request_lines(points)
+
+    monkeypatch.setattr(models, "_request_lines", counting)
+    before = threading.active_count()
+    with ExternalModel([sys.executable, "-c", ECHO_FIRST], dim=2) as ext:
+        assert ext.evaluate_batch(np.ones((600, 2))).tolist() == [1.0] * 600
+    assert counts == [before] * 3
 
 
 def test_closing_a_child_that_ignores_eof_kills_and_reaps_it(monkeypatch):
