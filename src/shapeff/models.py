@@ -274,13 +274,13 @@ BUILTINS = {
 }
 
 
-# Request lines formatted at a time, so a batch's payload never sits whole in
-# memory. Replies waiting beyond a batch's needs are bounded by 2 x _SLICE.
+# Request lines formatted at a time: a batch's payload never sits whole in memory.
 _SLICE = 256
 # Bytes of the child's stderr kept for error messages; no reply line is longer.
 _STDERR_TAIL = 4096
 # Seconds a child has to exit once its stdin is closed before close() kills it.
 _EXIT_GRACE = 5
+_SURPLUS = "external model sent more replies than requests"
 
 
 def _request_lines(points: np.ndarray) -> bytes:
@@ -295,7 +295,8 @@ class _Child:
 
     All pipe I/O goes through :meth:`_pump`, one poll over the three
     non-blocking pipes, so neither process blocks on a full pipe while the
-    other waits. Replies queue in arrival order, as in a stream.
+    other waits. A batch of n requests takes exactly n replies: no reply is
+    carried from one batch to the next.
     """
 
     def __init__(self, command: list[str]):
@@ -320,10 +321,10 @@ class _Child:
         self._poll = select.poll()
         self._poll.register(proc.stdout, select.POLLIN)
         self._poll.register(proc.stderr, select.POLLIN)
-        # Request bytes unwritten and slices unformatted; reply lines unread,
-        # the bytes after the last newline, and a count of those none was due.
+        # Request bytes unwritten, slices unformatted, reply lines unread, the
+        # bytes after the last newline, and whether a reply followed the last batch.
         self._pending, self._requests = memoryview(b""), iter(())
-        self._replies, self._partial, self._unread = [], b"", 0
+        self._replies, self._partial, self._surplus = [], b"", False
 
     def _pump(self, timeout: float | None) -> bool:
         """Wait up to ``timeout`` s (None: no limit) for a pipe to be ready;
@@ -367,9 +368,10 @@ class _Child:
             self._poll.register(self.proc.stdin, select.POLLOUT)
         got = 0
         while True:
-            replies = self._replies[:n - got]
-            del self._replies[:len(replies)]
-            for reply in replies:
+            # A partial line starts one more reply; no child answers a line unwritten.
+            if got + len(self._replies) + bool(self._partial) > n:
+                raise EvaluationError(_SURPLUS)
+            for reply in self._replies:
                 try:
                     values[got] = float(reply)
                 except ValueError:
@@ -377,13 +379,10 @@ class _Child:
                     raise EvaluationError(f"external model sent a malformed reply at line "
                                           f"{self.lines + got + 1}: {text!r}")
                 got += 1
-            if len(self._replies) > 2 * _SLICE:
-                # No correct child gets this far ahead; a flood must not keep us reading.
-                raise EvaluationError(f"external model sent more than {2 * _SLICE} more replies "
-                                      f"than requests (after line {self.lines + n})")
+            self._replies.clear()
             if len(self._partial) > _STDERR_TAIL:
                 raise EvaluationError(f"external model sent a reply of over {_STDERR_TAIL} bytes "
-                                      f"at line {self.lines + got + len(self._replies) + 1}")
+                                      f"at line {self.lines + got + 1}")
             if got == n and not self._pending:
                 self.lines += n
                 return values
@@ -394,7 +393,7 @@ class _Child:
 
     def _wait(self, seconds: float) -> int | None:
         """Pump until the child ends or ``seconds`` pass; its exit code, or None.
-        Replies are counted, not kept. Once the child has ended, only what the
+        Replies are noted, not kept. Once the child has ended, only what the
         pipes hold is read, since a process it started may hold them open."""
         deadline = time.monotonic() + seconds
         while True:
@@ -405,7 +404,7 @@ class _Child:
                 self._pump(min(left, 0.05))
             elif not self._pump(0):
                 return self.proc.returncode
-            self._unread += len(self._replies)
+            self._surplus |= bool(self._replies)
             self._replies.clear()
 
     def exit_note(self) -> str:
@@ -421,8 +420,8 @@ class _Child:
     def close(self, check: bool = True) -> None:
         """Close the child's stdin and reap it; kill it if it outlasts _EXIT_GRACE s.
 
-        If ``check`` is true, EvaluationError names the replies it sent beyond
-        its requests, even if it was killed: some answered the wrong lines.
+        If ``check`` is true, a reply read after the last batch raises
+        EvaluationError, even if the child was killed.
         """
         if self._pending:
             self._poll.unregister(self.proc.stdin)
@@ -432,10 +431,8 @@ class _Child:
             self._wait(_EXIT_GRACE)
         self.proc.stdout.close()
         self.proc.stderr.close()
-        unread = self._unread + bool(self._partial)
-        if check and unread:
-            raise EvaluationError(f"external model sent {unread} more replies than requests "
-                                  f"(after line {self.lines})")
+        if check and (self._surplus or self._partial):
+            raise EvaluationError(_SURPLUS)
 
     def kill(self) -> None:
         """End the child at once and reap it, after a failed batch.
@@ -455,14 +452,15 @@ class ExternalModel(ModelFunction):
     of str, bytes or os.PathLike; anything else raises ParameterError.
     Each request is one line of d space-separated decimal floats; the process
     must answer one decimal float per line, in order. EOF on its stdin tells
-    the process to finish. The process starts on the first evaluation.
-    Requests go out as fast as it reads them, one 256-line slice formatted at
-    a time, so it must answer and flush each line as it reads it; its stderr
-    is read in the same loop. One batch is served at a time, so the model is
-    safe to call from several threads. A failed batch ends the process; the
-    next call starts a fresh one, whose line numbers start again at 1. More
-    replies than requests raise EvaluationError, at once past 512 waiting
-    lines and otherwise at close(), even if the process had to be killed.
+    the process to finish. The process starts on the first evaluation or on
+    entering a ``with`` block. Requests go out as fast as it reads them, one
+    256-line slice formatted at a time, so it must answer and flush each line
+    as it reads it; its stderr is read in the same loop. One batch is served
+    at a time, and close() waits for it, so the model is safe to call from
+    several threads. A failed batch ends the process; the next call starts a
+    fresh one, whose line numbers start again at 1. A reply beyond the
+    requests raises EvaluationError, from the batch or, once the last batch
+    is done, from close(), even if the process had to be killed.
     """
 
     def __init__(self, command: Sequence[str], dim: int):
@@ -501,9 +499,10 @@ class ExternalModel(ModelFunction):
     evaluate = ModelFunction.__call__
 
     def close(self) -> None:
-        child, self._child = self._child, None
-        if child is not None:
-            child.close()
+        with self._serving:
+            child, self._child = self._child, None
+            if child is not None:
+                child.close()
 
     def as_model(self) -> "ExternalModel":
         return self

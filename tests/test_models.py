@@ -145,6 +145,7 @@ def test_eval_count_tracks_calls_and_batches():
     assert f.eval_count == 1
     f.evaluate_batch(np.zeros((7, 3)))
     assert f.eval_count == 8
+    assert repr(f) == "ModelFunction('ishigami', dim=3, eval_count=8)"
     f.reset_count()
     assert f.eval_count == 0
 
@@ -401,16 +402,27 @@ TWICE = ("import sys\n"
          "    print(line.split()[0])\n"
          "    print(line.split()[0], flush=True)\n")
 
+# Answers 0.0 first and then each request one line late, so it never has
+# more replies out than requests read; the last comes once its input ends.
+ONE_LATE = ("import sys\n"
+            "last = '0.0'\n"
+            "for line in sys.stdin:\n"
+            "    print(last, flush=True)\n"
+            "    last = line.split()[0]\n"
+            "print(last, flush=True)\n")
+
+SURPLUS = "external model sent more replies than requests"
+
 
 def test_closing_a_model_that_sent_more_replies_than_requests_raises():
-    with pytest.raises(EvaluationError, match=r"^external model sent 3 more replies than "
-                                              r"requests \(after line 3\)$"):
-        with ExternalModel([sys.executable, "-c", TWICE], dim=1) as ext:
+    with pytest.raises(EvaluationError) as err:
+        with ExternalModel([sys.executable, "-c", ONE_LATE], dim=1) as ext:
             # Each reply after the first answers the wrong line.
-            assert ext.evaluate_batch(np.array([[1.0], [2.0], [3.0]])).tolist() == [1.0, 1.0, 2.0]
+            assert ext.evaluate_batch(np.array([[1.0], [2.0], [3.0]])).tolist() == [0.0, 1.0, 2.0]
+    assert str(err.value) == SURPLUS
     # A block that already failed keeps its own error.
     with pytest.raises(KeyError):
-        with ExternalModel([sys.executable, "-c", TWICE], dim=1) as ext:
+        with ExternalModel([sys.executable, "-c", ONE_LATE], dim=1) as ext:
             ext.evaluate_batch(np.zeros((3, 1)))
             raise KeyError("the block's own error")
 
@@ -419,8 +431,8 @@ def test_closing_a_wrapper_whose_background_process_holds_the_replies_does_not_h
     # The shell does not exec the simulator, and a process it left in the
     # background holds the reply pipe open after both have exited, so a
     # read of what is left must not wait for EOF.
-    script = tmp_path / "twice.py"
-    script.write_text(TWICE)
+    script = tmp_path / "one_late.py"
+    script.write_text(ONE_LATE)
     pid_file = tmp_path / "background.pid"
     command = ["sh", "-c", 'sleep 60 & echo $! > "$2"; "$0" "$1"', sys.executable,
                str(script), str(pid_file)]
@@ -436,7 +448,7 @@ def test_closing_a_wrapper_whose_background_process_holds_the_replies_does_not_h
         start = time.monotonic()
         message = run_with_timeout(close, seconds=30)
         assert time.monotonic() - start < models._EXIT_GRACE
-        assert message == "external model sent 3 more replies than requests (after line 3)"
+        assert message == SURPLUS
     finally:
         os.kill(int(pid_file.read_text()), signal.SIGKILL)
 
@@ -450,8 +462,7 @@ def test_a_batch_from_a_child_that_answers_twice_fails_at_once():
                 ext.evaluate_batch(np.full((4096, 8), 0.1))
         return str(err.value)
 
-    assert (run_with_timeout(call, seconds=30)
-            == "external model sent more than 512 more replies than requests (after line 4096)")
+    assert run_with_timeout(call, seconds=30) == SURPLUS
 
 
 def test_a_child_that_floods_its_replies_fails_the_batch():
@@ -468,7 +479,7 @@ def test_a_child_that_floods_its_replies_fails_the_batch():
                 ext.evaluate_batch(np.zeros((64, 1)))
         return str(err.value)
 
-    assert "more replies than requests" in run_with_timeout(call, seconds=30)
+    assert run_with_timeout(call, seconds=30) == SURPLUS
 
 
 def test_a_reply_line_that_never_ends_fails_the_batch():
@@ -491,10 +502,13 @@ def test_a_reply_line_that_never_ends_fails_the_batch():
 
 
 def test_closing_a_child_that_had_to_be_killed_still_counts_its_surplus(monkeypatch):
+    # The surplus reply comes only once the child's input ends, and the child
+    # then runs on, so close() must kill it and still report the reply.
     monkeypatch.setattr(models, "_EXIT_GRACE", 0.5)
     code = ("import sys, time\n"
             "sys.stdin.readline()\n"
-            "print(1.0)\n"
+            "print(1.0, flush=True)\n"
+            "sys.stdin.read()\n"
             "print(2.0, flush=True)\n"
             "time.sleep(30)\n")
     child = models._Child([sys.executable, "-c", code])
@@ -505,9 +519,68 @@ def test_closing_a_child_that_had_to_be_killed_still_counts_its_surplus(monkeypa
             child.close()
         return str(err.value)
 
-    assert (run_with_timeout(call, seconds=10)
-            == "external model sent 1 more replies than requests (after line 1)")
-    assert child.proc.returncode == -signal.SIGKILL
+    try:
+        assert run_with_timeout(call, seconds=10) == SURPLUS
+        assert child.proc.returncode == -signal.SIGKILL
+    finally:
+        if child.proc.returncode is None:
+            child.kill()
+
+
+def test_closing_a_model_mid_batch_waits_for_the_batch(monkeypatch):
+    # The child answers one line every 0.5 ms, and 50 values per line keep
+    # requests unsent, so close() from a second thread lands mid-batch.
+    code = ("import sys, time\n"
+            "for line in sys.stdin:\n"
+            "    time.sleep(0.0005)\n"
+            "    print(line.split()[0], flush=True)\n")
+    in_flight = threading.Event()
+    request_lines = models._request_lines
+
+    def signalling(points):
+        in_flight.set()
+        return request_lines(points)
+
+    monkeypatch.setattr(models, "_request_lines", signalling)
+    points = np.repeat(np.arange(1000.0)[:, None], 50, axis=1)
+    ext = ExternalModel([sys.executable, "-c", code], dim=50)
+    values = []
+
+    def call():
+        batch = threading.Thread(target=lambda: values.append(ext.evaluate_batch(points)),
+                                 daemon=True)
+        batch.start()
+        in_flight.wait(timeout=30)
+        ext.close()
+        served = list(values)
+        batch.join(timeout=30)
+        return served, batch.is_alive()
+
+    served, alive = run_with_timeout(call, seconds=60)
+    assert not alive
+    assert [v.tolist() for v in served] == [points[:, 0].tolist()]
+    assert ext._child is None
+
+
+def test_a_write_that_would_block_is_retried(monkeypatch):
+    # poll can report stdin writable when a write of the pending bytes would
+    # still block; the bytes then wait for the next poll.
+    write = os.write
+    writes = []
+
+    def once_blocked(fd, data):
+        if fd == stdin:
+            writes.append(len(data))
+            if len(writes) == 2:
+                raise BlockingIOError
+        return write(fd, data)
+
+    with ExternalModel([sys.executable, "-c", ECHO_FIRST], dim=8) as ext:
+        stdin = ext._child.proc.stdin.fileno()
+        monkeypatch.setattr(os, "write", once_blocked)
+        points = np.repeat(np.arange(2000.0)[:, None], 8, axis=1)
+        assert ext.evaluate_batch(points).tolist() == points[:, 0].tolist()
+    assert len(writes) > 2
 
 
 def test_an_external_model_starts_no_thread(monkeypatch):
