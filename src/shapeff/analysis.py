@@ -129,7 +129,7 @@ def convergence_study(f: ModelFunction, space: InputSpace, kind: str,
         table = np.vstack(rows)
         target = table.mean(axis=0) if exact is None else np.asarray(
             exact.shapley if kind.startswith("shapley") else getattr(exact, kind))
-        sse = [math.fsum(row.tolist()) for row in (table - target) ** 2]
+        sse = [sse_exact(row, target) for row in table]
         sse_per_trial.update(((n, r), v) for r, v in enumerate(sse, 1))
         mean_sse[n] = sse_samplemean(table) if exact is None else math.fsum(sse) / trials
 

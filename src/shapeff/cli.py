@@ -236,8 +236,8 @@ def _setting(cfg: dict, key: str):
     value = cfg[key]
     if key == "ns" and not isinstance(value, list):
         raise ConfigError(f"ns must be a list of integers, got {value!r}")
-    if key == "format" and value not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {value!r}")
+    if key == "format" and value not in (formats := _FLAGS["format"]["choices"]):
+        raise ConfigError(f"format must be {' or '.join(formats)}, got {value!r}")
     return value
 
 

@@ -103,8 +103,8 @@ class Report:
 
     @property
     def values(self) -> tuple[float, ...]:
-        """Alias of estimates, for callers that read main and total effects'
-        `values` field of versions before 0.3.0."""
+        """Alias of estimates, kept only because perfbench's checks.py and
+        workloads.py read it; ROADMAP item 7 deletes it."""
         return self.estimates
 
 

@@ -496,7 +496,7 @@ class ExternalModel(ModelFunction):
                 child.kill()
                 raise
 
-    evaluate = ModelFunction.__call__
+    evaluate = ModelFunction.__call__  # for perfbench's tracer only; ROADMAP item 7 deletes it
 
     def close(self) -> None:
         with self._serving:
@@ -505,7 +505,7 @@ class ExternalModel(ModelFunction):
                 child.close()
 
     def as_model(self) -> "ExternalModel":
-        return self
+        return self  # only perfbench/workloads.py calls it; ROADMAP item 7 deletes it
 
     def __enter__(self) -> "ExternalModel":
         self._ensure_started()

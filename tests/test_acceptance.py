@@ -12,10 +12,10 @@ import pytest
 from shapeff import (EstimatorConfig, InputSpace, ModelFunction, Uniform,
                      anova_oracle, constant_model, convergence_study,
                      estimate_main_effects, estimate_shapley_all,
-                     estimate_shapley_winding, estimate_total_effects,
-                     ishigami, ishigami_exact, ishigami_space,
+                     estimate_total_effects, ishigami, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, shapley_from_anova,
                      sobol_g, sobol_g_anova, sobol_g_exact, sobol_g_space)
+from test_models import KIND_TABLE, run_kind
 
 
 @pytest.fixture
@@ -110,14 +110,11 @@ def test_criterion_5_cost_contracts(verdict):
     ]
     ok = True
     for f, space in cases:
-        d = space.d
-        for n in (2, 100):
-            f.reset_count()
-            rep = estimate_shapley_all(f, space, EstimatorConfig(n=n, seed=1))
-            ok &= rep.eval_count == (d + 1) * n
-            f.reset_count()
-            rep = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=1))
-            ok &= rep.eval_count == d * n + 1
+        for kind in ("shapley", "winding"):
+            for n in (2, 100):
+                f.reset_count()
+                rep = run_kind(kind, f, space, EstimatorConfig(n=n, seed=1))
+                ok &= rep.eval_count == KIND_TABLE[kind].cost(space.d, n)
     assert verdict("criterion 5: evaluation-cost contracts", bool(ok))
 
 

@@ -112,6 +112,18 @@ def test_exact_mode_uses_reference_indices():
         assert study.mean_sse[n] == pytest.approx(sum(trials) / 3, rel=1e-12)
 
 
+@pytest.mark.parametrize("exact", [None, ishigami_exact()], ids=["sample-mean", "exact"])
+def test_each_trial_is_scored_by_sse_exact_against_the_study_target(exact):
+    f, space, ns = ishigami(), ishigami_space(), [64, 128]
+    study = convergence_study(f, space, "main", ns, 3, 5, exact=exact)
+    for n in ns:
+        table = np.vstack([run_estimator("main", f, space, EstimatorConfig(
+            n=n, seed=trial_seed(5, n, r))).estimates for r in (1, 2, 3)])
+        target = table.mean(axis=0) if exact is None else exact.main
+        assert [study.sse_per_trial[(n, r)] for r in (1, 2, 3)] == [
+            sse_exact(row, target) for row in table]
+
+
 def test_samplemean_mode_summary_applies_bessel_correction():
     study = convergence_study(ishigami(), ishigami_space(), "shapley",
                               [256], 4, 7)

@@ -18,12 +18,9 @@ import shapeff
 from shapeff import InputSpace, cli, convergence_study, ishigami, ishigami_exact
 from shapeff.cli import (CONVERGENCE_SCHEMA, EXACT_SCHEMA, REPORT_SCHEMA, main)
 from shapeff.models import BUILTINS
+from test_models import ECHO_FIRST, FLOOD, ONE_LATE
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
-
-ECHO_FIRST = ("import sys\n"
-              "for line in sys.stdin:\n"
-              "    print(line.split()[0], flush=True)\n")
 
 
 def run(args):
@@ -180,18 +177,11 @@ def test_external_model_protocol_violation_exits_3(tmp_path, capsys):
 
 
 def test_external_model_that_sends_more_replies_than_requests_exits_3(tmp_path, capsys):
-    # The child answers 0.0 first and then each request one line late, so
-    # every reply after the first answers the wrong line although each
-    # parses. Its last reply comes only once its input ends, so closing the
-    # model finds it, before any report is written.
-    one_late = ("import sys\n"
-                "last = '0.0'\n"
-                "for line in sys.stdin:\n"
-                "    print(last, flush=True)\n"
-                "    last = line.split()[0]\n"
-                "print(last, flush=True)\n")
+    # Every reply after the first answers the wrong line although each
+    # parses. The last comes only once the child's input ends, so closing
+    # the model finds it, before any report is written.
     cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": [sys.executable, "-c", one_late], "dim": 1},
+    write_json(cfg, {"model": {"command": [sys.executable, "-c", ONE_LATE], "dim": 1},
                      "distributions": UNIT_INTERVAL, "n": 16, "seed": 1})
     assert run(["analyze", "--config", str(cfg)]) == 3
     assert capsys.readouterr() == (
@@ -226,13 +216,9 @@ def test_external_model_whose_surplus_replies_outgrow_the_pipes_exits_3(tmp_path
 
 
 def test_external_model_that_floods_its_replies_exits_3(tmp_path):
-    # 1000 replies per request: the child never reads its input again once
-    # its output is full, so writing requests alone would wait forever.
-    flood = ("import sys\n"
-             "for line in sys.stdin:\n"
-             "    sys.stdout.write('1.0\\n' * 1000)\n"
-             "    sys.stdout.flush()\n")
-    result = run_external_analyze(tmp_path, flood, 1, 4096)
+    # The child never reads its input again once its output is full, so
+    # writing requests alone would wait forever.
+    result = run_external_analyze(tmp_path, FLOOD, 1, 4096)
     assert (result.returncode, result.stdout, result.stderr) == (
         3, "", "error: evaluation failed in samples [0, 4096): "
                "external model sent more replies than requests\n")

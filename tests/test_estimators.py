@@ -21,6 +21,7 @@ from shapeff import (EstimatorConfig, EvaluationError, ExternalModel, InputSpace
 from shapeff.analysis import run_estimator
 from shapeff.estimators import ESTIMATOR_KINDS
 from shapeff.inputs import permutation_rows
+from test_models import KIND_TABLE, run_kind
 
 
 def coordinate_model(dim: int, index: int = 0) -> ModelFunction:
@@ -33,10 +34,6 @@ def additive_model() -> ModelFunction:
 
 def unit_square(d: int) -> InputSpace:
     return InputSpace([Uniform(0, 1)] * d)
-
-
-ESTIMATORS = {"shapley": estimate_shapley_all, "main": estimate_main_effects,
-              "total": estimate_total_effects, "winding": estimate_shapley_winding}
 
 
 def test_config_validation():
@@ -91,43 +88,19 @@ def test_dimension_mismatch_rejected(estimate):
     assert f.eval_count == 0
 
 
-def test_cost_contract_shapley():
+def test_cost_contract():
     cases = [(coordinate_model(1), unit_square(1)),
              (ishigami(), ishigami_space()),
              (sobol_g([float(j) for j in range(10)]), sobol_g_space(10))]
-    for f, space in cases:
-        for n in (2, 100):
-            f.reset_count()
-            report = estimate_shapley_all(f, space, EstimatorConfig(n=n, seed=1))
-            assert report.eval_count == (space.d + 1) * n
-            assert f.eval_count == (space.d + 1) * n
-
-
-def test_cost_contract_winding():
-    cases = [(coordinate_model(1), unit_square(1)),
-             (ishigami(), ishigami_space()),
-             (sobol_g([float(j) for j in range(10)]), sobol_g_space(10))]
-    for f, space in cases:
-        for n in (2, 100):
-            f.reset_count()
-            report = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=1))
-            assert report.eval_count == space.d * n + 1
-
-
-def test_cost_contract_effects():
-    f = ishigami()
-    space = ishigami_space()
-    for n in (2, 100):
+    for (f, space), kind, n in itertools.product(cases, KIND_TABLE, (2, 100)):
         f.reset_count()
-        assert estimate_main_effects(f, space, EstimatorConfig(n=n, seed=1)).eval_count == 5 * n
-        f.reset_count()
-        assert estimate_total_effects(f, space, EstimatorConfig(n=n, seed=1)).eval_count == 4 * n
+        report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=1))
+        cost = KIND_TABLE[kind].cost(space.d, n)
+        assert report.eval_count == f.eval_count == cost, (kind, space.d, n)
 
 
-@pytest.mark.parametrize("kind, contract", [("shapley", lambda d, n: (d + 1) * n),
-                                            ("shapley-winding", lambda d, n: d * n + 1)],
-                         ids=["shapley", "shapley-winding"])
-def test_concurrent_runs_on_one_model_each_count_their_own_evaluations(kind, contract):
+@pytest.mark.parametrize("kind", ["shapley", "winding"], ids=["shapley", "shapley-winding"])
+def test_concurrent_runs_on_one_model_each_count_their_own_evaluations(kind):
     # Each batch sleeps, so the two runs' batches interleave; a report that
     # read the model's shared counter would count the other run's too.
     from concurrent.futures import ThreadPoolExecutor
@@ -139,11 +112,12 @@ def test_concurrent_runs_on_one_model_each_count_their_own_evaluations(kind, con
     f = ModelFunction(3, slow, vectorized=True)
     n = 4 * 4096 + 3
     with ThreadPoolExecutor(max_workers=2) as pool:
-        runs = [pool.submit(run_estimator, kind, f, unit_square(3),
+        runs = [pool.submit(run_kind, kind, f, unit_square(3),
                             EstimatorConfig(n=n, seed=seed, workers=2)) for seed in (1, 2)]
         reports = [run.result() for run in runs]
-    assert [rep.eval_count for rep in reports] == [contract(3, n)] * 2
-    assert f.eval_count == 2 * contract(3, n)
+    cost = KIND_TABLE[kind].cost(3, n)
+    assert [rep.eval_count for rep in reports] == [cost] * 2
+    assert f.eval_count == 2 * cost
 
 
 def test_telescoping_identity_all_builtins():
@@ -212,21 +186,19 @@ def test_model_returning_a_view_of_its_input_gets_its_own_values():
     assert report.sigma2_estimate == pytest.approx(report.sigma2_from_pairs, rel=1e-12)
 
 
-@pytest.mark.parametrize("estimator", [
-    estimate_shapley_all, estimate_shapley_winding, estimate_main_effects,
-    estimate_total_effects], ids=["shapley", "winding", "main", "total"])
+@pytest.mark.parametrize("kind", list(KIND_TABLE))
 @pytest.mark.parametrize("returns, shape", [
     (lambda x: 1.0, r"\(\)"),
     (lambda x: x[:, :1], r"\(\d+, 1\)"),
     (lambda x: x + 0.0, r"\(\d+, 2\)"),
     (lambda x: x[1:, 0], r"\(\d+,\)"),
 ], ids=["scalar", "n-by-1", "n-by-2", "n-minus-1"])
-def test_misshapen_model_output_raises_evaluation_error(estimator, returns, shape):
+def test_misshapen_model_output_raises_evaluation_error(kind, returns, shape):
     # Each estimator must see exactly one value per point, or an error
     # naming the model and the shape it returned.
     f = ModelFunction(2, returns, name="misshapen", vectorized=True)
     with pytest.raises(EvaluationError, match=f"misshapen returned shape {shape} for a batch"):
-        estimator(f, unit_square(2), EstimatorConfig(n=64, seed=0))
+        run_kind(kind, f, unit_square(2), EstimatorConfig(n=64, seed=0))
 
 
 @pytest.mark.parametrize("value, what", [
@@ -337,11 +309,11 @@ def test_negative_estimates_are_reported_unclamped():
 def test_determinism_across_worker_counts():
     # repr compares every float of a report bitwise.
     f, space = ishigami(), ishigami_space()
-    for kind, estimate in ESTIMATORS.items():
+    for kind in KIND_TABLE:
         for n in (3 * 4096 + 5, 3 * 4096 + 17):
-            base = repr(estimate(f, space, EstimatorConfig(n=n, seed=9, workers=1)))
+            base = repr(run_kind(kind, f, space, EstimatorConfig(n=n, seed=9, workers=1)))
             for workers in (2, 3, 4, 5):
-                other = estimate(f, space, EstimatorConfig(n=n, seed=9, workers=workers))
+                other = run_kind(kind, f, space, EstimatorConfig(n=n, seed=9, workers=workers))
                 assert repr(other) == base, (kind, n, workers)
 
 
@@ -552,7 +524,7 @@ def test_a_longer_run_starts_with_the_model_calls_of_a_shorter_one(kind):
     assert len(long) > len(short)
 
 
-@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding"])
+@pytest.mark.parametrize("kind", list(KIND_TABLE))
 def test_memory_does_not_grow_with_n(kind):
     # tracemalloc sees numpy's buffers. Chunk buffers are reused, so the peak
     # at 32 chunks stays within 1 MiB of the peak at 4 chunks.
@@ -561,7 +533,7 @@ def test_memory_does_not_grow_with_n(kind):
         cfg = EstimatorConfig(n=chunks * 4096, seed=5)
         tracemalloc.start()
         try:
-            ESTIMATORS[kind](f, space, cfg)
+            run_kind(kind, f, space, cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -579,14 +551,12 @@ def test_memory_does_not_grow_with_the_number_of_chunks(kind, workers):
     # so the short run takes the highest of three, the long one the lower
     # of two.
     f = ModelFunction(1, lambda x: x[:, 0] * 1.0, vectorized=True)
-    estimator = {"shapley": estimate_shapley_all, "total": estimate_total_effects,
-                 "winding": estimate_shapley_winding}[kind]
 
     def peak(chunks):
         cfg = EstimatorConfig(n=chunks * 4096, seed=5, workers=workers)
         tracemalloc.start()
         try:
-            estimator(f, unit_square(1), cfg)
+            run_kind(kind, f, unit_square(1), cfg)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -859,7 +829,7 @@ def test_winding_reuses_its_chunk_memory_like_shapley():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind", ["shapley", "main", "total", "winding"])
+@pytest.mark.parametrize("kind", list(KIND_TABLE))
 def test_models_are_passed_column_major_batches(kind, workers):
     layouts = []
 
@@ -870,7 +840,7 @@ def test_models_are_passed_column_major_batches(kind, workers):
     model = ModelFunction(3, f, vectorized=True)
     # The last chunk holds one sample at N=4097 and four at N=4100.
     for n in (4097, 4100):
-        ESTIMATORS[kind](model, unit_square(3), EstimatorConfig(n=n, seed=8, workers=workers))
+        run_kind(kind, model, unit_square(3), EstimatorConfig(n=n, seed=8, workers=workers))
     assert any(shape == (4096, 3) for shape, _ in layouts)
     assert all(column_major for _, column_major in layouts)
 
@@ -937,14 +907,13 @@ def non_finite_model(value: float, vectorized: bool = True) -> ModelFunction:
 # Every public path that calls a model: name -> (call on a model, the prefix
 # its error carries).
 MODEL_CALLERS = {
-    **{name: (lambda f, est=est, workers=workers: est(
-        f, unit_square(2), EstimatorConfig(n=2 * 4096 + 7, seed=0, workers=workers)),
+    **{name: (lambda f, kind=kind, workers=workers: run_kind(
+        kind, f, unit_square(2), EstimatorConfig(n=2 * 4096 + 7, seed=0, workers=workers)),
         r"evaluation failed in samples \[0, 4096\): ")
-       for name, est, workers in [
-           ("shapley", estimate_shapley_all, 1), ("shapley-w2", estimate_shapley_all, 2),
-           ("main", estimate_main_effects, 1), ("main-w2", estimate_main_effects, 2),
-           ("total", estimate_total_effects, 1), ("total-w2", estimate_total_effects, 2),
-           ("winding", estimate_shapley_winding, 1)]},
+       for name, kind, workers in [
+           ("shapley", "shapley", 1), ("shapley-w2", "shapley", 2), ("main", "main", 1),
+           ("main-w2", "main", 2), ("total", "total", 1), ("total-w2", "total", 2),
+           ("winding", "winding", 1)]},
     "anova_oracle": (lambda f: anova_oracle(f, unit_square(2), 4), ""),
     "call": (lambda f: f([0.75, 0.25]), ""),
 }

@@ -49,12 +49,10 @@ from unittest import mock
 import pytest
 
 from shapeff import (EstimatorConfig, ExternalModel, RngStream, convergence_csv_lines,
-                     convergence_study, estimate_main_effects,
-                     estimate_shapley_all, estimate_shapley_winding,
-                     estimate_total_effects, ishigami_exact, ishigami_space,
+                     convergence_study, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, sobol_g, sobol_g_space)
 from shapeff.cli import main
-from test_models import GOLDEN_N, ISHIGAMI_CHILD, report_bits
+from test_models import GOLDEN_N, ISHIGAMI_CHILD, KIND_TABLE, report_bits, run_kind
 
 HERE = Path(__file__).parent
 
@@ -63,27 +61,21 @@ MODELS = {
     "sobol-g": (lambda: sobol_g([float(j) for j in range(10)]), lambda: sobol_g_space(10)),
     "plate": (plate_buckling, plate_buckling_space),
 }
-ESTIMATORS = {
-    "shapley": estimate_shapley_all,
-    "main": estimate_main_effects,
-    "total": estimate_total_effects,
-}
-
-
+# Winding runs its chunks in order on the calling thread, so its goldens are
+# checked at one worker count only.
 WINDING_KINDS = ["winding"]
+PARALLEL_KINDS = [kind for kind in KIND_TABLE if kind not in WINDING_KINDS]
 WINDING_EDGE_NS = [2, 4097]
 
 
 def run_report(model: str, kind: str, workers: int = 1, n: int = GOLDEN_N) -> dict:
     make_f, make_space = MODELS[model]
     cfg = EstimatorConfig(n=n, seed=SEED, workers=workers)
-    estimator = estimate_shapley_winding if kind == "winding" else ESTIMATORS[kind]
-    report = estimator(make_f(), make_space(), cfg)
+    report = run_kind(kind, make_f(), make_space(), cfg)
     return json.loads(json.dumps(report_bits(report)))
 
 
 EXTERNAL_SEED = 20
-EXTERNAL_KINDS = [*ESTIMATORS, "winding"]
 
 
 def external_ishigami() -> ExternalModel:
@@ -92,9 +84,8 @@ def external_ishigami() -> ExternalModel:
 
 def external_report(kind: str, workers: int = 1) -> dict:
     cfg = EstimatorConfig(n=GOLDEN_N, seed=EXTERNAL_SEED, workers=workers)
-    estimator = estimate_shapley_winding if kind == "winding" else ESTIMATORS[kind]
     with external_ishigami() as ext:
-        report = estimator(ext.as_model(), ishigami_space(), cfg)
+        report = run_kind(kind, ext.as_model(), ishigami_space(), cfg)
     return json.loads(json.dumps(report_bits(report)))
 
 
@@ -125,8 +116,7 @@ def kernel_values(model: str) -> list:
 
 def golden_outputs() -> dict:
     return {
-        "reports": {model: {kind: run_report(model, kind)
-                            for kind in [*ESTIMATORS, *WINDING_KINDS]}
+        "reports": {model: {kind: run_report(model, kind) for kind in KIND_TABLE}
                     for model in MODELS},
         "ishigami_sample": ishigami_sample(),
         "plate_sample": plate_sample(),
@@ -134,7 +124,7 @@ def golden_outputs() -> dict:
         "winding_edges": {model: {f"{kind}-{n}": run_report(model, kind, n=n)
                                   for kind in WINDING_KINDS for n in WINDING_EDGE_NS}
                           for model in MODELS},
-        "external": {**{kind: external_report(kind) for kind in EXTERNAL_KINDS},
+        "external": {**{kind: external_report(kind) for kind in KIND_TABLE},
                      "convergence": external_convergence()},
     }
 
@@ -350,7 +340,7 @@ def golden_cli() -> dict:
 
 @pytest.mark.parametrize("model", list(MODELS))
 @pytest.mark.parametrize("kind, workers", [
-    (kind, workers) for kind in ESTIMATORS for workers in (1, 2)])
+    (kind, workers) for kind in PARALLEL_KINDS for workers in (1, 2)])
 def test_report_matches_its_golden(golden, model, kind, workers):
     assert run_report(model, kind, workers) == golden["reports"][model][kind]
 
@@ -382,7 +372,7 @@ def test_kernel_matches_its_golden(golden, model):
 
 
 @pytest.mark.parametrize("kind, workers", [
-    (kind, workers) for kind in ESTIMATORS for workers in (1, 2)] + [("winding", 1)])
+    (kind, workers) for kind in PARALLEL_KINDS for workers in (1, 2)] + [("winding", 1)])
 def test_external_report_matches_its_golden(golden, kind, workers):
     assert external_report(kind, workers) == golden["external"][kind]
 

@@ -10,19 +10,18 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 
 from shapeff import (EstimatorConfig, EvaluationError, ExternalModel,
                      LogNormal, ModelFunction, Normal, ParameterError,
-                     RngStream, Uniform, constant_model,
-                     estimate_main_effects, estimate_shapley_all,
-                     estimate_shapley_winding, estimate_total_effects,
-                     ishigami, ishigami_exact, ishigami_space,
+                     RngStream, Uniform, constant_model, ishigami, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, sobol_g,
                      sobol_g_exact, sobol_g_space)
 from shapeff import models
+from shapeff.analysis import ESTIMATOR_KINDS, run_estimator
 
 ECHO_FIRST = ("import sys\n"
               "for line in sys.stdin:\n"
@@ -465,16 +464,17 @@ def test_a_batch_from_a_child_that_answers_twice_fails_at_once():
     assert run_with_timeout(call, seconds=30) == SURPLUS
 
 
-def test_a_child_that_floods_its_replies_fails_the_batch():
-    # 1000 replies per request overfill the reply pipe many times over, and
-    # the child stops reading its input while it waits to write them.
-    flood = ("import sys\n"
-             "for line in sys.stdin:\n"
-             "    sys.stdout.write('1.0\\n' * 1000)\n"
-             "    sys.stdout.flush()\n")
+# Answers every request with 1000 replies, which overfill the reply pipe
+# many times over; it stops reading its input while it waits to write them.
+FLOOD = ("import sys\n"
+         "for line in sys.stdin:\n"
+         "    sys.stdout.write('1.0\\n' * 1000)\n"
+         "    sys.stdout.flush()\n")
 
+
+def test_a_child_that_floods_its_replies_fails_the_batch():
     def call():
-        with ExternalModel([sys.executable, "-c", flood], dim=1) as ext:
+        with ExternalModel([sys.executable, "-c", FLOOD], dim=1) as ext:
             with pytest.raises(EvaluationError) as err:
                 ext.evaluate_batch(np.zeros((64, 1)))
         return str(err.value)
@@ -666,26 +666,41 @@ def report_bits(report):
 GOLDEN_N = 4100   # one full 4096-sample chunk and a short tail chunk
 
 
-GOLDEN_RUNS = {
-    "shapley": (estimate_shapley_all, lambda d, n: (d + 1) * n),
-    "main": (estimate_main_effects, lambda d, n: (d + 2) * n),
-    "total": (estimate_total_effects, lambda d, n: (d + 1) * n),
-    "winding": (estimate_shapley_winding, lambda d, n: d * n + 1),
+class Kind(NamedTuple):
+    estimator: str                   # its name in ESTIMATOR_KINDS
+    cost: Callable[[int, int], int]  # its model evaluations at (d, N)
+
+
+# Every estimator kind once, keyed by its name in the goldens.
+KIND_TABLE = {
+    "shapley": Kind("shapley", lambda d, n: (d + 1) * n),
+    "main": Kind("main", lambda d, n: (d + 2) * n),
+    "total": Kind("total", lambda d, n: (d + 1) * n),
+    "winding": Kind("shapley-winding", lambda d, n: d * n + 1),
 }
+
+
+def run_kind(kind, f, space, cfg):
+    """The report of `kind`, a KIND_TABLE key, through the dispatch that the
+    CLI and convergence_study use."""
+    return run_estimator(KIND_TABLE[kind].estimator, f, space, cfg)
+
+
+def test_the_kind_table_names_each_estimator_kind_once():
+    assert sorted(kind.estimator for kind in KIND_TABLE.values()) == sorted(ESTIMATOR_KINDS)
 
 
 @pytest.mark.parametrize("kind, workers", [
     ("shapley", 1), ("shapley", 2), ("main", 1), ("main", 2),
     ("total", 1), ("total", 2), ("winding", 1)])
 def test_external_batches_match_the_per_point_view(kind, workers):
-    estimator, cost = GOLDEN_RUNS[kind]
     cfg = EstimatorConfig(n=GOLDEN_N, seed=20, workers=workers)
     space = ishigami_space()
     with ExternalModel([sys.executable, "-c", ISHIGAMI_CHILD], dim=3) as ext:
-        batched = estimator(ext.as_model(), space, cfg)
-        per_point = estimator(ModelFunction(ext.dim, ext.evaluate), space, cfg)
+        batched = run_kind(kind, ext.as_model(), space, cfg)
+        per_point = run_kind(kind, ModelFunction(ext.dim, ext.evaluate), space, cfg)
     assert report_bits(batched) == report_bits(per_point)
-    assert batched.eval_count == cost(3, GOLDEN_N)
+    assert batched.eval_count == KIND_TABLE[kind].cost(3, GOLDEN_N)
 
 
 def test_constant_model_value():

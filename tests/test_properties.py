@@ -11,38 +11,22 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shapeff import (EstimatorConfig, InputSpace, ModelFunction, Uniform,
-                     estimate_main_effects, estimate_shapley_all,
-                     estimate_shapley_winding, estimate_total_effects)
+from shapeff import EstimatorConfig, InputSpace, ModelFunction, Uniform
 from shapeff.cli import main
 from shapeff.estimators import _chunk_moments, _Moments
-from test_models import report_bits
-
-# Each kind's estimator and its contracted evaluation count for (d, N).
-KINDS = {
-    "shapley": (estimate_shapley_all, lambda d, n: (d + 1) * n),
-    "main": (estimate_main_effects, lambda d, n: (d + 2) * n),
-    "total": (estimate_total_effects, lambda d, n: (d + 1) * n),
-    "winding": (estimate_shapley_winding, lambda d, n: d * n + 1),
-}
-
-
-def run(kind, f, space, cfg):
-    estimator, _ = KINDS[kind]
-    return estimator(f, space, cfg)
+from test_models import KIND_TABLE, report_bits, run_kind
 
 
 @settings(max_examples=40, deadline=None)
-@given(kind=st.sampled_from(list(KINDS)), d=st.integers(1, 4), n=st.integers(2, 9000),
+@given(kind=st.sampled_from(list(KIND_TABLE)), d=st.integers(1, 4), n=st.integers(2, 9000),
        workers=st.integers(1, 2), seed=st.integers(0, 2 ** 64 - 1))
 @example(kind="shapley", d=3, n=4097, workers=2, seed=0)
 @example(kind="winding", d=2, n=2, workers=1, seed=0)
 def test_eval_count_meets_the_cost_contract(kind, d, n, workers, seed):
     f = ModelFunction(d, lambda X: X.sum(axis=1), vectorized=True)
     space = InputSpace([Uniform(0.0, 1.0)] * d)
-    report = run(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
-    cost = KINDS[kind][1](d, n)
-    assert report.eval_count == f.eval_count == cost
+    report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
+    assert report.eval_count == f.eval_count == KIND_TABLE[kind].cost(d, n)
 
 
 @st.composite
@@ -72,13 +56,13 @@ def test_each_walk_credits_every_variable_once(model, kind, n, workers, seed):
     # normal range (tiny coefficients), where it is a few subnormal steps.
     f, bound = model
     space = InputSpace([Uniform(-1.0, 1.0)] * f.dim)
-    report = run(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
+    report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
     tol = 1e-12 * bound ** 2 + 4 * np.finfo(float).smallest_subnormal
     assert abs(report.sigma2_estimate - report.sigma2_from_pairs) <= tol
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(list(KINDS)), d=st.integers(1, 4), n=st.integers(2, 5 * 4096),
+@given(kind=st.sampled_from(list(KIND_TABLE)), d=st.integers(1, 4), n=st.integers(2, 5 * 4096),
        seed=st.integers(0, 2 ** 64 - 1))
 @example(kind="shapley", d=3, n=4096, seed=0)
 @example(kind="shapley", d=3, n=3 * 4096 + 1, seed=1)
@@ -95,8 +79,8 @@ def test_reports_are_bitwise_equal_at_any_worker_count(kind, d, n, seed):
     reports = []
     for workers in (1, 2, 3):
         f = ModelFunction(d, lambda X: np.sin(X @ w) + X[:, 0] * X[:, -1], vectorized=True)
-        reports.append(report_bits(run(kind, f, space,
-                                       EstimatorConfig(n=n, seed=seed, workers=workers))))
+        reports.append(report_bits(run_kind(kind, f, space,
+                                            EstimatorConfig(n=n, seed=seed, workers=workers))))
     assert reports[0] == reports[1] == reports[2]
 
 
