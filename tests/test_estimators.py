@@ -88,15 +88,32 @@ def test_dimension_mismatch_rejected(estimate):
     assert f.eval_count == 0
 
 
-def test_cost_contract():
+def check_cost_contract(*kinds):
     cases = [(coordinate_model(1), unit_square(1)),
              (ishigami(), ishigami_space()),
              (sobol_g([float(j) for j in range(10)]), sobol_g_space(10))]
-    for (f, space), kind, n in itertools.product(cases, KIND_TABLE, (2, 100)):
+    for (f, space), kind, n in itertools.product(cases, kinds, (2, 100)):
         f.reset_count()
         report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=1))
         cost = KIND_TABLE[kind].cost(space.d, n)
         assert report.eval_count == f.eval_count == cost, (kind, space.d, n)
+
+
+def test_cost_contract_shapley():
+    check_cost_contract("shapley")
+
+
+def test_cost_contract_winding():
+    check_cost_contract("winding")
+
+
+def test_cost_contract_effects():
+    check_cost_contract("main", "total")
+
+
+def test_cost_contracts_cover_every_kind():
+    # The three tests above between them check every row of the kind table.
+    assert {"shapley", "winding", "main", "total"} == set(KIND_TABLE)
 
 
 @pytest.mark.parametrize("kind", ["shapley", "winding"], ids=["shapley", "shapley-winding"])
