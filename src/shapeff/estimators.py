@@ -14,15 +14,16 @@ last step ends at y and reuses f(y). Winding stairs is the same walk with
 each walk starting where the one before ended, so a chunk evaluates its new
 points first and takes each walk's start value from the previous point.
 
-Every estimator is a design run by one driver, `_report`. The driver
-partitions the N samples into fixed-size chunks and hands chunk k the RNG
-stream id k; the design draws the chunk's points, evaluates them and fills
-one block of per-sample terms (the Shapley walks put 0.5 * (f(x) - f(y))^2
-in its column d), which the driver alone reduces to moments and merges in
-ascending chunk order, so reports are bitwise identical for any worker
-count. The calling thread runs chunks too, with workers - 1 helper threads;
-each thread allocates one chunk-sized workspace and reuses it for every
-chunk it runs, so memory per call does not grow with N.
+Every estimator is a design run by one chunk loop, `_run_chunks`, and
+reported by `_report`. The loop partitions the N samples into fixed-size
+chunks and hands chunk k the RNG stream id k; the design draws the chunk's
+points, evaluates them and fills one block of per-sample terms (the Shapley
+walks put 0.5 * (f(x) - f(y))^2 in its column d), which the loop alone
+reduces to moments and merges in ascending chunk order, so reports are
+bitwise identical for any worker count. The calling thread runs chunks too,
+with workers - 1 helper threads; each thread allocates one chunk-sized
+workspace and reuses it for every chunk it runs, so memory per call does
+not grow with N.
 
 Every chunk matrix is column-major: the sampled points, winding's walk
 points and the term block. Models read contiguous columns, and a walk step
@@ -185,50 +186,102 @@ class _Workspace:
         return [b[:count * w].reshape(w, count).T for b, w in zip(self._buffers, widths)]
 
 
-def _run_chunks(task, merge, n: int, workers: int, d: int) -> None:
-    """Run task(k, count, ws) on every chunk k of count samples and pass
-    the results to merge in ascending chunk order.
+class _Stopped(Exception):
+    """Raised by a chunk's model in place of a batch once a chunk before it
+    has failed; the run raises that failure instead, never this."""
+
+
+class _ChunkModel:
+    """f as one chunk sees it: evaluate_batch passes each batch on to f and
+    tallies its points, so a run counts its own evaluations even while other
+    runs share f and its lifetime counter. Once stopped() is true it raises
+    `_Stopped` instead, and f sees no further batch of the chunk."""
+
+    def __init__(self, f: ModelFunction, stopped):
+        self._f = f
+        self._stopped = stopped
+        self.points = 0
+
+    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        if self._stopped():
+            raise _Stopped
+        self.points += len(points)
+        return self._f.evaluate_batch(points)
+
+
+def _run_chunks(f: ModelFunction, space: InputSpace, cfg: EstimatorConfig, design,
+                workers: int) -> tuple[int, _Moments]:
+    """Run `design` on every chunk of cfg.n samples; return the run's
+    evaluations and the moments of its term blocks, merged in ascending
+    chunk order.
+
+    Chunk k of count samples runs design(model, space, count, gen, ws): gen
+    is RngStream(cfg.seed, k)'s generator, from which the design draws the
+    chunk, model is f as the chunk's `_ChunkModel`, on which it evaluates
+    it, and ws is the thread's `_Workspace`, from which it takes the
+    matrices it writes. An EvaluationError there is raised again naming the
+    chunk's samples. The design returns the chunk's term block, which
+    `_chunk_moments` reduces.
 
     The caller and min(workers, chunks) - 1 helpers run one loop, each with
-    its own `_Workspace(d, n)`: under the lock, take the next chunk while
-    fewer than 2 * workers are taken and not merged, run it without the
-    lock, and merge every result next in chunk order. numpy's overflow and
-    invalid warnings are off on every thread, as `_report` checks every
-    field. A failure, interrupts included, stops new chunks at once; the
-    first in chunk order is raised once every started helper is joined."""
-    total = -(-n // _CHUNK)
+    its own `_Workspace(space.d, cfg.n)`: under the lock, take the next
+    chunk while fewer than 2 * workers are taken and not merged, run it
+    without the lock, count its evaluations and merge every result next in
+    chunk order. numpy's overflow and invalid warnings are off on every
+    thread, as `_report` checks every field.
+
+    `stop` ends the run: it is the chunk count until a chunk's design or
+    merge fails, and then the lowest such chunk. No chunk past it is taken,
+    and a chunk past it that is running raises `_Stopped` at its next batch,
+    before f sees it. A chunk before it runs to its end, since it may fail
+    too. An exception that escapes the caller's loop, or a helper that
+    cannot start, sets stop below every chunk. Once every started helper is
+    joined, the run raises the lowest of its errors, which is never a
+    `_Stopped`: every stopped chunk lies above a real failure.
+    """
     cond = threading.Condition()
-    done = {}
+    done, errors = {}, {}
+    evals, moments = 0, _Moments()
     taken = merged = 0
-    failure = None
+    stop = total = -(-cfg.n // _CHUNK)
 
     def work():
-        nonlocal taken, merged, failure
-        ws = _Workspace(d, n)
+        nonlocal taken, merged, stop, evals
+        ws = _Workspace(space.d, cfg.n)
         with cond, np.errstate(over="ignore", invalid="ignore"):
-            while taken < total:
+            while taken < stop:
                 if taken - merged == 2 * workers:
                     cond.wait()
                     continue
                 k = taken
                 taken += 1
                 cond.release()
+                count = min(cfg.n - k * _CHUNK, _CHUNK)
+                model, error = _ChunkModel(f, lambda k=k: k > stop), None
                 try:
-                    result = task(k, min(n - k * _CHUNK, _CHUNK), ws), None
+                    block = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
+                    result = _chunk_moments(block)
+                except EvaluationError as exc:
+                    error = EvaluationError(f"evaluation failed in samples "
+                                            f"[{k * _CHUNK}, {k * _CHUNK + count}): {exc}")
+                    error.__cause__ = exc
                 except BaseException as exc:
-                    result = None, exc
+                    error = exc
                 cond.acquire()
-                done[k] = result
-                while failure is None and merged in done:
-                    value, failure = done.pop(merged)
-                    merged += 1
-                    if failure is None:
-                        try:
-                            merge(value)
-                        except BaseException as exc:
-                            failure = exc
-                if result[1] is not None or failure is not None:
-                    taken = total
+                if error is None:
+                    done[k] = result
+                    evals += model.points
+                else:
+                    errors[k] = error
+                # A merge that fails leaves its chunk popped and unmerged, so
+                # no later chunk merges.
+                while merged in done:
+                    try:
+                        moments.merge(*done.pop(merged))
+                        merged += 1
+                    except BaseException as exc:
+                        errors[merged] = exc
+                stop = min([stop, *errors])
                 cond.notify_all()
 
     helpers = []
@@ -238,14 +291,16 @@ def _run_chunks(task, merge, n: int, workers: int, d: int) -> None:
             thread.start()
             helpers.append(thread)
         work()
-    finally:
+    except BaseException as exc:
         with cond:
-            taken = total
+            errors[-1] = exc
+            stop = -1
             cond.notify_all()
-        for thread in helpers:
-            thread.join()
-    if failure is not None:
-        raise failure
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return evals, moments
 
 
 def _finite(kind: str, name: str, values: np.ndarray,
@@ -261,36 +316,14 @@ def _finite(kind: str, name: str, values: np.ndarray,
     return tuple(values.tolist())
 
 
-class _ChunkModel:
-    """f as one chunk sees it: evaluate_batch passes each batch on to f and
-    tallies its points, so a run counts its own evaluations even while other
-    runs share f and its lifetime counter."""
-
-    def __init__(self, f: ModelFunction):
-        self._f = f
-        self.points = 0
-
-    def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        self.points += len(points)
-        return self._f.evaluate_batch(points)
-
-
 def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig, design,
             chain: bool = False) -> Report:
-    """Run `design` on every chunk of cfg.n samples and build the report of
-    `kind` from the merged moments of its term blocks.
+    """Run `design` on every chunk of cfg.n samples through `_run_chunks`
+    and build the report of `kind` from the merged moments of its term
+    blocks.
 
     f.dim must equal space.d, or ParameterError is raised before any
-    evaluation. Chunk k of count samples runs, through `_run_chunks`,
-    design(model, space, count, gen, ws): gen is RngStream(seed, k)'s
-    generator, from which the design draws the chunk, model is f as a
-    `_ChunkModel`, on which it evaluates it, and ws is the thread's
-    `_Workspace`, from which it takes the matrices it writes. An
-    EvaluationError there is raised again naming the chunk's samples.
-
-    A design returns the chunk's term block, which the task reduces with
-    `_chunk_moments`; `merge` adds those moments and the chunk's evaluations
-    to the run's totals in chunk order. Columns 0..d-1 give the estimates,
+    evaluation. Columns 0..d-1 of a design's term block give the estimates,
     variances and CIs, and column d, if any, sigma2_from_pairs. A `chain`
     design carries a sample from each chunk to the next, so its chunks run
     in order on the calling thread and its report carries no variance or CI.
@@ -301,26 +334,7 @@ def _report(kind: str, f: ModelFunction, space: InputSpace, cfg: EstimatorConfig
         raise ParameterError(
             f"model dimension {f.dim} does not match input space dimension {space.d}")
     d = space.d
-
-    def task(k, count, ws):
-        model = _ChunkModel(f)
-        try:
-            block = design(model, space, count, RngStream(cfg.seed, stream=k).generator(), ws)
-        except EvaluationError as exc:
-            raise EvaluationError(f"evaluation failed in samples "
-                                  f"[{k * _CHUNK}, {k * _CHUNK + count}): {exc}") from exc
-        return model.points, _chunk_moments(block)
-
-    evals = 0
-    terms = _Moments()
-
-    def merge(result):
-        nonlocal evals
-        points, moments = result
-        evals += points
-        terms.merge(*moments)
-
-    _run_chunks(task, merge, cfg.n, 1 if chain else cfg.workers, d)
+    evals, terms = _run_chunks(f, space, cfg, design, 1 if chain else cfg.workers)
     mean, m2, pairs = terms.mean[:d], terms.m2[:d], terms.mean[d:]
     variance = low = high = sigma2 = from_pairs = None
     with np.errstate(over="ignore", invalid="ignore"):

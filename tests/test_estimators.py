@@ -21,7 +21,7 @@ from shapeff import (EstimatorConfig, EvaluationError, ExternalModel, InputSpace
 from shapeff.analysis import run_estimator
 from shapeff.estimators import ESTIMATOR_KINDS
 from shapeff.inputs import permutation_rows
-from test_models import KIND_TABLE, run_kind
+from test_models import KIND_TABLE, run_kind, run_with_timeout
 
 
 def coordinate_model(dim: int, index: int = 0) -> ModelFunction:
@@ -814,6 +814,108 @@ def test_a_merge_that_fails_on_a_helper_is_raised(monkeypatch):
         estimate_total_effects(ModelFunction(1, func, vectorized=True), unit_square(1),
                                EstimatorConfig(n=8 * 4096, seed=2, workers=2))
     assert threading.active_count() == before
+
+
+def fail_chunk_0_while_chunk_1_waits(monkeypatch, evaluate, fail, d=2, seed=5):
+    """Run Shapley on two chunks of a d-input model at workers=2, failing
+    chunk 0's second batch while chunk 1 waits after its first; return the
+    error the run raised and the number of batches each chunk sent.
+
+    Chunks are told apart by their draws from RngStream(seed, k): every
+    point 0 a chunk evaluates starts with its x[0, 0] or its y[0, 0]. Chunk
+    0's second batch goes to fail(x) once chunk 1's first has returned from
+    evaluate(x), and every other batch to evaluate(x). Chunk 1's first
+    batch returns only once the thread that ran chunk 0 has left its loop,
+    so after the run has recorded the failure: a helper has ended, or the
+    calling thread has begun to join its helper.
+    """
+    space = unit_square(d)
+    chunk_of = {}
+    for k in (0, 1):
+        gen = RngStream(seed, stream=k).generator()
+        for _ in range(2):  # x, then y
+            chunk_of[space.sample(4096, gen)[0, 0]] = k
+    sent, thread_of, caller = {0: 0, 1: 0}, {}, []
+    in_flight, failing, joining = threading.Event(), threading.Event(), threading.Event()
+    join = threading.Thread.join
+
+    def joined(thread, timeout=None):
+        if threading.current_thread() is thread_of.get(0):
+            joining.set()
+        join(thread, timeout)
+
+    def func(x):
+        k = chunk_of[x[0, 0]]
+        sent[k] += 1
+        thread_of[k] = threading.current_thread()
+        if (k, sent[k]) == (0, 2):
+            assert in_flight.wait(30)
+            failing.set()
+            return fail(x)
+        values = evaluate(x)
+        if (k, sent[k]) == (1, 1):
+            in_flight.set()
+            assert failing.wait(30)
+            if thread_of[0] is caller[0]:
+                assert joining.wait(30)
+            else:
+                join(thread_of[0], 30)
+        return values
+
+    def call():
+        caller.append(threading.current_thread())
+        try:
+            estimate_shapley_all(ModelFunction(d, func, vectorized=True), space,
+                                 EstimatorConfig(n=2 * 4096, seed=seed, workers=2))
+        except BaseException as exc:
+            return exc
+
+    monkeypatch.setattr(threading.Thread, "join", joined)
+    return run_with_timeout(call), sent
+
+
+class Halt(BaseException):
+    """Not an Exception, as KeyboardInterrupt and SystemExit are not."""
+
+
+@pytest.mark.parametrize("error, message", [
+    (EvaluationError, "evaluation failed in samples [0, 4096): model failed"),
+    (Halt, "model failed")], ids=["exception", "base-exception"])
+def test_no_chunk_after_a_failed_one_sends_another_batch(monkeypatch, error, message):
+    # Chunk 1 has sent 1 of its 3 batches when chunk 0 fails, and sends no
+    # other. The run raises chunk 0's error, a Halt as it is.
+    def fail(x):
+        raise error("model failed")
+
+    raised, sent = fail_chunk_0_while_chunk_1_waits(monkeypatch, lambda x: x[:, 0] * 1.0, fail)
+    assert sent == {0: 2, 1: 1}
+    assert type(raised) is error and str(raised) == message
+
+
+# Appends its pid to the file its argument names, then echoes the first value
+# of each line, and exits on its 8193rd.
+EXIT_ON_8193 = ("import os, sys\n"
+                "with open(sys.argv[1], 'a') as pids:\n"
+                "    pids.write(f'{os.getpid()}\\n')\n"
+                "for count, line in enumerate(sys.stdin, 1):\n"
+                "    if count == 8193:\n"
+                "        sys.exit(5)\n"
+                "    print(line.split()[0], flush=True)\n")
+
+
+def test_an_external_child_that_exits_on_a_chunk_starts_none_for_the_next(monkeypatch, tmp_path):
+    # The child answers both chunks' first batches, 8192 lines, and exits on
+    # chunk 0's second. Chunk 1 then sends no batch, so no second child
+    # starts.
+    pids = tmp_path / "pids"
+    with ExternalModel([sys.executable, "-c", EXIT_ON_8193, str(pids)], dim=2) as ext:
+        error, sent = fail_chunk_0_while_chunk_1_waits(monkeypatch, ext.evaluate_batch,
+                                                       ext.evaluate_batch)
+    assert len(pids.read_text().split()) == 1
+    assert sent == {0: 2, 1: 1}
+    assert type(error) is EvaluationError
+    assert str(error).startswith("evaluation failed in samples [0, 4096): external model "
+                                 "produced no reply for line 8193")
 
 
 # Runs one estimator twice on Sobol' g (d=10, N=2^16) in a new interpreter and
