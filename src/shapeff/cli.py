@@ -26,7 +26,7 @@ from typing import Sequence
 from . import __version__
 from .analysis import (ESTIMATOR_KINDS, _csv_cell, convergence_csv_lines,
                        convergence_study, run_estimator)
-from .errors import ConfigError, EvaluationError, ParameterError, _check_keys
+from .errors import ConfigError, EvaluationError, ParameterError, _check_keys, _check_os_string
 # Runs go through analysis.run_estimator. The estimate_* names stay bound here
 # because perfbench's tracer wraps them in every module that imports them.
 from .estimators import (EstimatorConfig, estimate_main_effects,  # noqa: F401
@@ -243,8 +243,10 @@ def _setting(cfg: dict, key: str):
 
 def _check_writable(path: str) -> None:
     """ConfigError unless a report can be written to `path`, so that a run
-    never ends in a report it cannot keep: an existing file must be writable,
-    and a new one needs a writable directory. Nothing is created."""
+    never ends in a report it cannot keep: the operating system must be able
+    to take the path, an existing file must be writable, and a new one needs
+    a writable directory. Nothing is created."""
+    _check_os_string(path, "output", ConfigError)
     directory = os.path.dirname(path) or "."
     exists = os.path.exists(path)
     if not path:

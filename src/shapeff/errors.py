@@ -1,9 +1,10 @@
 """Exception types shared across the package, the integer and real-number
-checks that raise one, and the unknown-key check of config objects read from
-JSON."""
+checks that raise one, and the unknown-key and operating-system string checks
+of config values read from JSON."""
 
 import math
 import numbers
+import os
 
 import numpy as np
 
@@ -65,3 +66,17 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _check_os_string(value, what: str, error: type[SensitivityError]) -> None:
+    """error naming `what` unless the operating system can take `value`, a
+    str, bytes or os.PathLike, as a command argument or a file name. JSON
+    can hold two things that neither can: a null character, and a lone
+    surrogate such as "\\ud800", which does not encode to bytes."""
+    try:
+        if b"\0" not in os.fsencode(value):
+            return
+        problem = "a null character"
+    except UnicodeEncodeError:
+        problem = "a lone surrogate"
+    raise error(f"{what} must not hold {problem}, got {value!r}")

@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (ConfigError, EvaluationError, ParameterError, require_finite,
-                     require_integer, require_real)
+from .errors import (ConfigError, EvaluationError, ParameterError, _check_os_string,
+                     require_finite, require_integer, require_real)
 from .inputs import InputSpace
 
 
@@ -449,7 +449,8 @@ class ExternalModel(ModelFunction):
     """A black-box simulator speaking the line protocol, as a ModelFunction.
 
     ``command`` is the program and its arguments, a non-empty list or tuple
-    of str, bytes or os.PathLike; anything else raises ParameterError.
+    of str, bytes or os.PathLike that the operating system can take (no null
+    character or lone surrogate); anything else raises ParameterError.
     Each request is one line of d space-separated decimal floats; the process
     must answer one decimal float per line, in order. EOF on its stdin tells
     the process to finish. The process starts on the first evaluation or on
@@ -475,6 +476,7 @@ class ExternalModel(ModelFunction):
             if not isinstance(arg, (str, bytes, os.PathLike)):
                 raise ParameterError(f"external model command arguments must be str, bytes "
                                      f"or os.PathLike, got {arg!r}")
+            _check_os_string(arg, "external model command arguments", ParameterError)
         self._child: _Child | None = None
         self._serving = threading.Lock()
         super().__init__(dim, None, name="external", vectorized=True)

@@ -9,13 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from shapeff import (EstimatorConfig, InputSpace, ModelFunction, Uniform,
-                     anova_oracle, constant_model, convergence_study,
-                     estimate_main_effects, estimate_shapley_all,
-                     estimate_total_effects, ishigami, ishigami_exact, ishigami_space,
+from shapeff import (EstimatorConfig, anova_oracle, constant_model, convergence_study,
+                     estimate_shapley_all, ishigami, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, shapley_from_anova,
                      sobol_g, sobol_g_anova, sobol_g_exact, sobol_g_space)
-from test_models import KIND_TABLE, run_kind
+from support import (KIND_TABLE, cost_contract_problems, telescoping_contract_problems,
+                     unit_square, worker_contract_problems, zero_problems)
 
 
 @pytest.fixture
@@ -100,43 +99,18 @@ def test_criterion_4_rate_reproduction(verdict):
 
 
 def test_criterion_5_cost_contracts(verdict):
-    """eval_count is exactly (d+1)N for the permutation walk and dN+1 for
-    winding stairs, for d in {1, 3, 10} and N in {2, 100}."""
-    cases = [
-        (ModelFunction(1, lambda x: x[:, 0], name="x1", vectorized=True),
-         InputSpace([Uniform(0, 1)])),
-        (ishigami(), ishigami_space()),
-        (sobol_g([float(j) for j in range(10)]), sobol_g_space(10)),
-    ]
-    ok = True
-    for f, space in cases:
-        for kind in ("shapley", "winding"):
-            for n in (2, 100):
-                f.reset_count()
-                rep = run_kind(kind, f, space, EstimatorConfig(n=n, seed=1))
-                ok &= rep.eval_count == KIND_TABLE[kind].cost(space.d, n)
-    assert verdict("criterion 5: evaluation-cost contracts", bool(ok))
+    """eval_count is exactly (d+1)N for the permutation walk and total
+    effects, (d+2)N for main effects and dN+1 for winding stairs, for d in
+    {1, 3, 10} and N in {2, 100}."""
+    ok = cost_contract_problems(KIND_TABLE) == []
+    assert verdict("criterion 5: evaluation-cost contracts", ok)
 
 
 def test_criterion_6_telescoping_identity(verdict):
     """Sum of estimates equals the mean of 0.5*(f(x)-f(y))^2 to 1e-10 relative
-    on every builtin model at N = 2^10."""
-    models = [
-        (ishigami(), ishigami_space()),
-        (sobol_g([0.0, 1.0, 2.0]), sobol_g_space(3)),
-        (sobol_g([float(j) for j in range(10)]), sobol_g_space(10)),
-        (plate_buckling(), plate_buckling_space()),
-        (constant_model(2.0, 3), InputSpace([Uniform(0, 1)] * 3)),
-    ]
-    ok = True
-    for f, space in models:
-        rep = estimate_shapley_all(f, space, EstimatorConfig(n=2 ** 10, seed=5))
-        if rep.sigma2_from_pairs == 0.0:
-            ok &= rep.sigma2_estimate == 0.0
-        else:
-            ok &= (abs(rep.sigma2_estimate - rep.sigma2_from_pairs)
-                   <= 1e-10 * abs(rep.sigma2_from_pairs))
-    assert verdict("criterion 6: per-run telescoping identity", bool(ok))
+    for both Shapley kinds on every builtin model at N = 2^10."""
+    ok = telescoping_contract_problems(["shapley", "winding"]) == []
+    assert verdict("criterion 6: per-run telescoping identity", ok)
 
 
 def test_criterion_7_sigma2_unbiasedness(verdict):
@@ -155,45 +129,16 @@ def test_criterion_7_sigma2_unbiasedness(verdict):
 
 def test_criterion_8_degenerate_exactness(verdict):
     """Constant models produce exact zeros everywhere; coordinates a model
-    ignores receive exactly-zero per-sample increments."""
-    square = InputSpace([Uniform(0, 1)] * 3)
-    const = constant_model(4.0, 3)
-    rep = estimate_shapley_all(const, square, EstimatorConfig(n=64, seed=0))
-    ok = rep.estimates == (0.0,) * 3
-    ok &= rep.variance_of_estimator == (0.0,) * 3
-    ok &= rep.sigma2_estimate == 0.0
-    study = convergence_study(const, square, "shapley", [16, 32], 3, 0)
+    ignores receive exactly-zero per-sample increments, for every kind."""
+    ok = zero_problems(KIND_TABLE) == []
+    study = convergence_study(constant_model(4.0, 3), unit_square(3), "shapley", [16, 32], 3, 0)
     ok &= all(v == 0.0 for v in study.sse_per_trial.values())
     ok &= study.fitted_slope is None
-
-    lone = ModelFunction(3, lambda x: x[:, 1], name="x2", vectorized=True)
-    rep = estimate_shapley_all(lone, square, EstimatorConfig(n=256, seed=3))
-    ok &= rep.estimates[0] == 0.0 and rep.estimates[2] == 0.0
-    ok &= rep.variance_of_estimator[0] == 0.0 and rep.variance_of_estimator[2] == 0.0
-    total = estimate_total_effects(lone, square, EstimatorConfig(n=256, seed=3))
-    ok &= total.values[0] == 0.0 and total.values[2] == 0.0
-    main = estimate_main_effects(lone, square, EstimatorConfig(n=256, seed=3))
-    ok &= main.values[0] == 0.0 and main.values[2] == 0.0
     assert verdict("criterion 8: degenerate exactness", bool(ok))
 
 
 def test_criterion_9_determinism(verdict):
-    """Reports are bitwise identical for workers in {1, 4} at the same seed."""
-    f = ishigami()
-    space = ishigami_space()
-    n = 3 * 4096 + 17
-    one = estimate_shapley_all(f, space, EstimatorConfig(n=n, seed=9, workers=1))
-    four = estimate_shapley_all(f, space, EstimatorConfig(n=n, seed=9, workers=4))
-    ok = one.estimates == four.estimates
-    ok &= one.variance_of_estimator == four.variance_of_estimator
-    ok &= one.ci_low == four.ci_low and one.ci_high == four.ci_high
-    ok &= one.sigma2_estimate == four.sigma2_estimate
-    ok &= one.sigma2_from_pairs == four.sigma2_from_pairs
-
-    m1 = estimate_main_effects(f, space, EstimatorConfig(n=n, seed=9, workers=1))
-    m4 = estimate_main_effects(f, space, EstimatorConfig(n=n, seed=9, workers=4))
-    ok &= m1.values == m4.values and m1.variance_of_estimator == m4.variance_of_estimator
-    t1 = estimate_total_effects(f, space, EstimatorConfig(n=n, seed=9, workers=1))
-    t4 = estimate_total_effects(f, space, EstimatorConfig(n=n, seed=9, workers=4))
-    ok &= t1.values == t4.values and t1.variance_of_estimator == t4.variance_of_estimator
-    assert verdict("criterion 9: worker-count determinism", bool(ok))
+    """Reports are bitwise identical for workers in {1, ..., 5} at the same
+    seed, for every kind."""
+    ok = worker_contract_problems(KIND_TABLE) == []
+    assert verdict("criterion 9: worker-count determinism", ok)

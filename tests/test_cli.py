@@ -18,9 +18,12 @@ import shapeff
 from shapeff import InputSpace, cli, convergence_study, ishigami, ishigami_exact
 from shapeff.cli import (CONVERGENCE_SCHEMA, EXACT_SCHEMA, REPORT_SCHEMA, main)
 from shapeff.models import BUILTINS
-from test_models import ECHO_FIRST, FLOOD, ONE_LATE
+from support import ECHO_FIRST, FLOOD, ONE_LATE, run_python
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+# run_python(*CLI, ...) runs the CLI in a new process; a bad output setting
+# may close the process's own stdout or stderr.
+CLI = ("-m", "shapeff.cli")
 
 
 def run(args):
@@ -32,9 +35,11 @@ def read_json(path):
         return json.load(handle)
 
 
-def write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+def config(tmp_path, payload, name="cfg.json"):
+    """The path of a new config file in tmp_path that holds `payload` as JSON."""
+    path = tmp_path / name
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
 
 
 def test_analyze_ishigami_report_schema_and_cost(tmp_path):
@@ -65,8 +70,7 @@ def test_analyze_all_estimators_validate_schema(tmp_path):
         out = tmp_path / f"{estimator}.json"
         cfg = {"model": {"name": "ishigami"}, "estimator": estimator,
                "n": 64, "seed": 3, "output": str(out)}
-        path = tmp_path / f"{estimator}-cfg.json"
-        write_json(path, cfg)
+        path = config(tmp_path, cfg, f"{estimator}-cfg.json")
         assert run(["analyze", "--config", str(path)]) == 0
         report = read_json(out)
         jsonschema.validate(report, REPORT_SCHEMA)
@@ -92,8 +96,7 @@ def test_analyze_round_trip_is_bitwise(tmp_path):
     assert run(["analyze", "--model", "plate-buckling", "--n", "2048",
                 "--seed", "7", "--output", str(first)]) == 0
     report = read_json(first)
-    rerun_cfg = tmp_path / "rerun.json"
-    write_json(rerun_cfg, report["config"])
+    rerun_cfg = config(tmp_path, report["config"], "rerun.json")
     second = tmp_path / "second.json"
     assert run(["analyze", "--config", str(rerun_cfg), "--output", str(second)]) == 0
     report2 = read_json(second)
@@ -134,8 +137,7 @@ def test_package_exports_the_public_names_and_no_module():
 
 
 def test_analyze_flag_overrides_config(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "ishigami"}, "n": 32, "seed": 5})
+    cfg = config(tmp_path, {"model": {"name": "ishigami"}, "n": 32, "seed": 5})
     out = tmp_path / "out.json"
     assert run(["analyze", "--config", str(cfg), "--n", "64",
                 "--output", str(out)]) == 0
@@ -143,8 +145,7 @@ def test_analyze_flag_overrides_config(tmp_path):
 
 
 def test_analyze_external_model(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {
+    cfg = config(tmp_path, {
         "model": {"command": [sys.executable, "-c", ECHO_FIRST], "dim": 2},
         "distributions": [{"kind": "uniform", "lo": 0.0, "hi": 1.0},
                           {"kind": "uniform", "lo": 0.0, "hi": 1.0}],
@@ -166,8 +167,7 @@ def test_external_model_protocol_violation_exits_3(tmp_path, capsys):
            "for line in sys.stdin:\n"
            "    n += 1\n"
            "    print('junk' if n >= 3 else '1.0', flush=True)\n")
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {
+    cfg = config(tmp_path, {
         "model": {"command": [sys.executable, "-c", bad], "dim": 1},
         "distributions": [{"kind": "uniform", "lo": 0.0, "hi": 1.0}],
         "n": 8, "seed": 0,
@@ -180,9 +180,8 @@ def test_external_model_that_sends_more_replies_than_requests_exits_3(tmp_path, 
     # Every reply after the first answers the wrong line although each
     # parses. The last comes only once the child's input ends, so closing
     # the model finds it, before any report is written.
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": [sys.executable, "-c", ONE_LATE], "dim": 1},
-                     "distributions": UNIT_INTERVAL, "n": 16, "seed": 1})
+    cfg = config(tmp_path, {"model": {"command": [sys.executable, "-c", ONE_LATE], "dim": 1},
+                            "distributions": UNIT_INTERVAL, "n": 16, "seed": 1})
     assert run(["analyze", "--config", str(cfg)]) == 3
     assert capsys.readouterr() == (
         "", "error: external model sent more replies than requests\n")
@@ -191,12 +190,9 @@ def test_external_model_that_sends_more_replies_than_requests_exits_3(tmp_path, 
 def run_external_analyze(tmp_path, child, dim, n):
     """``analyze`` of an external child in a new process, seed 1, bounded by
     a timeout: a child that breaks the protocol must not hang the run."""
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": [sys.executable, "-c", child], "dim": dim},
-                     "distributions": UNIT_INTERVAL * dim, "n": n, "seed": 1})
-    return subprocess.run([sys.executable, "-m", "shapeff.cli", "analyze", "--config", str(cfg)],
-                          env=env_importing_this_shapeff(), capture_output=True, text=True,
-                          timeout=60)
+    cfg = config(tmp_path, {"model": {"command": [sys.executable, "-c", child], "dim": dim},
+                            "distributions": UNIT_INTERVAL * dim, "n": n, "seed": 1})
+    return run_python(*CLI, "analyze", "--config", str(cfg), timeout=60)
 
 
 def test_external_model_whose_surplus_replies_outgrow_the_pipes_exits_3(tmp_path):
@@ -232,25 +228,9 @@ def test_external_model_flooding_stderr_finishes(tmp_path):
               "    sys.stderr.write('x' * 1023 + '\\n')\n"
               "    sys.stderr.flush()\n"
               "    print(line.split()[0], flush=True)\n")
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {
-        "model": {"command": [sys.executable, "-c", chatty], "dim": 2},
-        "distributions": [{"kind": "uniform", "lo": 0.0, "hi": 1.0}] * 2,
-        "n": 200, "seed": 0,
-    })
-    result = subprocess.run(
-        [sys.executable, "-m", "shapeff.cli", "analyze", "--config", str(cfg)],
-        env=env_importing_this_shapeff(), capture_output=True, text=True, timeout=60)
+    result = run_external_analyze(tmp_path, chatty, 2, 200)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["eval_count"] == 3 * 200
-
-
-def run_cli_process(*args):
-    """Run ``python -m shapeff.cli`` in a new process; a bad output setting
-    may close this process's own stdout or stderr."""
-    return subprocess.run([sys.executable, "-m", "shapeff.cli", *args],
-                          env=env_importing_this_shapeff(), capture_output=True,
-                          text=True, timeout=120)
 
 
 UNIT_INTERVAL = [{"kind": "uniform", "lo": 0.0, "hi": 1.0}]
@@ -267,11 +247,34 @@ OUTPUT_CONFIGS = {
                          ids=["list", "fd-2", "true", "float", "object"])
 @pytest.mark.parametrize("command", list(OUTPUT_CONFIGS))
 def test_non_string_output_exits_2_before_any_evaluation(tmp_path, output, command):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {**OUTPUT_CONFIGS[command], "output": output})
-    result = run_cli_process(command, "--config", str(cfg))
+    cfg = config(tmp_path, {**OUTPUT_CONFIGS[command], "output": output})
+    result = run_python(*CLI, command, "--config", str(cfg))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: output must be a file path, got {output!r}\n"
+
+
+@pytest.mark.parametrize("bad, problem", [("\0", "a null character"),
+                                          ("\ud800", "a lone surrogate")],
+                         ids=["null", "surrogate"])
+@pytest.mark.parametrize("field", ["command", "output"])
+def test_a_string_the_os_cannot_take_exits_2_before_the_model_starts(tmp_path, field, bad,
+                                                                   problem):
+    # JSON holds both, and no command argument or file name can. The model's
+    # process writes a marker as it starts.
+    marker = tmp_path / "started"
+    command = [sys.executable, "-c", f"open({str(marker)!r}, 'w').close()\n" + ECHO_FIRST]
+    payload = {"model": {"command": command, "dim": 1}, "distributions": UNIT_INTERVAL, "n": 16}
+    if field == "command":
+        value, what = f"a{bad}", "model: external model command arguments"
+        command.append(value)
+    else:
+        value, what = str(tmp_path / f"report{bad}.json"), "output"
+        payload["output"] = value
+    cfg = config(tmp_path, payload)
+    result = run_python(*CLI, "analyze", "--config", str(cfg))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {what} must not hold {problem}, got {value!r}\n"
+    assert not marker.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -280,7 +283,7 @@ def test_non_string_output_exits_2_before_any_evaluation(tmp_path, output, comma
     ["exact", "--model", "ishigami"]], ids=["analyze", "convergence", "exact"])
 def test_unwritable_output_exits_2(tmp_path, command):
     target = tmp_path / "missing" / "report.json"
-    result = run_cli_process(*command, "--output", str(target))
+    result = run_python(*CLI, *command, "--output", str(target))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr.startswith(f"error: cannot write report to {target}: ")
     assert "Traceback" not in result.stderr
@@ -293,10 +296,9 @@ def test_unwritable_output_exits_2_before_starting_the_model(tmp_path, capsys, o
     marker = tmp_path / "started"
     echo = f"open({str(marker)!r}, 'w').close()\n" + ECHO_FIRST
     target = tmp_path / output
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": [sys.executable, "-c", echo], "dim": 1},
-                     "distributions": UNIT_INTERVAL, "ns": [16, 32], "trials": 2,
-                     "output": str(target)})
+    cfg = config(tmp_path, {"model": {"command": [sys.executable, "-c", echo], "dim": 1},
+                            "distributions": UNIT_INTERVAL, "ns": [16, 32], "trials": 2,
+                            "output": str(target)})
     assert run(["convergence", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write report to {target}: ")
     assert not marker.exists()
@@ -369,18 +371,16 @@ def test_output_write_access_is_asked_of_the_file_if_it_exists(tmp_path, monkeyp
 
 def test_external_model_without_dim_exits_2_before_starting_it(tmp_path, capsys):
     marker = tmp_path / "started"
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": [sys.executable, "-c",
-                                           f"open({str(marker)!r}, 'w')"]},
-                     "n": 16, "distributions": UNIT_INTERVAL})
+    cfg = config(tmp_path, {"model": {"command": [sys.executable, "-c",
+                                                  f"open({str(marker)!r}, 'w')"]},
+                            "n": 16, "distributions": UNIT_INTERVAL})
     assert run(["analyze", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: model.dim is required\n"
     assert not marker.exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "ishigami"}, "n": 16, "sedd": 1})
+    cfg = config(tmp_path, {"model": {"name": "ishigami"}, "n": 16, "sedd": 1})
     assert run(["analyze", "--config", str(cfg)]) == 2
     assert "sedd" in capsys.readouterr().err
 
@@ -403,8 +403,7 @@ def test_repeated_config_key_exits_2(tmp_path, capsys, monkeypatch, text, repeat
 
 
 def test_unknown_distribution_key_exits_2(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {
+    cfg = config(tmp_path, {
         "model": {"name": "constant", "dim": 1},
         "distributions": [{"kind": "uniform", "lo": 0.0, "hi": 1.0, "high": 2.0}],
         "n": 16,
@@ -417,15 +416,13 @@ def test_normal_spec_takes_sd_or_cv_and_reruns_from_its_config(tmp_path):
     results = {}
     for spread in ({"sd": 0.5}, {"cv": 0.25}):
         spec = {"kind": "normal", "mean": 2.0, **spread}
-        cfg = tmp_path / "cfg.json"
-        write_json(cfg, {"model": {"name": "ishigami"},
-                         "distributions": [spec, uniform, uniform], "n": 64, "seed": 3})
+        cfg = config(tmp_path, {"model": {"name": "ishigami"},
+                                "distributions": [spec, uniform, uniform], "n": 64, "seed": 3})
         out = tmp_path / "out.json"
         assert run(["analyze", "--config", str(cfg), "--output", str(out)]) == 0
         report = read_json(out)
         assert report["config"]["distributions"][0] == spec
-        rerun_cfg = tmp_path / "rerun.json"
-        write_json(rerun_cfg, report["config"])
+        rerun_cfg = config(tmp_path, report["config"], "rerun.json")
         rerun = tmp_path / "rerun_out.json"
         assert run(["analyze", "--config", str(rerun_cfg), "--output", str(rerun)]) == 0
         assert read_json(rerun)["results"] == report["results"]
@@ -437,20 +434,18 @@ def test_normal_spec_takes_sd_or_cv_and_reruns_from_its_config(tmp_path):
 @pytest.mark.parametrize("spread, given", [({"sd": 0.5, "cv": 0.25}, "cv and sd"),
                                            ({}, "neither")], ids=["both", "neither"])
 def test_normal_spec_needs_exactly_one_of_sd_or_cv(tmp_path, capsys, spread, given):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "constant", "dim": 1},
-                     "distributions": [{"kind": "normal", "mean": 2.0, **spread}], "n": 16})
+    cfg = config(tmp_path, {"model": {"name": "constant", "dim": 1},
+                            "distributions": [{"kind": "normal", "mean": 2.0, **spread}], "n": 16})
     assert run(["analyze", "--config", str(cfg)]) == 2
     assert ("distributions[0]: normal takes exactly one of sd or cv, got " + given
             in capsys.readouterr().err)
 
 
 def test_normal_spec_with_cv_needs_a_non_zero_mean(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
     for spread, code in (({"mean": 0, "cv": 0.1}, 2), ({"mean": 0.0, "cv": 0.1}, 2),
                          ({"mean": -1.0, "cv": 0.1}, 0), ({"mean": 0, "sd": 0.1}, 0)):
-        write_json(cfg, {"model": {"name": "constant", "dim": 1},
-                         "distributions": [{"kind": "normal", **spread}], "n": 16})
+        cfg = config(tmp_path, {"model": {"name": "constant", "dim": 1},
+                                "distributions": [{"kind": "normal", **spread}], "n": 16})
         assert run(["analyze", "--config", str(cfg)]) == code, spread
     assert "distributions[0]: normal cv needs a non-zero mean" in capsys.readouterr().err
 
@@ -462,11 +457,10 @@ def test_normal_spec_with_cv_needs_a_non_zero_mean(tmp_path, capsys):
     ({"name": "constant", "dim": 2}, {"kind": "lognormal", "mean": 1e307, "cv": 10.0}),
 ], ids=["uniform-constant", "uniform-ishigami", "normal", "lognormal"])
 def test_distribution_whose_draws_overflow_exits_2(tmp_path, capsys, model, spec):
-    cfg = tmp_path / "cfg.json"
     uniform = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
     dim = model.get("dim", 3)
-    write_json(cfg, {"model": model, "distributions": [uniform, spec] + [uniform] * (dim - 2),
-                     "n": 16})
+    cfg = config(tmp_path, {"model": model,
+                            "distributions": [uniform, spec] + [uniform] * (dim - 2), "n": 16})
     assert run(["analyze", "--config", str(cfg)]) == 2
     assert re.search(r"^error: distributions\[1\]: \w+\(.*\) draws non-finite values: ",
                      capsys.readouterr().err)
@@ -489,8 +483,7 @@ ISHIGAMI_N16 = {"model": {"name": "ishigami"}, "n": 16}
     ("exact", {"model": {"name": "ishigami", "b": 10 ** 400}}, "model: b is too large for a float"),
 ], ids=["uniform-hi", "ci-z", "ishigami-a", "sobol-g-a", "constant-value", "exact-ishigami-b"])
 def test_integers_too_large_for_a_float_exit_2(tmp_path, capsys, command, payload, message):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, payload)
+    cfg = config(tmp_path, payload)
     assert run([command, "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
 
@@ -522,8 +515,7 @@ def test_config_validation_errors_exit_2(tmp_path):
         {"model": {"command": ["true"], "dim": 2}, "n": 16},
     ]
     for i, payload in enumerate(bad_configs):
-        cfg = tmp_path / f"bad{i}.json"
-        write_json(cfg, payload)
+        cfg = config(tmp_path, payload, f"bad{i}.json")
         assert run(["analyze", "--config", str(cfg)]) == 2, payload
 
 
@@ -596,29 +588,26 @@ def test_non_finite_model_parameters_are_rejected(tmp_path, capsys, model):
         with pytest.raises(shapeff.ParameterError, match="finite"):
             make(**params)
     for command in ("analyze", "exact") if reference else ("analyze",):
-        path = tmp_path / f"{command}.json"
-        write_json(path, {"model": model, **({"n": 64} if command == "analyze" else {})})
+        sizes = {"n": 64} if command == "analyze" else {}
+        path = config(tmp_path, {"model": model, **sizes}, f"{command}.json")
         assert run([command, "--config", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
 
 def test_confidence_bounds_that_overflow_exit_3_with_no_report(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    write_json(path, {"model": {"name": "ishigami", "a": 1000}, "n": 4, "ci_z": 1e308})
+    path = config(tmp_path, {"model": {"name": "ishigami", "a": 1000}, "n": 4, "ci_z": 1e308})
     assert run(["analyze", "--config", str(path)]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: shapley report: ci_low is -inf for variable 1, not a finite number\n"
+    assert capsys.readouterr() == (
+        "", "error: shapley report: ci_low is -inf for variable 1, not a finite number\n")
 
 
 @pytest.mark.parametrize("estimator", ["shapley", "shapley-winding", "main", "total"])
 def test_estimates_that_overflow_exit_3_with_no_report(tmp_path, estimator):
     # A new process, without the test suite's warning filters, so a numpy
     # overflow warning would print to stderr ahead of the error.
-    path = tmp_path / "cfg.json"
-    write_json(path, {"model": {"name": "ishigami", "a": 1e200}, "n": 64,
-                      "estimator": estimator})
-    result = run_cli_process("analyze", "--config", str(path))
+    path = config(tmp_path, {"model": {"name": "ishigami", "a": 1e200}, "n": 64,
+                             "estimator": estimator})
+    result = run_python(*CLI, "analyze", "--config", str(path))
     assert result.returncode == 3
     assert result.stdout == ""
     assert re.fullmatch(rf"error: {estimator} report: estimates is (-?inf|nan) for variable \d, "
@@ -629,13 +618,10 @@ def test_estimates_that_overflow_exit_3_with_no_report(tmp_path, estimator):
                                             ("convergence", {"ns": [16, 2 ** 44 + 1]})])
 def test_sample_size_past_the_chunk_streams_exits_2_before_any_evaluation(
         tmp_path, capsys, command, sizes):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": FAILING_MODEL, "distributions": UNIT_INTERVAL, **sizes})
+    cfg = config(tmp_path, {"model": FAILING_MODEL, "distributions": UNIT_INTERVAL, **sizes})
     assert run([command, "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: config: sample size must be <= 2^44 (2^32 chunk streams "
-                            "of 4096 samples), got 17592186044417\n")
+    assert capsys.readouterr() == ("", "error: config: sample size must be <= 2^44 (2^32 chunk "
+                                       "streams of 4096 samples), got 17592186044417\n")
 
 
 # A bad value of each run setting that the library checks, not the CLI.
@@ -649,8 +635,7 @@ LIBRARY_CHECKED = [("n", 1), ("ns", [1, 16]), ("ns", [32, 16]), ("workers", 0), 
     for key, value in LIBRARY_CHECKED if key in cli._SETTINGS[command]])
 def test_settings_the_library_checks_exit_2_before_any_evaluation(
         tmp_path, capsys, command, key, value):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {**OUTPUT_CONFIGS[command], key: value})
+    cfg = config(tmp_path, {**OUTPUT_CONFIGS[command], key: value})
     assert run([command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -677,10 +662,8 @@ def test_a_write_that_fails_after_the_run_exits_2(capsys):
     # /dev/full is an existing writable file, so it passes the check made
     # before the run; every write to it then fails.
     assert run(["exact", "--model", "ishigami", "--output", "/dev/full"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: cannot write report to /dev/full: "
-                            "[Errno 28] No space left on device\n")
+    assert capsys.readouterr() == ("", "error: cannot write report to /dev/full: "
+                                       "[Errno 28] No space left on device\n")
 
 
 def test_malformed_json_exits_2(tmp_path):
@@ -701,8 +684,7 @@ def test_exact_ishigami(tmp_path):
 
 def test_exact_sobol_g_cases(tmp_path):
     out = tmp_path / "exact.json"
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "sobol-g", "a": [0.0]}, "output": str(out)})
+    cfg = config(tmp_path, {"model": {"name": "sobol-g", "a": [0.0]}, "output": str(out)})
     assert run(["exact", "--config", str(cfg)]) == 0
     report = read_json(out)
     assert report["results"][0]["main"] == pytest.approx(1 / 3, rel=1e-12)
@@ -716,29 +698,24 @@ def test_exact_sobol_g_cases(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_closed_forms_that_overflow_exit_2_with_no_report(tmp_path, capsys, fmt):
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "ishigami", "a": 1e200}})
+    cfg = config(tmp_path, {"model": {"name": "ishigami", "a": 1e200}})
     assert run(["exact", "--config", str(cfg), "--format", fmt]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: config: main of variable 2 must be finite, got inf\n"
+    assert capsys.readouterr() == (
+        "", "error: config: main of variable 2 must be finite, got inf\n")
 
 
 def test_convergence_against_a_closed_form_that_overflows_exits_2_before_any_trial(
         tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "convergence_study", lambda *args, **kwargs: pytest.fail("ran"))
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "ishigami", "a": 1e200}, "ns": [16, 32], "trials": 2})
+    cfg = config(tmp_path, {"model": {"name": "ishigami", "a": 1e200}, "ns": [16, 32], "trials": 2})
     assert run(["convergence", "--config", str(cfg)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: config: main of variable 2 must be finite, got inf\n"
+    assert capsys.readouterr() == (
+        "", "error: config: main of variable 2 must be finite, got inf\n")
 
 
 def test_exact_rejects_non_analytic_models(tmp_path):
     assert run(["exact", "--model", "plate-buckling"]) == 2
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": ["true"], "dim": 2}})
+    cfg = config(tmp_path, {"model": {"command": ["true"], "dim": 2}})
     assert run(["exact", "--config", str(cfg)]) == 2
     assert run(["exact", "--model", "constant"]) == 2
 
@@ -755,9 +732,8 @@ def test_exact_csv_format(tmp_path):
 
 def test_convergence_csv_output(tmp_path):
     out = tmp_path / "study.csv"
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "ishigami"}, "ns": [64, 128],
-                     "trials": 3, "seed": 1, "output": str(out)})
+    cfg = config(tmp_path, {"model": {"name": "ishigami"}, "ns": [64, 128],
+                            "trials": 3, "seed": 1, "output": str(out)})
     assert run(["convergence", "--config", str(cfg)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "model,estimator,N,trial,sse"
@@ -767,9 +743,8 @@ def test_convergence_csv_output(tmp_path):
 
 def test_convergence_constant_model_na_slope(tmp_path):
     out = tmp_path / "study.csv"
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "constant", "value": 3.0, "dim": 2},
-                     "ns": [16, 32], "trials": 3, "seed": 0, "output": str(out)})
+    cfg = config(tmp_path, {"model": {"name": "constant", "value": 3.0, "dim": 2},
+                            "ns": [16, 32], "trials": 3, "seed": 0, "output": str(out)})
     assert run(["convergence", "--config", str(cfg)]) == 0
     lines = out.read_text().strip().splitlines()
     body = [l for l in lines if l.startswith("constant,")]
@@ -797,10 +772,9 @@ def test_convergence_scores_a_builtin_against_its_closed_form_only_on_its_own_in
     distributions, exact = {"unit-interval": (UNIT_INTERVAL * 3, None),
                             "default": (BUILTINS["ishigami"].inputs(3), ishigami_exact())}[inputs]
     out = tmp_path / "study.json"
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"name": "ishigami"}, "distributions": distributions,
-                     "ns": [64, 128], "trials": 3, "seed": 1, "format": "json",
-                     "output": str(out)})
+    cfg = config(tmp_path, {"model": {"name": "ishigami"}, "distributions": distributions,
+                            "ns": [64, 128], "trials": 3, "seed": 1, "format": "json",
+                            "output": str(out)})
     assert run(["convergence", "--config", str(cfg)]) == 0
     study = convergence_study(ishigami(), InputSpace.from_specs(distributions), "shapley",
                               [64, 128], 3, 1, exact=exact)
@@ -897,23 +871,13 @@ def declared_console_script():
     return read_pyproject()["project"]["scripts"]["shapeff"]
 
 
-def env_importing_this_shapeff():
-    """os.environ with PYTHONPATH led by the directory of the imported ``shapeff``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(shapeff.__file__).parents[1]), env.get("PYTHONPATH")]))
-    return env
-
-
 def run_console_wrapper(entry_point, args):
     """Run the wrapper an installer generates for ``entry_point`` in a new
     interpreter, importing the same ``shapeff`` package as this test run."""
     wrapper = (f"import sys\n"
                f"from {entry_point.module} import {entry_point.attr}\n"
                f"sys.exit({entry_point.attr}())\n")
-    return subprocess.run([sys.executable, "-c", wrapper, *args],
-                          env=env_importing_this_shapeff(),
-                          capture_output=True, text=True, timeout=120)
+    return run_python("-c", wrapper, *args)
 
 
 def shapeff_distribution_installed():
@@ -981,9 +945,7 @@ SCIPY_PROBE = ("import contextlib, gc, io, json, sys\n"
 
 
 def run_in_new_interpreter(argvs):
-    result = subprocess.run([sys.executable, "-c", SCIPY_PROBE, json.dumps(argvs)],
-                            env=env_importing_this_shapeff(),
-                            capture_output=True, text=True, timeout=120)
+    result = run_python("-c", SCIPY_PROBE, json.dumps(argvs))
     assert result.returncode == 0, result.stderr
     probe = json.loads(result.stdout)
     assert probe["codes"] == [0] * len(argvs), result.stderr
@@ -1011,8 +973,8 @@ def test_normal_inputs_never_import_scipy_and_match_across_workers(tmp_path):
     # loads scipy, on the calling thread or on a helper. Two chunks run at
     # once on two workers, which load no thread pool, and the reports equal
     # the serial ones bitwise.
-    cfg = tmp_path / "mixed.json"
-    write_json(cfg, {"model": {"name": "ishigami"}, "distributions": MIXED_INPUTS})
+    cfg = config(tmp_path, {"model": {"name": "ishigami"}, "distributions": MIXED_INPUTS},
+                 "mixed.json")
     plate = ["--model", "plate-buckling", "--seed", "5"]
     argvs = [["analyze", *plate, "--n", "9000"],
              ["convergence", *plate, "--ns", "4100,8200", "--trials", "2", "--format", "json"],
@@ -1031,8 +993,7 @@ def test_building_normal_inputs_does_not_import_scipy():
     code = ("import sys, shapeff\n"
             "shapeff.plate_buckling_space()\n"
             "print('scipy' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env_importing_this_shapeff(),
-                            capture_output=True, text=True, timeout=120)
+    result = run_python("-c", code)
     assert result.stdout == "False\n", result.stderr
 
 
@@ -1048,8 +1009,7 @@ def test_estimators_never_import_scipy_and_quantile_does_on_first_use():
             "        estimate(f, space, cfg)\n"
             "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
             "print(shapeff.Normal(0.0, 1.0).quantile(0.975), 'scipy' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env_importing_this_shapeff(),
-                            capture_output=True, text=True, timeout=120)
+    result = run_python("-c", code)
     assert result.stdout.split() == ["False", "1.959963984540054", "True"], result.stderr
 
 
@@ -1087,9 +1047,8 @@ def test_worker_threads_and_external_models_load_their_modules(tmp_path):
     threaded = run_in_new_interpreter(
         [["analyze", "--model", "ishigami", "--n", "4097", "--workers", "2"]])
     assert loaded(threaded, ON_DEMAND) == []
-    cfg = tmp_path / "cfg.json"
-    write_json(cfg, {"model": {"command": [sys.executable, "-c", ECHO_FIRST], "dim": 1},
-                     "distributions": UNIT_INTERVAL, "n": 16})
+    cfg = config(tmp_path, {"model": {"command": [sys.executable, "-c", ECHO_FIRST], "dim": 1},
+                            "distributions": UNIT_INTERVAL, "n": 16})
     external = run_in_new_interpreter([["analyze", "--config", str(cfg)]])
     assert loaded(external, ON_DEMAND) == ["subprocess"]
 
@@ -1101,7 +1060,6 @@ def test_main_run_as_the_program_freezes_the_import_time_objects():
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = shapeff.cli.main()\n"
              "print(code, gc.get_freeze_count() > 0)\n")
-    result = subprocess.run([sys.executable, "-c", probe], env=env_importing_this_shapeff(),
-                            capture_output=True, text=True, timeout=120)
+    result = run_python("-c", probe)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["0", "True"]

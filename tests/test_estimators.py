@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import subprocess
 import sys
 import threading
 import time
@@ -11,29 +10,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from shapeff import (EstimatorConfig, EvaluationError, ExternalModel, InputSpace,
-                     ModelFunction, ParameterError, RngStream, Uniform,
-                     anova_oracle, constant_model, estimate_main_effects,
-                     estimate_shapley_all, estimate_shapley_winding,
-                     estimate_total_effects, ishigami, ishigami_exact,
-                     ishigami_space, plate_buckling, plate_buckling_space,
-                     sobol_g, sobol_g_space)
+from shapeff import (EstimatorConfig, EvaluationError, ExternalModel, InputSpace, ModelFunction,
+                     ParameterError, RngStream, Uniform, anova_oracle, estimate_main_effects,
+                     estimate_shapley_all, estimate_shapley_winding, estimate_total_effects,
+                     ishigami, ishigami_space, plate_buckling, sobol_g, sobol_g_space)
 from shapeff.analysis import run_estimator
 from shapeff.estimators import ESTIMATOR_KINDS
 from shapeff.inputs import permutation_rows
-from test_models import KIND_TABLE, run_kind, run_with_timeout
-
-
-def coordinate_model(dim: int, index: int = 0) -> ModelFunction:
-    return ModelFunction(dim, lambda x: x[:, index], name=f"x{index + 1}", vectorized=True)
+from support import (KIND_TABLE, chunk_of_first_draws, coordinate_model, cost_contract_problems,
+                     cost_problems, run_kind, run_python, run_with_timeout,
+                     telescoping_contract_problems, telescoping_problems, unit_square,
+                     worker_contract_problems, worker_problems, zero_problems)
 
 
 def additive_model() -> ModelFunction:
     return ModelFunction(2, lambda x: x[:, 0] + x[:, 1], name="sum", vectorized=True)
-
-
-def unit_square(d: int) -> InputSpace:
-    return InputSpace([Uniform(0, 1)] * d)
 
 
 def test_config_validation():
@@ -88,27 +79,16 @@ def test_dimension_mismatch_rejected(estimate):
     assert f.eval_count == 0
 
 
-def check_cost_contract(*kinds):
-    cases = [(coordinate_model(1), unit_square(1)),
-             (ishigami(), ishigami_space()),
-             (sobol_g([float(j) for j in range(10)]), sobol_g_space(10))]
-    for (f, space), kind, n in itertools.product(cases, kinds, (2, 100)):
-        f.reset_count()
-        report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=1))
-        cost = KIND_TABLE[kind].cost(space.d, n)
-        assert report.eval_count == f.eval_count == cost, (kind, space.d, n)
-
-
 def test_cost_contract_shapley():
-    check_cost_contract("shapley")
+    assert cost_contract_problems(["shapley"]) == []
 
 
 def test_cost_contract_winding():
-    check_cost_contract("winding")
+    assert cost_contract_problems(["winding"]) == []
 
 
 def test_cost_contract_effects():
-    check_cost_contract("main", "total")
+    assert cost_contract_problems(["main", "total"]) == []
 
 
 def test_cost_contracts_cover_every_kind():
@@ -132,30 +112,16 @@ def test_concurrent_runs_on_one_model_each_count_their_own_evaluations(kind):
         runs = [pool.submit(run_kind, kind, f, unit_square(3),
                             EstimatorConfig(n=n, seed=seed, workers=2)) for seed in (1, 2)]
         reports = [run.result() for run in runs]
-    cost = KIND_TABLE[kind].cost(3, n)
-    assert [rep.eval_count for rep in reports] == [cost] * 2
-    assert f.eval_count == 2 * cost
+    assert cost_problems(reports[0]) + cost_problems(reports[1]) == []
+    assert f.eval_count == 2 * reports[0].eval_count
 
 
 def test_telescoping_identity_all_builtins():
-    models = [(ishigami(), ishigami_space()),
-              (sobol_g([0.0, 1.0, 2.0]), sobol_g_space(3)),
-              (plate_buckling(), plate_buckling_space()),
-              (constant_model(2.0, 3), unit_square(3))]
-    for f, space in models:
-        report = estimate_shapley_all(f, space, EstimatorConfig(n=2 ** 10, seed=5))
-        if report.sigma2_from_pairs == 0.0:
-            assert report.sigma2_estimate == 0.0
-        else:
-            rel = abs(report.sigma2_estimate - report.sigma2_from_pairs)
-            assert rel <= 1e-10 * abs(report.sigma2_from_pairs)
+    assert telescoping_contract_problems(["shapley"]) == []
 
 
 def test_telescoping_identity_winding():
-    report = estimate_shapley_winding(ishigami(), ishigami_space(),
-                                      EstimatorConfig(n=2 ** 10, seed=5))
-    rel = abs(report.sigma2_estimate - report.sigma2_from_pairs)
-    assert rel <= 1e-10 * abs(report.sigma2_from_pairs)
+    assert telescoping_contract_problems(["winding"]) == []
 
 
 def test_sigma2_estimate_is_sum_of_estimates():
@@ -165,32 +131,11 @@ def test_sigma2_estimate_is_sum_of_estimates():
 
 
 def test_constant_model_gives_exact_zeros():
-    f = constant_model(7.5, 4)
-    report = estimate_shapley_all(f, unit_square(4), EstimatorConfig(n=64, seed=0))
-    assert report.estimates == (0.0,) * 4
-    assert report.variance_of_estimator == (0.0,) * 4
-    assert report.sigma2_estimate == 0.0
-    assert report.sigma2_from_pairs == 0.0
-    winding = estimate_shapley_winding(f, unit_square(4), EstimatorConfig(n=64, seed=0))
-    assert winding.estimates == (0.0,) * 4
-    main = estimate_main_effects(f, unit_square(4), EstimatorConfig(n=64, seed=0))
-    assert main.values == (0.0,) * 4
-    total = estimate_total_effects(f, unit_square(4), EstimatorConfig(n=64, seed=0))
-    assert total.values == (0.0,) * 4
+    assert zero_problems(KIND_TABLE, ["constant"]) == []
 
 
 def test_absent_coordinate_gets_exactly_zero():
-    f = coordinate_model(2, index=0)
-    space = unit_square(2)
-    cfg = EstimatorConfig(n=256, seed=3)
-    report = estimate_shapley_all(f, space, cfg)
-    assert report.estimates[1] == 0.0
-    assert report.variance_of_estimator[1] == 0.0
-    total = estimate_total_effects(f, space, cfg)
-    assert total.values[1] == 0.0
-    assert total.variance_of_estimator[1] == 0.0
-    main = estimate_main_effects(f, space, cfg)
-    assert main.values[1] == 0.0
+    assert zero_problems(KIND_TABLE, ["x1-of-2", "x2-of-3"]) == []
 
 
 def test_model_returning_a_view_of_its_input_gets_its_own_values():
@@ -200,7 +145,7 @@ def test_model_returning_a_view_of_its_input_gets_its_own_values():
                                   EstimatorConfig(n=10_000, seed=4))
     se = math.sqrt(report.variance_of_estimator[0])
     assert abs(report.estimates[0] - 1.0 / 12.0) <= 4.0 * se
-    assert report.sigma2_estimate == pytest.approx(report.sigma2_from_pairs, rel=1e-12)
+    assert telescoping_problems(report, rel=1e-12) == []
 
 
 @pytest.mark.parametrize("kind", list(KIND_TABLE))
@@ -324,14 +269,7 @@ def test_negative_estimates_are_reported_unclamped():
 
 
 def test_determinism_across_worker_counts():
-    # repr compares every float of a report bitwise.
-    f, space = ishigami(), ishigami_space()
-    for kind in KIND_TABLE:
-        for n in (3 * 4096 + 5, 3 * 4096 + 17):
-            base = repr(run_kind(kind, f, space, EstimatorConfig(n=n, seed=9, workers=1)))
-            for workers in (2, 3, 4, 5):
-                other = run_kind(kind, f, space, EstimatorConfig(n=n, seed=9, workers=workers))
-                assert repr(other) == base, (kind, n, workers)
+    assert worker_contract_problems(KIND_TABLE) == []
 
 
 def test_same_seed_reproduces_bitwise():
@@ -395,12 +333,7 @@ def test_winding_has_no_variance_estimate():
 
 
 def test_winding_ignores_worker_count():
-    f = ishigami()
-    space = ishigami_space()
-    for n in (300, 2 * 4096 + 5):
-        a = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=7, workers=1))
-        b = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=7, workers=4))
-        assert a.estimates == b.estimates
+    assert worker_contract_problems(["winding"], (300, 2 * 4096 + 5), seed=7, workers=(1, 4)) == []
 
 
 def test_winding_chunk_carry_is_seamless():
@@ -410,9 +343,7 @@ def test_winding_chunk_carry_is_seamless():
     for n in (4096, 2 * 4096 + 5):
         f.reset_count()
         report = estimate_shapley_winding(f, space, EstimatorConfig(n=n, seed=11))
-        assert report.eval_count == 3 * n + 1
-        rel = abs(report.sigma2_estimate - report.sigma2_from_pairs)
-        assert rel <= 1e-10 * abs(report.sigma2_from_pairs)
+        assert cost_problems(report, f) + telescoping_problems(report) == []
 
 
 def test_winding_draws_chunk_k_from_stream_k(monkeypatch):
@@ -636,6 +567,33 @@ def test_the_calling_thread_runs_chunks_with_at_most_workers_threads():
     assert threading.get_ident() in threads and len(threads) <= 2
 
 
+def test_a_thread_runs_ahead_of_a_slow_chunk_by_the_window():
+    # Chunk 0's first batch is held until chunk 3 has started, and 0.2 s
+    # more. The other thread runs chunks 1, 2 and 3 meanwhile, but not chunk
+    # 4: with 2 * workers chunks taken and not merged, it waits for chunk 0.
+    space = unit_square(1)
+    chunk_of = chunk_of_first_draws(space, 4, 8)
+    started, seen, third = [], [], threading.Event()
+
+    def func(x):
+        k = chunk_of.get(x[0, 0])
+        if k is not None:
+            started.append(k)
+        if k == 3:
+            third.set()
+        if k == 0:
+            third.wait(10)
+            time.sleep(0.2)
+            seen.append(sorted(started))
+        return x[:, 0] * 1.0
+
+    report = run_with_timeout(lambda: estimate_shapley_all(
+        ModelFunction(1, func, vectorized=True), space,
+        EstimatorConfig(n=8 * 4096, seed=4, workers=2)))
+    assert seen == [[0, 1, 2, 3]]
+    assert sorted(started) == list(range(8)) and cost_problems(report) == []
+
+
 @pytest.fixture
 def helper_threads(monkeypatch):
     """The threads started while a test runs, each marked once joined."""
@@ -693,12 +651,12 @@ def test_no_chunk_is_taken_after_a_failure():
     # Chunk 0 fails on its first batch, at once; every other batch takes
     # 20 ms. Only the chunk the other thread took meanwhile still runs.
     space = unit_square(1)
-    first = space.sample(4096, RngStream(3, stream=0).generator())[0, 0]
+    chunk_of = chunk_of_first_draws(space, 3, 1)
     calls = []
 
     def func(x):
         calls.append(x[0, 0])
-        if x[0, 0] == first:
+        if chunk_of.get(x[0, 0]) == 0:
             raise RuntimeError("model failed")
         time.sleep(0.02)
         return x[:, 0] * 1.0
@@ -727,17 +685,17 @@ def test_many_workers_switching_threads_often_match_one_worker():
     finally:
         sys.setswitchinterval(interval)
     assert not runner.is_alive()
-    assert repr(out[0]) == repr(base) and base.eval_count == 3 * n
+    assert worker_problems({1: base, 8: out[0]}) + cost_problems(base) == []
 
 
 def test_the_first_failing_chunk_in_chunk_order_is_raised():
     # Every chunk fails, chunk 0 last: the batch that starts with chunk 0's
     # first draw sleeps first. The error raised is still chunk 0's.
     space = unit_square(1)
-    first = space.sample(4096, RngStream(2, stream=0).generator())[0, 0]
+    chunk_of = chunk_of_first_draws(space, 2, 1)
 
     def func(x):
-        if x[0, 0] == first:
+        if chunk_of.get(x[0, 0]) == 0:
             time.sleep(0.05)
         return np.full(len(x), np.nan)
 
@@ -751,12 +709,11 @@ def test_a_failure_stops_new_chunks_before_it_is_next_to_merge():
     # only once chunk 1's failure was next to merge, the one that ran chunk
     # 1 would have gone on to chunks 2 and 3 meanwhile.
     space = unit_square(1)
-    firsts = {space.sample(4096, RngStream(3, stream=k).generator())[0, 0]: k
-              for k in range(16)}
+    chunk_of = chunk_of_first_draws(space, 3, 16)
     started = []
 
     def func(x):
-        k = firsts.get(x[0, 0])
+        k = chunk_of.get(x[0, 0])
         if k is not None:
             started.append(k)
         if k == 0:
@@ -830,11 +787,7 @@ def fail_chunk_0_while_chunk_1_waits(monkeypatch, evaluate, fail, d=2, seed=5):
     calling thread has begun to join its helper.
     """
     space = unit_square(d)
-    chunk_of = {}
-    for k in (0, 1):
-        gen = RngStream(seed, stream=k).generator()
-        for _ in range(2):  # x, then y
-            chunk_of[space.sample(4096, gen)[0, 0]] = k
+    chunk_of = chunk_of_first_draws(space, seed, 2, draws=2)
     sent, thread_of, caller = {0: 0, 1: 0}, {}, []
     in_flight, failing, joining = threading.Event(), threading.Event(), threading.Event()
     join = threading.Thread.join
@@ -935,13 +888,9 @@ def test_winding_reuses_its_chunk_memory_like_shapley():
     # thread's workspace on the heap, glibc would give their pages back and
     # fault them in again on every chunk (about 150 faults per chunk here).
     pytest.importorskip("resource")
-    from test_cli import env_importing_this_shapeff
-
     faults = {}
     for name in ("estimate_shapley_all", "estimate_shapley_winding"):
-        result = subprocess.run([sys.executable, "-c", FAULT_PROBE, name],
-                                env=env_importing_this_shapeff(),
-                                capture_output=True, text=True, timeout=120)
+        result = run_python("-c", FAULT_PROBE, name)
         assert result.returncode == 0, result.stderr
         faults[name] = int(result.stdout)
     assert faults["estimate_shapley_winding"] <= 2 * faults["estimate_shapley_all"], faults

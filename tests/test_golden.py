@@ -52,7 +52,7 @@ from shapeff import (EstimatorConfig, ExternalModel, RngStream, convergence_csv_
                      convergence_study, ishigami_exact, ishigami_space,
                      plate_buckling, plate_buckling_space, sobol_g, sobol_g_space)
 from shapeff.cli import main
-from test_models import GOLDEN_N, ISHIGAMI_CHILD, KIND_TABLE, report_bits, run_kind
+from support import GOLDEN_N, ISHIGAMI_CHILD, KIND_TABLE, report_bits, run_kind
 
 HERE = Path(__file__).parent
 

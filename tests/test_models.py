@@ -1,6 +1,5 @@
 """Tests for the model wrapper, builtin test functions, and external models."""
 
-import dataclasses
 import gc
 import math
 import os
@@ -10,7 +9,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -21,17 +19,9 @@ from shapeff import (EstimatorConfig, EvaluationError, ExternalModel,
                      plate_buckling, plate_buckling_space, sobol_g,
                      sobol_g_exact, sobol_g_space)
 from shapeff import models
-from shapeff.analysis import ESTIMATOR_KINDS, run_estimator
-
-ECHO_FIRST = ("import sys\n"
-              "for line in sys.stdin:\n"
-              "    print(line.split()[0], flush=True)\n")
-
-ISHIGAMI_CHILD = ("import sys, math\n"
-                  "for line in sys.stdin:\n"
-                  "    x = [float(v) for v in line.split()]\n"
-                  "    y = (1 + 0.1 * x[2]**4) * math.sin(x[0]) + 7 * math.sin(x[1])**2\n"
-                  "    print(repr(y), flush=True)\n")
+from shapeff.analysis import ESTIMATOR_KINDS
+from support import (ECHO_FIRST, FLOOD, GOLDEN_N, ISHIGAMI_CHILD, KIND_TABLE, ONE_LATE,
+                     cost_problems, report_bits, run_kind, run_with_timeout)
 
 # Fails on line 2 with 'nope'; answers '1.0' otherwise.
 MALFORMED_AT_2 = ("import sys\n"
@@ -207,8 +197,13 @@ def test_model_purity_and_shape_checks():
     (["python3", None], r"must be str, bytes or os.PathLike, got None"),
     *((command, "^external model command must be a list of arguments, not "
        + re.escape(repr(command)) + "$") for command in (True, None, 5, 3.5, {"a": 1})),
+    *((["python3", arg], f"arguments must not hold a {problem}, got " + re.escape(repr(arg)))
+      for arg, problem in [("a\0", "null character"), (b"a\0", "null character"),
+                           (Path("a\0"), "null character"), ("a\ud800", "lone surrogate"),
+                           (Path("a\ud800"), "lone surrogate")]),
 ], ids=["str", "bytes", "empty", "int", "none", "true", "none-command", "int-command",
-        "float-command", "dict-command"])
+        "float-command", "dict-command", "null-str", "null-bytes", "null-path",
+        "surrogate-str", "surrogate-path"])
 def test_external_model_command_must_be_a_non_empty_list(command, match):
     with pytest.raises(ParameterError, match=match):
         ExternalModel(command, 1)
@@ -289,16 +284,6 @@ def test_external_model_process_exit_is_reported():
     with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
         with pytest.raises(EvaluationError):
             ext.evaluate([0.5])
-
-
-def run_with_timeout(call, seconds=60):
-    """Run ``call`` in a daemon thread; fail if it has not returned in time."""
-    outcome = []
-    caller = threading.Thread(target=lambda: outcome.append(call()), daemon=True)
-    caller.start()
-    caller.join(timeout=seconds)
-    assert not caller.is_alive(), f"still running after {seconds} s"
-    return outcome[0]
 
 
 def test_external_model_request_text_is_the_line_protocol(tmp_path):
@@ -401,15 +386,6 @@ TWICE = ("import sys\n"
          "    print(line.split()[0])\n"
          "    print(line.split()[0], flush=True)\n")
 
-# Answers 0.0 first and then each request one line late, so it never has
-# more replies out than requests read; the last comes once its input ends.
-ONE_LATE = ("import sys\n"
-            "last = '0.0'\n"
-            "for line in sys.stdin:\n"
-            "    print(last, flush=True)\n"
-            "    last = line.split()[0]\n"
-            "print(last, flush=True)\n")
-
 SURPLUS = "external model sent more replies than requests"
 
 
@@ -462,14 +438,6 @@ def test_a_batch_from_a_child_that_answers_twice_fails_at_once():
         return str(err.value)
 
     assert run_with_timeout(call, seconds=30) == SURPLUS
-
-
-# Answers every request with 1000 replies, which overfill the reply pipe
-# many times over; it stops reading its input while it waits to write them.
-FLOOD = ("import sys\n"
-         "for line in sys.stdin:\n"
-         "    sys.stdout.write('1.0\\n' * 1000)\n"
-         "    sys.stdout.flush()\n")
 
 
 def test_a_child_that_floods_its_replies_fails_the_batch():
@@ -652,40 +620,6 @@ def test_external_model_serves_concurrent_batches_in_order():
     assert results == {k: True for k in range(8)}
 
 
-def report_bits(report):
-    """Every field of a report, floats as their exact hex form."""
-    def bits(value):
-        if isinstance(value, float):
-            return value.hex()
-        if isinstance(value, tuple):
-            return tuple(bits(v) for v in value)
-        return value
-    return {k: bits(v) for k, v in dataclasses.asdict(report).items()}
-
-
-GOLDEN_N = 4100   # one full 4096-sample chunk and a short tail chunk
-
-
-class Kind(NamedTuple):
-    estimator: str                   # its name in ESTIMATOR_KINDS
-    cost: Callable[[int, int], int]  # its model evaluations at (d, N)
-
-
-# Every estimator kind once, keyed by its name in the goldens.
-KIND_TABLE = {
-    "shapley": Kind("shapley", lambda d, n: (d + 1) * n),
-    "main": Kind("main", lambda d, n: (d + 2) * n),
-    "total": Kind("total", lambda d, n: (d + 1) * n),
-    "winding": Kind("shapley-winding", lambda d, n: d * n + 1),
-}
-
-
-def run_kind(kind, f, space, cfg):
-    """The report of `kind`, a KIND_TABLE key, through the dispatch that the
-    CLI and convergence_study use."""
-    return run_estimator(KIND_TABLE[kind].estimator, f, space, cfg)
-
-
 def test_the_kind_table_names_each_estimator_kind_once():
     assert sorted(kind.estimator for kind in KIND_TABLE.values()) == sorted(ESTIMATOR_KINDS)
 
@@ -700,7 +634,7 @@ def test_external_batches_match_the_per_point_view(kind, workers):
         batched = run_kind(kind, ext.as_model(), space, cfg)
         per_point = run_kind(kind, ModelFunction(ext.dim, ext.evaluate), space, cfg)
     assert report_bits(batched) == report_bits(per_point)
-    assert batched.eval_count == KIND_TABLE[kind].cost(3, GOLDEN_N)
+    assert cost_problems(batched) == []
 
 
 def test_constant_model_value():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from shapeff import EstimatorConfig, InputSpace, ModelFunction, Uniform
 from shapeff.cli import main
 from shapeff.estimators import _chunk_moments, _Moments
-from test_models import KIND_TABLE, report_bits, run_kind
+from support import KIND_TABLE, cost_problems, run_kind, telescoping_problems, worker_problems
 
 
 @settings(max_examples=40, deadline=None)
@@ -26,7 +26,7 @@ def test_eval_count_meets_the_cost_contract(kind, d, n, workers, seed):
     f = ModelFunction(d, lambda X: X.sum(axis=1), vectorized=True)
     space = InputSpace([Uniform(0.0, 1.0)] * d)
     report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
-    assert report.eval_count == f.eval_count == KIND_TABLE[kind].cost(d, n)
+    assert cost_problems(report, f) == []
 
 
 @st.composite
@@ -57,8 +57,8 @@ def test_each_walk_credits_every_variable_once(model, kind, n, workers, seed):
     f, bound = model
     space = InputSpace([Uniform(-1.0, 1.0)] * f.dim)
     report = run_kind(kind, f, space, EstimatorConfig(n=n, seed=seed, workers=workers))
-    tol = 1e-12 * bound ** 2 + 4 * np.finfo(float).smallest_subnormal
-    assert abs(report.sigma2_estimate - report.sigma2_from_pairs) <= tol
+    atol = 1e-12 * bound ** 2 + 4 * np.finfo(float).smallest_subnormal
+    assert telescoping_problems(report, rel=0.0, atol=atol) == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -76,12 +76,9 @@ def test_reports_are_bitwise_equal_at_any_worker_count(kind, d, n, seed):
     # earlier, longer chunk would make the reports differ.
     w = np.arange(1.0, d + 1)
     space = InputSpace([Uniform(-1.0, 1.0)] * d)
-    reports = []
-    for workers in (1, 2, 3):
-        f = ModelFunction(d, lambda X: np.sin(X @ w) + X[:, 0] * X[:, -1], vectorized=True)
-        reports.append(report_bits(run_kind(kind, f, space,
-                                            EstimatorConfig(n=n, seed=seed, workers=workers))))
-    assert reports[0] == reports[1] == reports[2]
+    f = ModelFunction(d, lambda X: np.sin(X @ w) + X[:, 0] * X[:, -1], vectorized=True)
+    assert worker_problems({workers: run_kind(kind, f, space, EstimatorConfig(
+        n=n, seed=seed, workers=workers)) for workers in (1, 2, 3)}) == []
 
 
 @settings(max_examples=60, deadline=None)
