@@ -7,7 +7,7 @@ estimators, closed-form references for the analytic benchmarks, a brute-force
 ANOVA oracle, and convergence-study tooling.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .analysis import (ConvergenceStudy, convergence_csv_lines,
                        convergence_study, sse_exact, sse_samplemean,

@@ -105,7 +105,7 @@ class Report:
     @property
     def values(self) -> tuple[float, ...]:
         """Alias of estimates, kept only because perfbench's checks.py and
-        workloads.py read it; ROADMAP item 7 deletes it."""
+        workloads.py read it (a test pins it); ROADMAP item 7 deletes it."""
         return self.estimates
 
 

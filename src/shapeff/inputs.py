@@ -11,9 +11,7 @@ Each marginal is a map of one standard variate: a uniform on [0, 1) for
 :class:`LogNormal`. :meth:`InputSpace.sample` draws the columns in turn, each
 as numpy's uniforms (``Generator.random``) or ziggurat normals
 (``Generator.standard_normal``), and maps each in place, so no run needs an
-inverse normal CDF. :meth:`MarginalDistribution.quantile` maps a uniform on
-(0, 1) through the same map, by way of ``scipy.special.ndtri`` for the
-normal family.
+inverse normal CDF.
 
 A marginal can also be given as a distribution spec, the JSON object that
 configs use: ``{"kind": "uniform", "lo": ..., "hi": ...}``, ``{"kind":
@@ -63,18 +61,6 @@ class MarginalDistribution:
                                require_finite(field.name, getattr(self, field.name)))
         self._check_parameters()
         self._check_draws()
-
-    def quantile(self, u):
-        """The marginal's quantile of u, each value strictly in (0, 1); a
-        normal-family marginal imports scipy.special here, on first use."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u > 0.0) & (u < 1.0)):
-            raise ParameterError("quantile argument must lie strictly in (0, 1)")
-        if self._normal:
-            from scipy.special import ndtri
-
-            u = ndtri(u)
-        return self._map(u)
 
     def _check_draws(self) -> None:
         """ParameterError unless the map is finite at both ends of the

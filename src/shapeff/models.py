@@ -498,7 +498,8 @@ class ExternalModel(ModelFunction):
                 child.kill()
                 raise
 
-    evaluate = ModelFunction.__call__  # for perfbench's tracer only; ROADMAP item 7 deletes it
+    # perfbench/spans.py wraps evaluate, and a test pins it; ROADMAP item 7 deletes it.
+    evaluate = ModelFunction.__call__
 
     def close(self) -> None:
         with self._serving:
@@ -507,7 +508,8 @@ class ExternalModel(ModelFunction):
                 child.close()
 
     def as_model(self) -> "ExternalModel":
-        return self  # only perfbench/workloads.py calls it; ROADMAP item 7 deletes it
+        # perfbench/workloads.py calls it, and a test pins it; ROADMAP item 7 deletes it.
+        return self
 
     def __enter__(self) -> "ExternalModel":
         self._ensure_started()

@@ -143,6 +143,7 @@ def test_study_runs_all_estimator_kinds():
 def test_run_estimator_reports_its_kind(kind):
     rep = run_estimator(kind, ishigami(), ishigami_space(), EstimatorConfig(n=64, seed=3))
     assert rep.kind == kind
+    # perfbench's checks.py and workloads.py read values; ROADMAP item 7 deletes it.
     assert rep.values == rep.estimates
     bounds = (rep.variance_of_estimator, rep.ci_low, rep.ci_high)
     if kind == "shapley-winding":

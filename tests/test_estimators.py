@@ -929,7 +929,7 @@ def test_flat_view_of_a_row_major_matrix_raises():
 def test_total_effects_are_nonnegative():
     report = estimate_total_effects(sobol_g([0.0, 1.0, 2.0]), sobol_g_space(3),
                                     EstimatorConfig(n=512, seed=13))
-    assert all(v >= 0 for v in report.values)
+    assert all(v >= 0 for v in report.estimates)
     assert report.kind == "total"
 
 

@@ -85,13 +85,13 @@ def external_ishigami() -> ExternalModel:
 def external_report(kind: str, workers: int = 1) -> dict:
     cfg = EstimatorConfig(n=GOLDEN_N, seed=EXTERNAL_SEED, workers=workers)
     with external_ishigami() as ext:
-        report = run_kind(kind, ext.as_model(), ishigami_space(), cfg)
+        report = run_kind(kind, ext, ishigami_space(), cfg)
     return json.loads(json.dumps(report_bits(report)))
 
 
 def external_convergence() -> list:
     with external_ishigami() as ext:
-        study = convergence_study(ext.as_model(), ishigami_space(), "shapley", [64, 128],
+        study = convergence_study(ext, ishigami_space(), "shapley", [64, 128],
                                   3, EXTERNAL_SEED, exact=ishigami_exact())
     return convergence_csv_lines(study)
 

@@ -224,14 +224,16 @@ def test_nonvectorized_wrapper_batches_by_looping():
 
 def test_external_model_echoes_first_coordinate():
     with ExternalModel([sys.executable, "-c", ECHO_FIRST], dim=2) as ext:
-        assert ext.evaluate([0.3, 0.9]) == pytest.approx(0.3, abs=1e-15)
-        assert ext.evaluate([0.7, 0.1]) == pytest.approx(0.7, abs=1e-15)
+        assert ext([0.3, 0.9]) == pytest.approx(0.3, abs=1e-15)
+        assert ext([0.7, 0.1]) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_external_model_constant_process():
     code = "import sys\nfor _ in sys.stdin:\n    print(2.5, flush=True)\n"
     f = ExternalModel([sys.executable, "-c", code], dim=3)
     assert isinstance(f, ModelFunction)
+    # perfbench/workloads.py calls as_model, and perfbench/spans.py wraps
+    # evaluate; ROADMAP item 7 deletes both.
     assert f.as_model() is f
     assert f([1.0, 2.0, 3.0]) == 2.5
     assert f.evaluate([1.0, 2.0, 3.0]) == 2.5
@@ -262,9 +264,9 @@ def test_external_model_matches_builtin_ishigami():
 
 def test_external_model_malformed_reply_carries_line_number():
     with ExternalModel([sys.executable, "-c", MALFORMED_AT_2], dim=1) as ext:
-        ext.evaluate([0.5])
+        ext([0.5])
         with pytest.raises(EvaluationError) as err:
-            ext.evaluate([0.5])
+            ext([0.5])
     assert "line 2" in str(err.value)
 
 
@@ -276,14 +278,14 @@ def test_external_model_non_text_reply_is_malformed():
             "sys.stdin.readline()\n")
     with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
         with pytest.raises(EvaluationError, match="malformed reply at line 1"):
-            ext.evaluate([0.5])
+            ext([0.5])
 
 
 def test_external_model_process_exit_is_reported():
     code = "import sys\nsys.stdin.readline()\nsys.exit(4)\n"
     with ExternalModel([sys.executable, "-c", code], dim=1) as ext:
         with pytest.raises(EvaluationError):
-            ext.evaluate([0.5])
+            ext([0.5])
 
 
 def test_external_model_request_text_is_the_line_protocol(tmp_path):
@@ -302,7 +304,7 @@ def test_external_model_request_text_is_the_line_protocol(tmp_path):
         points = np.vstack([special, RngStream(9).generator().normal(size=(1000, dim))])
         with ExternalModel([sys.executable, "-c", code], dim=dim) as ext:
             assert ext.evaluate_batch(points).tolist() == [0.0] * len(points)
-            ext.evaluate(points[0])
+            ext(points[0])
         expected = ["".join(" ".join(format(v, ".17g") for v in row) + "\n"
                             for row in points)]
         expected.append(" ".join(format(v, ".17g") for v in points[0]) + "\n")
@@ -318,7 +320,7 @@ def test_external_model_failed_batch_leaves_nothing_behind():
             ext.evaluate_batch(np.full((20000, 8), 0.5))
         assert old.proc.returncode is not None
         assert old.proc.stdin.closed and old.proc.stdout.closed and old.proc.stderr.closed
-        assert ext.evaluate(np.zeros(8)) == 1.0
+        assert ext(np.zeros(8)) == 1.0
         assert ext._child is not old
 
 
@@ -335,7 +337,7 @@ def test_external_model_failed_batch_through_a_wrapper_does_not_hang(tmp_path):
             with pytest.raises(EvaluationError, match="line 2: 'nope'"):
                 ext.evaluate_batch(np.full((20000, 8), 0.5))
             assert old.proc.returncode is not None
-            return ext.evaluate(np.zeros(8))
+            return ext(np.zeros(8))
 
     assert run_with_timeout(call) == 1.0
 
@@ -631,8 +633,8 @@ def test_external_batches_match_the_per_point_view(kind, workers):
     cfg = EstimatorConfig(n=GOLDEN_N, seed=20, workers=workers)
     space = ishigami_space()
     with ExternalModel([sys.executable, "-c", ISHIGAMI_CHILD], dim=3) as ext:
-        batched = run_kind(kind, ext.as_model(), space, cfg)
-        per_point = run_kind(kind, ModelFunction(ext.dim, ext.evaluate), space, cfg)
+        batched = run_kind(kind, ext, space, cfg)
+        per_point = run_kind(kind, ModelFunction(ext.dim, ext), space, cfg)
     assert report_bits(batched) == report_bits(per_point)
     assert cost_problems(batched) == []
 

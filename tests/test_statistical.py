@@ -84,7 +84,7 @@ def test_main_effects_match_closed_forms():
     space = ishigami_space()
     exact = np.array(ishigami_exact().main)
     table = np.array([
-        estimate_main_effects(f, space, EstimatorConfig(n=2 ** 16, seed=s)).values
+        estimate_main_effects(f, space, EstimatorConfig(n=2 ** 16, seed=s)).estimates
         for s in range(40)])
     se = table.std(axis=0, ddof=1) / np.sqrt(40)
     assert np.all(np.abs(table.mean(axis=0) - exact) < 4 * se)
@@ -95,7 +95,7 @@ def test_total_effects_match_closed_forms():
     space = ishigami_space()
     exact = np.array(ishigami_exact().total)
     table = np.array([
-        estimate_total_effects(f, space, EstimatorConfig(n=2 ** 16, seed=s)).values
+        estimate_total_effects(f, space, EstimatorConfig(n=2 ** 16, seed=s)).estimates
         for s in range(40)])
     se = table.std(axis=0, ddof=1) / np.sqrt(40)
     assert np.all(np.abs(table.mean(axis=0) - exact) < 4 * se)
@@ -107,5 +107,5 @@ def test_additive_uniform_model_effects():
     main = estimate_main_effects(f, space, EstimatorConfig(n=2 ** 16, seed=2))
     total = estimate_total_effects(f, space, EstimatorConfig(n=2 ** 16, seed=2))
     for j in range(2):
-        assert abs(main.values[j] - 1 / 12) < 0.01
-        assert abs(total.values[j] - 1 / 12) < 0.01
+        assert abs(main.estimates[j] - 1 / 12) < 0.01
+        assert abs(total.estimates[j] - 1 / 12) < 0.01
